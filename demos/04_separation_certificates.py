@@ -6,8 +6,9 @@ Restrict a polynomial function to one parametrized curve and you get a
 single polynomial p(t) with p(0) = 0.  Whenever p takes the same value
 at two distinct points, some exact divisor of p' must vanish in between
 at a point p' shares with no repeated root of p.  The certificate names
-that divisor, a numerical critical point, and the distance from it to
-the zero fiber of p.
+that divisor W = p'/gcd(p, p') and proves, by one exact gcd over the
+rationals, that W shares no root with p.  A numerical critical point and
+its distance to the zero fiber of p illustrate the claim.
 """
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ print("witness divisor of the derivative:", cert.witness_poly)
 z = cert.approx_critical_point
 print(f"numerical critical point {z.real:.6f}, "
       f"distance {cert.fiber_distance:.4f} from the zero fiber")
-print("confirmed:", cert.separation_ok)
+print("gcd(witness, map) = 1, exactly:", cert.separation_ok)
 
 ###############################################################################
 # Straight from a curve file plus functional coefficients.  The same

@@ -25,7 +25,6 @@ from .algebra import (
     fresh_symbols,
     leading_coeff_t,
     parse_poly,
-    series_invert_root,
     series_reversion,
     substitute_arc,
     t_order,
@@ -150,7 +149,6 @@ __all__ = [
     "rolle_for_curve",
     "rolle_for_map",
     "rolle_witness",
-    "series_invert_root",
     "series_reversion",
     "strong_equisingularity_check",
     "substitute_arc",

@@ -25,7 +25,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "t_order",
     "leading_coeff_t",
     "substitute_arc",
-    "series_invert_root",
     "series_reversion",
     "wedge3",
     "INFINITY",
@@ -206,15 +205,11 @@ class Scalar:
             num = {strip(m): c for m, c in num.items()}
             den = {strip(m): c for m, c in den.items()}
         # integer content: make all coefficients integral and jointly coprime
-        denoms = [c.denominator for c in itertools.chain(num.values(), den.values())]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // _int_gcd(lcm, d)
+        lcm = _int_lcm(*(c.denominator
+                         for c in itertools.chain(num.values(), den.values())))
         nums = [c.numerator * (lcm // c.denominator)
                 for c in itertools.chain(num.values(), den.values())]
-        g = 0
-        for v in nums:
-            g = _int_gcd(g, abs(v))
+        g = _int_gcd(*nums)
         scale = Fraction(lcm, g if g else 1)
         lead = den[max(den, key=_mono_key)]
         if lead < 0:
@@ -236,6 +231,9 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_rational(self) -> bool:
         return all(m == _ONE_M for m in self.num) and all(m == _ONE_M for m in self.den)
@@ -380,6 +378,52 @@ def _as_scalar(x) -> Scalar:
     if s is NotImplemented:
         raise TypeError(f"cannot interpret {x!r} as Scalar")
     return s
+
+
+# ---------------------------------------------------------------------------
+# dense univariate polynomials
+# ---------------------------------------------------------------------------
+#
+# Degree-indexed coefficient lists over a field whose elements are falsy
+# exactly at zero: Fraction for the Rolle certificates, Scalar for the arc
+# coefficient polynomials of the Whitney sweep.
+
+
+def dense_trim(c: list) -> list:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def dense_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = dense_trim(list(a))
+    db, lead = len(b) - 1, b[-1]
+    q = [lead * 0] * max(len(r) - db, 1)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        f = r[-1] / lead
+        q[k] = f
+        # the leading coefficient cancels by construction
+        r.pop()
+        for i in range(db):
+            r[k + i] = r[k + i] - f * b[i]
+        dense_trim(r)
+    return dense_trim(q), r
+
+
+def dense_gcd(a: Sequence, b: Sequence) -> list:
+    """Monic greatest common divisor; [] when both inputs are zero."""
+    a, b = dense_trim(list(a)), dense_trim(list(b))
+    while b:
+        a, b = b, dense_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +943,7 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
     Symbolic coefficients become Scalar symbols c1, c2, ...
     """
     segs = arc.segments()
-    q = 1
-    for e, _ in segs:
-        q = q * e.denominator // _int_gcd(q, e.denominator)
+    q = _int_lcm(*(e.denominator for e, _ in segs))
     s = ("s",)
     if arc.a0.is_zero() and len(segs) <= 1:
         # a is a single monomial in s (or zero), so each (a, t) term maps
@@ -1090,15 +1132,6 @@ class SeriesT:
         parts = [f"{c}*s^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(s^{self.order})"
-
-
-def series_invert_root(u: SeriesT, m: int) -> SeriesT:
-    """Return v with v**m == u up to the truncation order.
-
-    Used to reparametrize t so that t**m * u(t) becomes an exact m-th power:
-    with s = t*v(t) one has t**m * u = s**m.
-    """
-    return u.root(m)
 
 
 def series_reversion(v: SeriesT) -> SeriesT:

@@ -27,7 +27,6 @@ from . import __version__
 from .algebra import ParseError, fresh_symbol, parse_poly
 from .family import (
     FamilyValidationError,
-    Parametrization,
     load_equations,
     load_family,
     verify_implicit_equations,
@@ -82,14 +81,6 @@ def _parse_functional(text: str) -> list[Fraction]:
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated rationals, got {text!r}")
-
-
-def _recentered(family: Parametrization, base) -> Parametrization:
-    if base == "generic":
-        return family.recenter(fresh_symbol())
-    if base == 0:
-        return family
-    return family.recenter(base)
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -152,14 +143,14 @@ def _modification_section(family, build, depth):
 
 
 def _cmd_blowup(args, family):
-    family = _recentered(family, args.basepoint)
+    family = family.centered(args.basepoint)[0]
     section, code = _modification_section(
         family, blowup_singular_locus, args.depth)
     return {"blowup": section}, code
 
 
 def _cmd_nash(args, family):
-    family = _recentered(family, args.basepoint)
+    family = family.centered(args.basepoint)[0]
     section, code = _modification_section(
         family, nash_modification, args.depth)
     return {"nash": section}, code
@@ -218,7 +209,7 @@ def _cmd_full_report(args, family):
     if strong.verdict is Verdict.INCONCLUSIVE:
         code = EXIT_INCONCLUSIVE
 
-    centered = _recentered(family, args.basepoint)
+    centered = family.centered(args.basepoint)[0]
     for key, build in (("blowup", blowup_singular_locus),
                        ("nash", nash_modification)):
         try:

@@ -120,6 +120,22 @@ class Parametrization:
         new = [self.entries[0]] + [e.compose([shifted, t_var]) for e in self.entries[1:]]
         return Parametrization(tuple(new), self.ambient, self.name)
 
+    def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
+        """The family recentered on an axis point, that point and its label.
+
+        ``basepoint`` is "generic" (a fresh generic symbol), a Scalar, or a
+        rational; a zero base point leaves the family as it is.
+        """
+        if basepoint == "generic":
+            a0 = fresh_symbol()
+            label = f"generic ({a0})"
+        elif isinstance(basepoint, Scalar):
+            a0, label = basepoint, str(basepoint)
+        else:
+            a0 = Scalar.from_fraction(Fraction(basepoint))
+            label = str(Fraction(basepoint))
+        return (self if a0.is_zero() else self.recenter(a0)), a0, label
+
     def jacobian(self) -> list[tuple[Poly, Poly]]:
         """Rows (d/da, d/dt) of each entry."""
         return [(e.diff("a"), e.diff("t")) for e in self.entries]

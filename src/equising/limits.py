@@ -31,6 +31,7 @@ reported Inconclusive with the obstruction spelled out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -42,7 +43,8 @@ from .algebra import (
     Arc,
     Poly,
     Scalar,
-    fresh_symbol,
+    dense_gcd,
+    dense_trim,
     substitute_arc,
     wedge3,
 )
@@ -248,41 +250,10 @@ def _leading(subs: Sequence[Poly]) -> tuple[float, list[Scalar]] | None:
 # isolation are needed; everything stays in the coefficient field.
 
 
-def _c_trim(p: list[Scalar]) -> list[Scalar]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _c_mod(f: list[Scalar], g: list[Scalar]) -> list[Scalar]:
-    f = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    while len(f) - 1 >= dg and f:
-        df = len(f) - 1
-        q = f[-1] / lead
-        for i in range(dg + 1):
-            f[df - dg + i] = f[df - dg + i] - q * g[i]
-        _c_trim(f)
-        if not f:
-            break
-    return f
-
-
-def _c_gcd(f: list[Scalar], g: list[Scalar]) -> list[Scalar]:
-    f, g = _c_trim(list(f)), _c_trim(list(g))
-    while g:
-        f, g = g, _c_mod(f, g)
-    if f:
-        lead = f[-1]
-        f = [c / lead for c in f]
-    return f
-
-
 def _c_gcd_many(ps: Iterable[list[Scalar]]) -> list[Scalar]:
     acc: list[Scalar] = []
     for p in ps:
-        acc = _c_gcd(acc, p) if acc else _c_trim(list(p))
+        acc = dense_gcd(acc, p) if acc else dense_trim(list(p))
         if len(acc) == 1:
             break
     return acc
@@ -306,9 +277,7 @@ def _render_cpoly(p: Sequence[Scalar], cname: str) -> str:
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots (with multiplicity collapsed) of a polynomial
     with rational coefficients and nonzero constant term."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     roots = []
@@ -317,15 +286,9 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue
-                if _eval_int_poly(ints, cand) == 0:
+                if _eval_poly(ints, cand) == 0:
                     roots.append(cand)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -340,9 +303,9 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _eval_int_poly(ints: list[int], x: Fraction) -> Fraction:
+def _eval_poly(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
-    for c in reversed(ints):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -352,7 +315,7 @@ def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
     out = [Fraction(0)] * (len(coeffs) - 1)
     acc = Fraction(0)
     for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] + acc * r if k == len(coeffs) - 1 else coeffs[k] + acc * r
+        acc = coeffs[k] + acc * r
         out[k - 1] = acc
     return out
 
@@ -365,7 +328,7 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
     root at zero is dropped: a vanishing leading coefficient just means the
     arc belongs to a lower exponent regime.
     """
-    p = _c_trim(list(p))
+    p = dense_trim(list(p))
     k = 0
     while k < len(p) and p[k].is_zero():
         k += 1
@@ -378,7 +341,7 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
         fr = [c.as_fraction() for c in p]
         roots: list[Fraction] = []
         for r in _rational_roots(fr):
-            while len(fr) > 1 and _eval_int_poly([int(x * _den_lcm(fr)) for x in fr], r) == 0:
+            while len(fr) > 1 and _eval_poly(fr, r) == 0:
                 fr = _deflate(fr, r)
                 if r not in roots:
                     roots.append(r)
@@ -388,13 +351,6 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
             return scalars, _render_cpoly(left, cname)
         return scalars, None
     return [], _render_cpoly(p, cname)
-
-
-def _den_lcm(fr: list[Fraction]) -> int:
-    lcm = 1
-    for c in fr:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    return lcm
 
 
 # ---------------------------------------------------------------------------
@@ -640,58 +596,49 @@ def _pick_witness(
 # ---------------------------------------------------------------------------
 
 
-def _prepare(family: Parametrization, basepoint):
-    if basepoint == "generic":
-        a0 = fresh_symbol()
-        label = f"generic ({a0})"
-    elif isinstance(basepoint, Scalar):
-        a0 = basepoint
-        label = str(a0)
-    else:
-        a0 = Scalar.from_fraction(Fraction(basepoint))
-        label = str(Fraction(basepoint))
-    if not a0.is_zero():
-        family = family.recenter(a0)
-    return family, a0, label
-
-
-def _run_condition(family: Parametrization, basepoint, mode: str,
-                   max_depth: int) -> WhitneyResult:
-    fam, a0, label = _prepare(family, basepoint)
+def _run_conditions(family: Parametrization, basepoint, modes: str,
+                    max_depth: int) -> list[WhitneyResult]:
+    """Recenter once, then sweep each condition in ``modes`` ("a", "b")
+    over the same family, minors and base point."""
+    fam, a0, label = family.centered(basepoint)
     dim = fam.dim
     if dim < 3:
         rec = RegimeRecord(
             theta="all", kind="sector", status="trivial",
             note="ambient dimension below 3: every line lies in every plane")
-        return WhitneyResult(Verdict.VERIFIED, mode, label, None, (rec,), ())
+        return [WhitneyResult(Verdict.VERIFIED, mode, label, None, (rec,), ())
+                for mode in modes]
     vec = secant_vector(fam)
     omega = fam.plucker_minors()
-    state, records = _sweep(
-        vec, omega, dim, mode,
-        w_min=Fraction(0), depth_left=max_depth, t_scale=1,
-        prefix=[], a0=a0, a0_label=label,
-    )
-    return WhitneyResult(
-        verdict=state.verdict,
-        condition=mode,
-        basepoint=label,
-        witness=state.witness,
-        regimes=tuple(records),
-        reasons=tuple(state.reasons),
-    )
+    results = []
+    for mode in modes:
+        state, records = _sweep(
+            vec, omega, dim, mode,
+            w_min=Fraction(0), depth_left=max_depth, t_scale=1,
+            prefix=[], a0=a0, a0_label=label,
+        )
+        results.append(WhitneyResult(
+            verdict=state.verdict,
+            condition=mode,
+            basepoint=label,
+            witness=state.witness,
+            regimes=tuple(records),
+            reasons=tuple(state.reasons),
+        ))
+    return results
 
 
 def whitney_a_check(family: Parametrization, basepoint=0,
                     max_depth: int = 4) -> WhitneyResult:
     """Condition (a): tangent-plane limits contain the axis direction."""
-    return _run_condition(family, basepoint, "a", max_depth)
+    return _run_conditions(family, basepoint, "a", max_depth)[0]
 
 
 def whitney_b_check(family: Parametrization, basepoint=0,
                     max_depth: int = 4) -> WhitneyResult:
     """Condition (b), retraction form: the limit of secants from the axis
     retraction lies in the tangent-plane limit."""
-    return _run_condition(family, basepoint, "b", max_depth)
+    return _run_conditions(family, basepoint, "b", max_depth)[0]
 
 
 def whitney_check(family: Parametrization, basepoint=0,
@@ -700,10 +647,10 @@ def whitney_check(family: Parametrization, basepoint=0,
 
     The retraction form of (b) combined with (a) is equivalent to the
     classical secant condition for pairs (smooth part, axis), so the joint
-    verdict is the conjunction.
+    verdict is the conjunction.  Both conditions are checked at the same
+    base point, one generic symbol when ``basepoint`` is "generic".
     """
-    part_a = whitney_a_check(family, basepoint, max_depth)
-    part_b = whitney_b_check(family, basepoint, max_depth)
+    part_a, part_b = _run_conditions(family, basepoint, "ab", max_depth)
     if Verdict.REFUTED in (part_a.verdict, part_b.verdict):
         verdict = Verdict.REFUTED
     elif Verdict.INCONCLUSIVE in (part_a.verdict, part_b.verdict):

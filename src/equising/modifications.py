@@ -151,6 +151,25 @@ def _combination(target: tuple[int, int],
     return go(0, target[0], target[1])
 
 
+def _product_certificate(lhs: str, p: Poly, combo: list[int],
+                         factors: list[tuple[Poly, str]], what: str) -> str:
+    """Render p = scalar * prod(factor^n) over the combination's nonzero
+    exponents, after checking the identity exactly."""
+    prod = Poly.const(AT, 1)
+    parts = []
+    for n, (q, label) in zip(combo, factors):
+        if n:
+            prod = prod * q ** n
+            parts.append(label if n == 1 else f"({label})^{n}")
+    coeff = next(iter(p.terms.values()))
+    pcoeff = next(iter(prod.terms.values()))
+    scalar = coeff / pcoeff
+    if prod * scalar != p:
+        raise AssertionError(f"{what} certificate failed for {lhs}")
+    scalar_txt = "" if scalar == Scalar.from_fraction(1) else f"({scalar}) * "
+    return f"{lhs} = {scalar_txt}" + " * ".join(parts)
+
+
 def prune_redundant(family: Parametrization) -> PruneResult:
     """Drop coordinates that are exact monomial products of earlier ones.
 
@@ -179,31 +198,17 @@ def prune_redundant(family: Parametrization) -> PruneResult:
 
     live.sort(key=lambda item: (item[2][1], item[2][0], item[0]))
 
-    kept: list[tuple[Poly, tuple[int, int], str]] = [
-        (a_poly, (1, 0), "a")
-    ]
+    kept_vecs: list[tuple[int, int]] = [(1, 0)]
+    kept: list[tuple[Poly, str]] = [(a_poly, "a")]
     kept_out: list[Poly] = []
     for idx, p, vec in live:
-        combo = _combination(vec, [v for _, v, _ in kept])
+        combo = _combination(vec, kept_vecs)
         if combo is None:
-            kept.append((p, vec, p.grammar_str()))
+            kept_vecs.append(vec)
+            kept.append((p, p.grammar_str()))
             kept_out.append(p)
             continue
-        prod = Poly.const(AT, 1)
-        parts = []
-        for n, (kp, _, label) in zip(combo, kept):
-            if n:
-                prod = prod * kp ** n
-                parts.append(label if n == 1 else f"({label})^{n}")
-        coeff = next(iter(p.terms.values()))
-        pcoeff = next(iter(prod.terms.values()))
-        scalar = coeff / pcoeff
-        identity = prod * scalar
-        if identity != p:
-            raise AssertionError(
-                f"pruning certificate failed for {p.grammar_str()}")
-        scalar_txt = "" if scalar == Scalar.from_fraction(1) else f"({scalar}) * "
-        cert = f"{p.grammar_str()} = {scalar_txt}" + " * ".join(parts)
+        cert = _product_certificate(p.grammar_str(), p, combo, kept, "pruning")
         dropped.append(DroppedCoordinate(
             entry=p.grammar_str(), kind="product", certificate=cert))
 
@@ -369,8 +374,7 @@ def check_factorization(original: Parametrization,
     """Certify that every original coordinate is a monomial product of the
     modified ones, so the original family factors through the modification."""
     vecs: list[tuple[int, int]] = [(1, 0)]
-    labels = ["a"]
-    polys = [original.entries[0]]
+    factors: list[tuple[Poly, str]] = [(original.entries[0], "a")]
     for p in modified.entries[1:]:
         vec = _monomial_vec(p)
         if vec is None:
@@ -378,8 +382,7 @@ def check_factorization(original: Parametrization,
                 status="undecided", certificates=(),
                 note="modified family has a non-monomial coordinate")
         vecs.append(vec)
-        labels.append(p.grammar_str())
-        polys.append(p)
+        factors.append((p, p.grammar_str()))
     certs = []
     for name, p in zip(original.ambient[1:], original.entries[1:]):
         if p.is_zero():
@@ -394,17 +397,6 @@ def check_factorization(original: Parametrization,
             return FactorizationResult(
                 status="undecided", certificates=tuple(certs),
                 note=f"no product expression found for {name}")
-        prod = Poly.const(AT, 1)
-        parts = []
-        for n, q, label in zip(combo, polys, labels):
-            if n:
-                prod = prod * q ** n
-                parts.append(label if n == 1 else f"({label})^{n}")
-        coeff = next(iter(p.terms.values()))
-        pcoeff = next(iter(prod.terms.values()))
-        scalar = coeff / pcoeff
-        if prod * scalar != p:
-            raise AssertionError(f"factorization certificate failed for {name}")
-        scalar_txt = "" if scalar == Scalar.from_fraction(1) else f"({scalar}) * "
-        certs.append(f"{name} = {scalar_txt}" + " * ".join(parts))
+        certs.append(
+            _product_certificate(name, p, combo, factors, "factorization"))
     return FactorizationResult(status="verified", certificates=tuple(certs))

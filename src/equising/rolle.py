@@ -5,32 +5,33 @@ univariate polynomial p(t) either has at most one distinct root or its
 derivative must vanish somewhere off the root set: p' has degree d - 1,
 and roots of p can absorb at most d - n of them (a root of multiplicity k
 is a root of p' of multiplicity exactly k - 1), so n >= 2 distinct roots
-force a critical point that is not a root.  The certificate carries the
-exact cofactor of the derivative whose roots are those free critical
-points, plus one numerically verified representative.
+force a critical point that is not a root.
 
-All symbolic work is exact over the rationals; floating point enters only
-when confirming the approximate witness point.  Two checks run there: the
-derivative residual must stay below DERIV_TOL relative to the derivative's
-coefficient magnitude at the point, and the point must keep a distance of
-more than VALUE_TOL (relative to its own magnitude) from the numerically
-recovered roots of the exact squarefree part, which are the zero fiber.
-Measuring separation as a distance in the parameter line rather than as a
-value of p keeps the check meaningful for maps with multiple roots, whose
-critical values can be tiny against the coefficient bulk.
+The certificate is exact.  The witness W = p'/gcd(p, p') is the cofactor
+of the derivative whose roots are those free critical points.  Writing
+p = lc * prod (t - r_j)**m_j, one has W(r_j) = lc * m_j * prod_{k != j}
+(r_j - r_k), which is never 0, so gcd(W, p) = 1; ``separation_ok`` is that
+gcd, computed over the rationals.
+
+Floating point only fills the report's illustration of the witness: the
+root of W with the smallest |p'|, found by Aberth's simultaneous iteration
+(Math. Comp. 27, 1973), with its derivative residual, its value under p
+and its distance to the nearest root of the squarefree part of p, which
+are the zero fiber.  None of these numbers decides anything.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-import numpy
-
-from .algebra import Poly, Scalar, parse_poly
+from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim, parse_poly
 from .family import Parametrization
 
 __all__ = [
@@ -43,67 +44,51 @@ __all__ = [
     "load_curve",
 ]
 
-DERIV_TOL = 1e-8
-VALUE_TOL = 1e-4
-
-
 class ConstantMapError(ValueError):
     """The composed map has no nonconstant part to certify."""
 
 
-# -- dense univariate arithmetic over Fraction, index = degree --------------
-
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _deg(c: Sequence[Fraction]) -> int:
-    return len(c) - 1
-
-
-def _deriv(c: Sequence[Fraction]) -> list[Fraction]:
-    return _trim([c[i] * i for i in range(1, len(c))])
-
-
-def _divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    db, lead = _deg(b), b[-1]
-    while r and _deg(r) >= db:
-        k = _deg(r) - db
-        f = r[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            r[i + k] -= f * b[i]
-        _trim(r)
-    return _trim(q), r
-
-
-def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _eval_complex(c: Sequence[Fraction], z: complex) -> complex:
+def _horner(c: Sequence[complex], z: complex) -> complex:
     out = 0j
     for coeff in reversed(c):
-        out = out * z + float(coeff)
+        out = out * z + coeff
     return out
 
 
-def _residual_scale(c: Sequence[Fraction], z: complex) -> float:
-    """Coefficient-size bound used to make the derivative residual relative."""
-    radius = max(1.0, abs(z))
-    return sum(abs(float(x)) for x in c) * radius ** _deg(c)
+def _roots(c: Sequence[Fraction]) -> list[complex]:
+    """Approximate complex roots, with multiplicity, of a nonconstant
+    polynomial given by rational coefficients, index = degree.
+
+    Roots at 0 and a linear remainder are solved exactly.  Higher degrees
+    run Aberth's iteration from fixed points on a circle whose radius is
+    the root scale max |c_(n-k)/c_n|**(1/k), until no step exceeds a few
+    units in the last place.  Multiple roots stall above that level, so
+    the sweeps are also capped.
+    """
+    zeros = next(i for i, x in enumerate(c) if x)
+    c = c[zeros:]
+    n = len(c) - 1
+    if n < 2:
+        return [0j] * zeros + ([complex(-c[0] / c[1])] if n else [])
+    f = [complex(x / c[-1]) for x in c]
+    df = [k * f[k] for k in range(1, n + 1)]
+    radius = max(abs(f[n - k]) ** (1 / k) for k in range(1, n + 1))
+    zs = [cmath.rect(radius, 2 * math.pi * k / n + 0.5) for k in range(n)]
+    for _ in range(100):
+        moved = False
+        for k, z in enumerate(zs):
+            v = _horner(f, z)
+            if v == 0:
+                continue
+            w = _horner(df, z) / v - sum(
+                1 / (z - y) for j, y in enumerate(zs) if j != k and y != z)
+            if w == 0:
+                continue
+            zs[k] = z - 1 / w
+            moved = moved or abs(1 / w) > 4 * sys.float_info.epsilon * abs(z)
+        if not moved:
+            break
+    return [0j] * zeros + zs
 
 
 def _render(c: Sequence[Fraction]) -> str:
@@ -113,15 +98,16 @@ def _render(c: Sequence[Fraction]) -> str:
 
 @dataclass(frozen=True)
 class RolleCertificate:
-    """Exact root-count bookkeeping plus one checked critical point.
+    """Exact root-count bookkeeping plus a proof of separation.
 
     ``witness_needed`` is the comparison derivative_degree > shared_degree,
-    which is equivalent to distinct_roots >= 2.  When no witness is needed
-    the approximate fields stay None.  ``separation_ok`` confirms the
-    approximate point numerically: derivative residual below DERIV_TOL
-    (relative to coefficient size) and ``fiber_distance``, the distance to
-    the nearest zero of the map, above VALUE_TOL relative to the point's
-    magnitude.
+    which is equivalent to distinct_roots >= 2.  When a witness is needed,
+    ``separation_ok`` states that gcd(witness, map) = 1, decided over the
+    rationals: no root of the witness lies on the zero fiber.  The
+    approximate fields illustrate one such root (the one with the smallest
+    derivative residual) and its ``fiber_distance`` to the nearest zero of
+    the map; they stay None, like ``separation_ok``, when no witness is
+    needed.
     """
 
     map_poly: str
@@ -174,53 +160,40 @@ def hurwitz_count(cert: RolleCertificate) -> tuple[int, int]:
 
 def rolle_witness(coeffs: Sequence[Fraction | int]) -> RolleCertificate:
     """Certificate for one univariate polynomial, coefficients by degree."""
-    p = _trim([Fraction(c) for c in coeffs])
-    if _deg(p) < 1:
+    p = dense_trim([Fraction(c) for c in coeffs])
+    if len(p) < 2:
         raise ConstantMapError(
             "the composed map is constant; there are no roots to separate")
-    d = _deg(p)
-    dp = _deriv(p)
-    shared = _gcd(p, dp)
-    n_distinct = d - _deg(shared)
-    witness, rem = _divmod(dp, shared)
+    d = len(p) - 1
+    dp = [p[i] * i for i in range(1, len(p))]
+    shared = dense_gcd(p, dp)
+    n_distinct = len(p) - len(shared)
+    witness, rem = dense_divmod(dp, shared)
     assert not rem, "derivative must be divisible by gcd(p, p')"
     base = dict(
         map_poly=_render(p),
         degree=d,
         distinct_roots=n_distinct,
         derivative_degree=d - 1,
-        shared_degree=_deg(shared),
+        shared_degree=len(shared) - 1,
         witness_poly=_render(witness),
-        witness_degree=_deg(witness),
+        witness_degree=len(witness) - 1,
         witness_needed=n_distinct >= 2,
     )
     if n_distinct < 2:
         return RolleCertificate(**base)
 
-    squarefree, sq_rem = _divmod(p, shared)
+    squarefree, sq_rem = dense_divmod(p, shared)
     assert not sq_rem, "gcd(p, p') must divide p"
-    fiber = numpy.roots([float(c) for c in reversed(squarefree)])
-    roots = numpy.roots([float(c) for c in reversed(witness)])
-    best = None
-    for r in sorted(roots, key=lambda z: abs(_eval_complex(dp, complex(z)))):
-        z = complex(r)
-        res_d = abs(_eval_complex(dp, z))
-        val_p = abs(_eval_complex(p, z))
-        dist = min(abs(z - complex(w)) for w in fiber)
-        ok = (res_d < DERIV_TOL * _residual_scale(dp, z)
-              and dist > VALUE_TOL * max(1.0, abs(z)))
-        if best is None or ok:
-            best = (z, res_d, val_p, dist, ok)
-        if ok:
-            break
-    z, res_d, val_p, dist, ok = best
+    pf, dpf = [float(x) for x in p], [float(x) for x in dp]
+    z = min(_roots(witness), key=lambda r: abs(_horner(dpf, r)))
     return RolleCertificate(
         **base,
         approx_critical_point=z,
-        derivative_residual=res_d,
-        value_at_point=val_p,
-        fiber_distance=dist,
-        separation_ok=ok,
+        derivative_residual=abs(_horner(dpf, z)),
+        value_at_point=abs(_horner(pf, z)),
+        fiber_distance=min(abs(z - w) for w in _roots(squarefree)),
+        separation_ok=len(dense_gcd(witness, p)) == 1,
     )
 
 

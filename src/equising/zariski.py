@@ -102,12 +102,6 @@ class CrosscheckResult:
         }
 
 
-def _recenter(family: Parametrization, basepoint):
-    from .limits import _prepare
-
-    return _prepare(family, basepoint)
-
-
 def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
     """Decide whether the generic-projection critical locus avoids a
     punctured neighborhood of the base point.
@@ -117,7 +111,7 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
     cofactors, so it vanishes identically only for nowhere-immersive input,
     which is rejected.
     """
-    fam, _, _ = _recenter(family, basepoint)
+    fam, _, _ = family.centered(basepoint)
     n = fam.dim
     l_coeffs = fresh_symbols(n)
     m_coeffs = fresh_symbols(n)
@@ -150,7 +144,7 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
 def zariski_check(family: Parametrization, basepoint=0) -> ZariskiResult:
     """Equisingularity via generic projection: empty critical locus off the
     axis plus constant fiber multiplicity.  Always decisive."""
-    fam, _, label = _recenter(family, basepoint)
+    fam, _, label = family.centered(basepoint)
     polar = polar_is_empty(fam)
     equal, special, generic = fam.is_equimultiple()
     verdict = Verdict.VERIFIED if (polar.empty and equal) else Verdict.REFUTED

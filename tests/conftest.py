@@ -182,20 +182,26 @@ def univariate_coeffs(text: str) -> list[Fraction]:
     return out
 
 
-def run_random_rolle_suite(rng: random.Random, count: int,
-                           deriv_tol: float, value_tol: float) -> None:
-    """Certificates for random maps vanishing at the basepoint with at
-    least two distinct roots: exact count and gcd checks, then numerical
-    confirmation at the given tolerances."""
-    from equising import rolle_witness
-
+def random_rolle_polys(rng: random.Random, count: int):
+    """Random maps vanishing at the basepoint with at least two distinct
+    roots, as (roots, multiplicities, coefficients by degree)."""
     pool = sorted({Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3)
                    if k != 0})
     for _ in range(count):
         n_distinct = rng.randint(2, 4)
         roots = [Fraction(0)] + rng.sample(pool, n_distinct - 1)
         mults = [rng.randint(1, 3) for _ in roots]
-        coeffs = poly_from_roots(list(zip(roots, mults)))
+        yield roots, mults, poly_from_roots(list(zip(roots, mults)))
+
+
+def run_random_rolle_suite(rng: random.Random, count: int,
+                           deriv_tol: float, value_tol: float) -> None:
+    """Certificates for :func:`random_rolle_polys`: exact count and gcd
+    checks, then numerical confirmation at the given tolerances."""
+    from equising import rolle_witness
+
+    for roots, mults, coeffs in random_rolle_polys(rng, count):
+        n_distinct = len(roots)
         degree = sum(mults)
         cert = rolle_witness(coeffs)
 

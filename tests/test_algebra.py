@@ -14,12 +14,12 @@ from equising import (
     SeriesT,
     leading_coeff_t,
     parse_poly,
-    series_invert_root,
     series_reversion,
     substitute_arc,
     t_order,
     wedge3,
 )
+from equising.algebra import dense_divmod, dense_gcd
 
 AT = ("a", "t")
 
@@ -162,6 +162,63 @@ class TestPoly:
         assert v.as_fraction() == 4 * 3 + 81 - 4
 
 
+class TestDenseUnivariate:
+    @staticmethod
+    def _random_poly(rng, degree):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(degree)]
+        return coeffs + [Fraction(rng.choice([-3, -1, 1, 2, 5]))]
+
+    @staticmethod
+    def _mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def test_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(c):
+            return sympy.Poly([sympy.Rational(v.numerator, v.denominator)
+                               for v in reversed(c)], x, domain="QQ")
+
+        rng = random.Random(4242)
+        for _ in range(150):
+            common = self._random_poly(rng, rng.randint(0, 3))
+            a = self._mul(common, self._random_poly(rng, rng.randint(0, 4)))
+            b = self._mul(common, self._random_poly(rng, rng.randint(0, 4)))
+            want = [Fraction(int(v.p), int(v.q)) for v in
+                    reversed(to_sympy(a).gcd(to_sympy(b)).monic().all_coeffs())]
+            assert dense_gcd(a, b) == want
+            # the same field operations over Scalar, as the arc sweep uses
+            assert dense_gcd([Scalar.from_fraction(v) for v in a],
+                             [Scalar.from_fraction(v) for v in b]) == \
+                [Scalar.from_fraction(v) for v in want]
+
+    def test_divmod_identity(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            a = self._random_poly(rng, rng.randint(0, 8))
+            b = self._random_poly(rng, rng.randint(0, 4))
+            q, r = dense_divmod(a, b)
+            assert len(r) < len(b)
+            prod = self._mul(q, b) if q else []
+            total = [(prod[i] if i < len(prod) else 0) +
+                     (r[i] if i < len(r) else 0) for i in range(len(a))]
+            assert total == a
+        with pytest.raises(ZeroDivisionError):
+            dense_divmod([Fraction(1)], [])
+
+    def test_scalar_truth_is_nonzero(self):
+        assert not Scalar.from_fraction(0)
+        assert Scalar.from_fraction(Fraction(1, 3))
+        g = Scalar.symbol("g1")
+        assert g and not (g - g)
+
+
 class TestArc:
     def test_segments_accumulate_exponents(self):
         arc = Arc(Fraction(1), None, refinement=Arc(Fraction(1)))
@@ -251,10 +308,6 @@ class TestSeries:
         ident = s_of_t.compose(t_of_s)
         assert ident.coeffs[1].as_fraction() == 1
         assert all(c.is_zero() for k, c in enumerate(ident.coeffs) if k != 1)
-
-    def test_invert_root_alias(self):
-        u = SeriesT.from_coeffs([1, 3, 3], 5)
-        assert series_invert_root(u, 3).coeffs == u.root(3).coeffs
 
 
 class TestWedge:

@@ -198,3 +198,13 @@ class TestErrors:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "equising 0.1.0"
         assert run_cli("--help").returncode == 0
+
+
+class TestImport:
+    def test_cli_imports_without_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, equising.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -88,6 +88,12 @@ class TestRefutedFamily:
         for basepoint in ("generic", Fraction(1, 2), Fraction(-3)):
             assert whitney_check(fam, basepoint).verdict is Verdict.VERIFIED
 
+    def test_generic_basepoint_shared_by_both_conditions(self):
+        fam = load_family(corpus_path("family-352.json"))
+        res = whitney_check(fam, "generic")
+        assert res.part_a.basepoint.startswith("generic (g")
+        assert res.part_a.basepoint == res.part_b.basepoint
+
 
 class TestRefinement:
     def test_two_segment_witness(self):

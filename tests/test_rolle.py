@@ -1,4 +1,5 @@
-"""Separation certificates: exact counts plus numerical confirmation."""
+"""Separation certificates: exact counts and separation, plus numerical
+confirmation of the reported critical point."""
 
 import json
 import random
@@ -16,7 +17,17 @@ from equising import (
     rolle_for_map,
     rolle_witness,
 )
-from conftest import corpus_path, poly_from_roots, run_random_rolle_suite
+from equising.rolle import _roots
+from conftest import (
+    corpus_path,
+    derive_coeffs,
+    divmod_coeffs,
+    gcd_coeffs,
+    poly_from_roots,
+    random_rolle_polys,
+    run_random_rolle_suite,
+    univariate_coeffs,
+)
 
 DERIV_TOL = 1e-8
 VALUE_TOL = 1e-4
@@ -133,3 +144,43 @@ class TestRandomCertificates:
     def test_two_hundred_random_polynomials(self):
         run_random_rolle_suite(random.Random(20260817), 200,
                                DERIV_TOL, VALUE_TOL)
+
+
+def _assert_roots_match_numpy(coeffs):
+    """Every numpy.roots root has its own approximation within 1e-9,
+    relative to max(1, |root|)."""
+    numpy = pytest.importorskip("numpy")
+    mine = _roots(coeffs)
+    want = numpy.roots([float(c) for c in reversed(coeffs)])
+    assert len(mine) == len(want)
+    for r in map(complex, want):
+        z = min(mine, key=lambda z: abs(z - r))
+        assert abs(z - r) <= 1e-9 * max(1.0, abs(r)), (coeffs, mine, want)
+        mine.remove(z)
+
+
+def _witness_and_fiber(coeffs):
+    """W = p'/gcd(p, p') and the squarefree part of p, by the test-side
+    arithmetic."""
+    dp = derive_coeffs(coeffs)
+    shared = gcd_coeffs(coeffs, dp)
+    return divmod_coeffs(dp, shared)[0], divmod_coeffs(coeffs, shared)[0]
+
+
+class TestRootsAgainstNumpy:
+    def test_random_suite_polynomials(self):
+        for _, _, coeffs in random_rolle_polys(random.Random(20260817), 200):
+            for poly in _witness_and_fiber(coeffs):
+                _assert_roots_match_numpy(poly)
+
+    def test_corpus_maps(self):
+        fam = load_family(corpus_path("family-345.json"))
+        certs = [rolle_for_map(fam, parse_poly(rho, fam.ambient), at=at)
+                 for rho in ("y - z", "y - z - w", "y^2 - 3*z")
+                 for at in (0, Fraction(1, 2))]
+        _, entries = load_curve(corpus_path("cusp-curve.json"))
+        certs.append(rolle_for_curve(entries, [Fraction(-1), 1]))
+        assert any(c.witness_degree >= 2 for c in certs)
+        for cert in certs:
+            for poly in _witness_and_fiber(univariate_coeffs(cert.map_poly)):
+                _assert_roots_match_numpy(poly)
