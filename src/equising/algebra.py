@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -36,6 +38,7 @@ __all__ = [
     "ParseError",
     "fresh_symbol",
     "fresh_symbols",
+    "symbol_run",
     "parse_poly",
     "t_order",
     "leading_coeff_t",
@@ -53,13 +56,35 @@ INFINITY = float("inf")
 
 _symbol_lock = threading.Lock()
 _symbol_counter = itertools.count(1)
+_run_counter: ContextVar[Iterator[int]] = ContextVar("equising_symbol_run")
 
 
 def fresh_symbol() -> "Scalar":
-    """Allocate the next generic symbol g1, g2, ... (process-wide)."""
+    """Allocate the next generic symbol g1, g2, ...
+
+    Inside :func:`symbol_run` the numbers come from that run's own counter;
+    outside any run, from one counter shared by the whole process.
+    """
+    counter = _run_counter.get(_symbol_counter)
     with _symbol_lock:
-        n = next(_symbol_counter)
+        n = next(counter)
     return Scalar.symbol(f"g{n}")
+
+
+@contextmanager
+def symbol_run() -> Iterator[None]:
+    """Number generic symbols from g1 for the duration of a block.
+
+    The counter lives in a context variable, so a run draws the same names
+    whatever ran before it, in this thread or another.  A run opened inside
+    another one keeps counting where the outer run is, so no name is
+    handed out twice within one computation.
+    """
+    token = _run_counter.set(_run_counter.get(None) or itertools.count(1))
+    try:
+        yield
+    finally:
+        _run_counter.reset(token)
 
 
 def fresh_symbols(n: int) -> tuple["Scalar", ...]:
@@ -679,7 +704,7 @@ class Poly:
             rem = rem - q * divisor
         return quo
 
-    def __str__(self):
+    def _text(self, explicit_unit: bool) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
@@ -694,7 +719,7 @@ class Poly:
                 neg, mag = q < 0, abs(q)
                 if not body:
                     text = str(mag)
-                elif mag == 1:
+                elif mag == 1 and not (explicit_unit and neg and not parts):
                     text = body
                 else:
                     text = f"{mag}*{body}"
@@ -705,38 +730,19 @@ class Poly:
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
+    def __str__(self):
+        return self._text(explicit_unit=False)
+
     def grammar_str(self) -> str:
         """Canonical text that reparses to the same polynomial.
 
-        Only valid when all coefficients are rational; the leading term of a
-        negative-first polynomial is written with an explicit ``-1*`` factor
-        because the expression grammar has no unary minus.
+        The leading term of a negative-first polynomial is written with an
+        explicit ``-1*`` factor because the expression grammar has no unary
+        minus.  Coefficients in generic symbols (a family centered on a
+        generic point) are written in parentheses, as by ``str``; such text
+        names the symbols but does not reparse over (a, t).
         """
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        first = True
-        for e in sorted(self.terms, key=lambda ee: (sum(ee), ee), reverse=True):
-            q = self.terms[e].as_fraction()
-            body = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.vars, e) if k
-            )
-            mag = abs(q)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if first:
-                if q < 0:
-                    text = f"-{mag}*{body}" if body else f"-{mag}"
-                parts.append(text)
-                first = False
-            else:
-                parts.append((" - " if q < 0 else " + ") + text)
-        return "".join(parts)
+        return self._text(explicit_unit=True)
 
     __repr__ = __str__
 

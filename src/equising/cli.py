@@ -11,8 +11,10 @@ subcommands:
 * 1: bad input or an internal failure, reported on stderr.
 
 Reports are deterministic: JSON output sorts its keys, rationals are
-rendered as ``p/q`` strings, and all symbolic choices are made through
-the same sequential generator.
+rendered as ``p/q`` strings, and generic symbols are numbered from g1 in
+every run, giving the same bytes in one process or many and in any
+thread.  ``--basepoint generic`` is one generic point, drawn once and
+shared by every section of the report.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .algebra import ParseError, fresh_symbol, parse_poly
+from .algebra import ParseError, fresh_symbol, parse_poly, symbol_run
 from .family import (
     FamilyValidationError,
     load_equations,
@@ -39,7 +41,7 @@ from .modifications import (
     check_factorization,
     nash_modification,
 )
-from .projection import char_exponents_at, strong_equisingularity_check
+from .projection import strong_equisingularity_check
 from .rolle import ConstantMapError, load_curve, rolle_for_curve, rolle_for_map
 from .zariski import DegenerateSurfaceError, equivalence_crosscheck, zariski_check
 
@@ -55,12 +57,14 @@ _SECTION_ERRORS = (
     FamilyValidationError,
 )
 
+_MODIFICATIONS = {"blowup": blowup_singular_locus, "nash": nash_modification}
+
 
 def _parse_basepoint(text: str):
     if text == "origin":
         return 0
     if text == "generic":
-        return "generic"
+        return fresh_symbol()
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -112,17 +116,10 @@ def _cmd_strong(args, family):
 
 
 def _cmd_char_exponents(args, family):
-    sequences = {"generic": char_exponents_at(family, fresh_symbol())}
-    if args.basepoint == "generic":
-        sequences["basepoint (generic)"] = char_exponents_at(
-            family, fresh_symbol())
-    else:
-        sequences[f"a = {Fraction(args.basepoint)}"] = char_exponents_at(
-            family, args.basepoint)
-    for v in args.special_a:
-        sequences[f"a = {v}"] = char_exponents_at(family, v)
-    confirmed = all(seq.confirmed for seq in sequences.values())
-    payload = {label: seq.to_json() for label, seq in sequences.items()}
+    sequences = strong_equisingularity_check(
+        family, args.basepoint, tuple(args.special_a)).sequences
+    confirmed = all(seq.confirmed for _, seq in sequences)
+    payload = {label: seq.to_json() for label, seq in sequences}
     code = EXIT_DECISIVE if confirmed else EXIT_INCONCLUSIVE
     return {"char_exponents": payload}, code
 
@@ -142,18 +139,11 @@ def _modification_section(family, build, depth):
     return section, code
 
 
-def _cmd_blowup(args, family):
-    family = family.centered(args.basepoint)[0]
+def _cmd_modification(args, family):
     section, code = _modification_section(
-        family, blowup_singular_locus, args.depth)
-    return {"blowup": section}, code
-
-
-def _cmd_nash(args, family):
-    family = family.centered(args.basepoint)[0]
-    section, code = _modification_section(
-        family, nash_modification, args.depth)
-    return {"nash": section}, code
+        family.centered(args.basepoint)[0], _MODIFICATIONS[args.command],
+        args.depth)
+    return {args.command: section}, code
 
 
 def _rolle_exit(cert) -> int:
@@ -210,8 +200,7 @@ def _cmd_full_report(args, family):
         code = EXIT_INCONCLUSIVE
 
     centered = family.centered(args.basepoint)[0]
-    for key, build in (("blowup", blowup_singular_locus),
-                       ("nash", nash_modification)):
+    for key, build in _MODIFICATIONS.items():
         try:
             section, sec_code = _modification_section(
                 centered, build, args.depth)
@@ -336,17 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, special=True)
     sp.set_defaults(handler=_cmd_char_exponents)
 
-    sp = sub.add_parser(
-        "blowup",
-        help="blow up the singular axis and recheck the strict transform")
-    _add_common(sp, depth=True)
-    sp.set_defaults(handler=_cmd_blowup)
-
-    sp = sub.add_parser(
-        "nash",
-        help="Nash modification of the family and recheck")
-    _add_common(sp, depth=True)
-    sp.set_defaults(handler=_cmd_nash)
+    for name, text in (
+            ("blowup", "blow up the singular axis and recheck the strict "
+                       "transform"),
+            ("nash", "Nash modification of the family and recheck")):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp, depth=True)
+        sp.set_defaults(handler=_cmd_modification)
 
     sp = sub.add_parser(
         "rolle",
@@ -384,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with symbol_run():
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

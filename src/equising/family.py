@@ -13,7 +13,7 @@ fibers, the Jacobian, its 2x2 minors, and fiber multiplicities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -123,17 +123,17 @@ class Parametrization:
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
         """The family recentered on an axis point, that point and its label.
 
-        ``basepoint`` is "generic" (a fresh generic symbol), a Scalar, or a
-        rational; a zero base point leaves the family as it is.
+        ``basepoint`` is "generic" (one fresh generic symbol), a Scalar, or
+        a rational.  A rational point is labelled by its value, any other
+        Scalar ``generic (<value>)``; a zero base point leaves the family as
+        it is.  Checkers handed the returned point instead of "generic"
+        therefore share one generic base point and one label.
         """
         if basepoint == "generic":
-            a0 = fresh_symbol()
-            label = f"generic ({a0})"
-        elif isinstance(basepoint, Scalar):
-            a0, label = basepoint, str(basepoint)
-        else:
-            a0 = Scalar.from_fraction(Fraction(basepoint))
-            label = str(Fraction(basepoint))
+            basepoint = fresh_symbol()
+        a0 = (basepoint if isinstance(basepoint, Scalar)
+              else Scalar.from_fraction(basepoint))
+        label = str(a0) if a0.is_rational() else f"generic ({a0})"
         return (self if a0.is_zero() else self.recenter(a0)), a0, label
 
     def jacobian(self) -> list[tuple[Poly, Poly]]:

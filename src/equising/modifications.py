@@ -18,7 +18,6 @@ exact product certificate for every dropped coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AT, INFINITY, Poly, Scalar, t_order
 from .family import Parametrization

@@ -200,13 +200,10 @@ def strong_equisingularity_check(
     refute or verify only between confirmed sequences; an unconfirmed scan
     leaves the check Inconclusive instead of guessing.
     """
+    _, a0, _ = family.centered(basepoint)
     generic = char_exponents_at(family, fresh_symbol())
-    labels_values: list[tuple[str, object]] = []
-    if basepoint == "generic":
-        labels_values.append(("basepoint (generic)", fresh_symbol()))
-    else:
-        q = basepoint if isinstance(basepoint, Scalar) else Fraction(basepoint)
-        labels_values.append((f"a = {q}", q))
+    base_label = f"a = {a0}" if a0.is_rational() else "basepoint (generic)"
+    labels_values = [(base_label, a0)]
     for v in special_a:
         labels_values.append((f"a = {Fraction(v)}", Fraction(v)))
 

@@ -17,11 +17,11 @@ runs both and reports whether the verdicts agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import INFINITY, Poly, Scalar, fresh_symbols, t_order
+from .algebra import INFINITY, t_order
 from .family import Parametrization
 from .limits import Verdict, WhitneyJoint, whitney_check
+from .projection import generic_plane_projection
 
 __all__ = [
     "DegenerateSurfaceError",
@@ -112,14 +112,7 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
     which is rejected.
     """
     fam, _, _ = family.centered(basepoint)
-    n = fam.dim
-    l_coeffs = fresh_symbols(n)
-    m_coeffs = fresh_symbols(n)
-    l_proj = Poly.zero(fam.entries[0].vars)
-    m_proj = Poly.zero(fam.entries[0].vars)
-    for c1, c2, entry in zip(l_coeffs, m_coeffs, fam.entries):
-        l_proj = l_proj + entry * c1
-        m_proj = m_proj + entry * c2
+    l_proj, m_proj = generic_plane_projection(list(fam.entries))
     jac = l_proj.diff("a") * m_proj.diff("t") - m_proj.diff("a") * l_proj.diff("t")
     if jac.is_zero():
         raise DegenerateSurfaceError(
@@ -160,9 +153,11 @@ def zariski_check(family: Parametrization, basepoint=0) -> ZariskiResult:
 
 def equivalence_crosscheck(family: Parametrization, basepoint=0,
                            max_depth: int = 4) -> CrosscheckResult:
-    """Run the arc sweep and the projection test on the same input."""
-    wh = whitney_check(family, basepoint, max_depth)
-    za = zariski_check(family, basepoint)
+    """Run the arc sweep and the projection test on the same input, at
+    one base point (a "generic" one is drawn once and shared)."""
+    _, a0, _ = family.centered(basepoint)
+    wh = whitney_check(family, a0, max_depth)
+    za = zariski_check(family, a0)
     if wh.verdict is Verdict.INCONCLUSIVE:
         agree = None
     else:

@@ -19,7 +19,7 @@ from equising import (
     t_order,
     wedge3,
 )
-from equising.algebra import dense_divmod, dense_gcd
+from equising.algebra import dense_divmod, dense_gcd, fresh_symbol, symbol_run
 
 AT = ("a", "t")
 
@@ -78,6 +78,27 @@ class TestScalar:
         assert (u + 1) ** 2 == u * u + 2 * u + 1
         assert u ** 0 == Scalar.from_fraction(1)
         assert (Scalar.from_fraction(2) ** -2).as_fraction() == Fraction(1, 4)
+
+
+class TestSymbolRun:
+    def test_each_run_numbers_from_one(self):
+        fresh_symbol()
+        for _ in range(2):
+            with symbol_run():
+                assert [str(fresh_symbol()) for _ in range(3)] == ["g1", "g2", "g3"]
+
+    def test_nested_run_continues_the_outer_count(self):
+        with symbol_run():
+            assert str(fresh_symbol()) == "g1"
+            with symbol_run():
+                assert str(fresh_symbol()) == "g2"
+            assert str(fresh_symbol()) == "g3"
+
+    def test_outside_a_run_the_process_counter_goes_on(self):
+        before = int(str(fresh_symbol())[1:])
+        with symbol_run():
+            fresh_symbol()
+        assert int(str(fresh_symbol())[1:]) == before + 1
 
 
 class TestParsePrint:

@@ -1,17 +1,20 @@
-"""End-to-end command line runs in fresh interpreter processes.
+"""End-to-end command line runs, in fresh interpreter processes and in
+one process.
 
-Fresh processes matter for the golden comparisons: symbolic names are
-drawn from a per-process counter, so byte-identical output demonstrates
-that reports are deterministic run to run.
+Every run numbers its generic symbols from g1, so a report must match
+its golden bytes whether it runs in a fresh process, again in the same
+process, or next to other runs in other threads.
 """
 
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import corpus_path
+from equising import cli
 
 GOLDEN_RUNS = {
     "family-345": (["--equations", str(corpus_path("family-345.eqs.json")),
@@ -43,6 +46,27 @@ class TestReports:
         assert proc.returncode == want_code, proc.stderr
         golden = corpus_path(f"golden/{name}.full.json").read_text()
         assert proc.stdout == golden
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_in_process_reruns_and_threads_match_golden(self, name, tmp_path):
+        extra, want_code = GOLDEN_RUNS[name]
+        golden = corpus_path(f"golden/{name}.full.json").read_text()
+
+        def run(i):
+            out = tmp_path / f"report-{i}.json"
+            code = cli.main(["full-report", str(corpus_path(f"{name}.json")),
+                             *extra, "--out", str(out)])
+            return code, out.read_text()
+
+        results = [run(0), run(1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results += pool.map(run, range(2, 5), timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(want_code, golden)] * 5
 
     def test_json_output_is_sorted_and_valid(self):
         proc = run_cli("check-whitney", corpus_path("family-345.json"))
@@ -151,6 +175,36 @@ class TestVerdictsAndExitCodes:
         assert report["equations"]["all_vanish"] is False
         flags = [c["vanishes"] for c in report["equations"]["checks"]]
         assert flags == [True, False]
+
+    def test_generic_basepoint_is_one_point_per_report(self):
+        report, _ = run_json("full-report", corpus_path("family-467.json"),
+                             "--basepoint", "generic")
+        whitney = report["whitney"]
+        labels = {whitney["condition_a"]["basepoint"],
+                  whitney["condition_b"]["basepoint"],
+                  report["zariski"]["basepoint"]}
+        assert labels == {"generic (g1)"}
+        assert "basepoint (generic)" in report["strong"]["sequences"]
+
+        report, _ = run_json("crosscheck", corpus_path("family-352.json"),
+                             "--basepoint", "generic")
+        cc = report["crosscheck"]
+        labels = {cc["whitney"]["condition_a"]["basepoint"],
+                  cc["whitney"]["condition_b"]["basepoint"],
+                  cc["zariski"]["basepoint"]}
+        assert labels == {"generic (g1)"}
+
+    def test_negative_rationals_in_equals_form(self):
+        report, code = run_json("check-whitney", corpus_path("family-345.json"),
+                                "--basepoint=-1/2")
+        assert code == 0
+        assert report["whitney"]["condition_a"]["basepoint"] == "-1/2"
+
+        report, code = run_json("char-exponents",
+                                corpus_path("family-589.json"),
+                                "--special-a=-2/3")
+        assert code == 0
+        assert "a = -2/3" in report["char_exponents"]
 
     def test_blowup_subcommand(self):
         report, code = run_json("blowup", corpus_path("family-345.json"))

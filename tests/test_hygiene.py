@@ -1,0 +1,72 @@
+"""Source hygiene: every name a module imports is used in that module.
+
+An ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
+is read anywhere in the module, appears in a quoted annotation, or is
+listed in the module's ``__all__`` (re-exports).  ``__future__`` imports
+are directives, not names, and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "equising"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = _names(tree)
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names(ast.parse(node.value, mode="eval"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_scan_sees_every_module():
+    assert {p.name for p in MODULES} >= {"algebra.py", "cli.py", "family.py"}

@@ -75,6 +75,15 @@ class TestCrosscheck:
             res = equivalence_crosscheck(load_family(corpus_path(name)))
             assert res.agree is True, name
 
+    def test_generic_basepoint_shared_by_both_tests(self):
+        fam = load_family(corpus_path("family-352.json"))
+        res = equivalence_crosscheck(fam, "generic")
+        labels = {res.whitney.part_a.basepoint, res.whitney.part_b.basepoint,
+                  res.zariski.basepoint}
+        assert len(labels) == 1
+        assert labels.pop().startswith("generic (g")
+        assert res.agree is True
+
     def test_agree_is_none_when_sweep_is_starved(self):
         fam = load_family(corpus_path("tangent-arc.json"))
         res = equivalence_crosscheck(fam, max_depth=0)
