@@ -23,7 +23,6 @@ from .algebra import (
     SeriesT,
     fresh_symbol,
     fresh_symbols,
-    leading_coeff_t,
     parse_poly,
     series_reversion,
     substitute_arc,
@@ -48,9 +47,6 @@ from .limits import (
     Verdict,
     WhitneyJoint,
     WhitneyResult,
-    critical_exponents,
-    whitney_a_check,
-    whitney_b_check,
     whitney_check,
 )
 from .modifications import (
@@ -63,7 +59,6 @@ from .modifications import (
     blowup_singular_locus,
     check_factorization,
     nash_modification,
-    prune_redundant,
 )
 from .projection import (
     CharSequence,
@@ -80,7 +75,6 @@ from .rolle import (
     load_curve,
     rolle_for_curve,
     rolle_for_map,
-    rolle_witness,
 )
 from .zariski import (
     CrosscheckResult,
@@ -88,7 +82,6 @@ from .zariski import (
     PolarResult,
     ZariskiResult,
     equivalence_crosscheck,
-    polar_is_empty,
     zariski_check,
 )
 
@@ -131,32 +124,25 @@ __all__ = [
     "char_exponents",
     "char_exponents_at",
     "check_factorization",
-    "critical_exponents",
     "equivalence_crosscheck",
     "family_from_strings",
     "fresh_symbol",
     "fresh_symbols",
     "generic_plane_projection",
     "hurwitz_count",
-    "leading_coeff_t",
     "load_curve",
     "load_equations",
     "load_family",
     "nash_modification",
     "parse_poly",
-    "polar_is_empty",
-    "prune_redundant",
     "rolle_for_curve",
     "rolle_for_map",
-    "rolle_witness",
     "series_reversion",
     "strong_equisingularity_check",
     "substitute_arc",
     "t_order",
     "verify_implicit_equations",
     "wedge3",
-    "whitney_a_check",
-    "whitney_b_check",
     "whitney_check",
     "zariski_check",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "symbol_run",
     "parse_poly",
     "t_order",
-    "leading_coeff_t",
     "substitute_arc",
     "series_reversion",
     "wedge3",
@@ -96,11 +95,10 @@ def fresh_symbols(n: int) -> tuple["Scalar", ...]:
 # ---------------------------------------------------------------------------
 #
 # A monomial is a sorted tuple of (name, exponent) pairs; a polynomial is a
-# dict mapping monomials to nonzero Fractions.  Scalars normalize contents
-# so stored coefficients are integers, but the helpers accept Fractions.
+# dict mapping monomials to nonzero ints.
 
 Mono = tuple[tuple[str, int], ...]
-SPoly = dict[Mono, Fraction]
+SPoly = dict[Mono, int]
 
 _ONE_M: Mono = ()
 
@@ -124,7 +122,7 @@ def _mono_key(m: Mono):
 def _sp_add(p: SPoly, q: SPoly) -> SPoly:
     r = dict(p)
     for m, c in q.items():
-        s = r.get(m, Fraction(0)) + c
+        s = r.get(m, 0) + c
         if s:
             r[m] = s
         else:
@@ -137,7 +135,7 @@ def _sp_mul(p: SPoly, q: SPoly) -> SPoly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = _mono_mul(m1, m2)
-            s = r.get(m, Fraction(0)) + c1 * c2
+            s = r.get(m, 0) + c1 * c2
             if s:
                 r[m] = s
             else:
@@ -149,7 +147,7 @@ def _sp_neg(p: SPoly) -> SPoly:
     return {m: -c for m, c in p.items()}
 
 
-def _sp_const(c: Fraction) -> SPoly:
+def _sp_const(c: int) -> SPoly:
     return {_ONE_M: c} if c else {}
 
 
@@ -190,22 +188,24 @@ class ParseError(ValueError):
 class Scalar:
     """Exact ratio of integer-coefficient polynomials in generic symbols.
 
-    Zero testing looks only at the numerator; equality cross-multiplies, so
-    no polynomial gcd is ever required.  Normalization is light: common
+    Numerator and denominator store jointly coprime int coefficients.  Zero
+    testing looks only at the numerator; equality cross-multiplies, so no
+    polynomial gcd is ever required.  Normalization is light: common
     monomial factors and integer content are cancelled and the denominator's
     leading coefficient is made positive, which keeps printing canonical.
+    A rational enters through :meth:`from_fraction`.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: SPoly, den: SPoly | None = None):
         if den is None:
-            den = _sp_const(Fraction(1))
+            den = _sp_const(1)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             self.num: SPoly = {}
-            self.den: SPoly = _sp_const(Fraction(1))
+            self.den: SPoly = _sp_const(1)
             return
         # cancel common monomial factor of all monomials in num and den
         common: dict[str, int] = {}
@@ -229,28 +229,27 @@ class Scalar:
 
             num = {strip(m): c for m, c in num.items()}
             den = {strip(m): c for m, c in den.items()}
-        # integer content: make all coefficients integral and jointly coprime
-        lcm = _int_lcm(*(c.denominator
-                         for c in itertools.chain(num.values(), den.values())))
-        nums = [c.numerator * (lcm // c.denominator)
-                for c in itertools.chain(num.values(), den.values())]
-        g = _int_gcd(*nums)
-        scale = Fraction(lcm, g if g else 1)
-        lead = den[max(den, key=_mono_key)]
-        if lead < 0:
-            scale = -scale
-        self.num = {m: c * scale for m, c in num.items()}
-        self.den = {m: c * scale for m, c in den.items()}
+        # integer content: make the coefficients jointly coprime, with a
+        # positive leading coefficient in the denominator
+        g = _int_gcd(*num.values(), *den.values())
+        if den[max(den, key=_mono_key)] < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den = {m: c // g for m, c in den.items()}
+        self.num = num
+        self.den = den
 
     # -- constructors --
 
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
-        return cls(_sp_const(Fraction(q)))
+        q = Fraction(q)
+        return cls(_sp_const(q.numerator), _sp_const(q.denominator))
 
     @classmethod
     def symbol(cls, name: str) -> "Scalar":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     # -- predicates --
 
@@ -266,8 +265,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        num = self.num.get(_ONE_M, Fraction(0))
-        return num / self.den[_ONE_M]
+        return Fraction(self.num.get(_ONE_M, 0), self.den[_ONE_M])
 
     def symbols(self) -> set[str]:
         out: set[str] = set()
@@ -387,7 +385,7 @@ class Scalar:
         if self.is_rational():
             return str(self.as_fraction())
         ns = _sp_str(self.num)
-        if self.den == _sp_const(Fraction(1)):
+        if self.den == _sp_const(1):
             return ns
         return f"({ns})/({_sp_str(self.den)})"
 
@@ -891,14 +889,6 @@ AT = ("a", "t")
 def t_order(p: Poly) -> float:
     """Lowest power of t in a two-variable entry; +inf for the zero entry."""
     return p.min_deg("t")
-
-
-def leading_coeff_t(p: Poly) -> Poly:
-    """Coefficient of the lowest t-power, as a polynomial in a alone."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading coefficient")
-    k = int(p.min_deg("t"))
-    return p.coeff_of("t", k)
 
 
 # ---------------------------------------------------------------------------

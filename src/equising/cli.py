@@ -125,9 +125,14 @@ def _cmd_char_exponents(args, family):
 
 
 def _modification_section(family, build, depth):
-    mod = build(family)
-    fact = check_factorization(family, mod.family)
-    reg = whitney_check(mod.family, 0, max_depth=depth)
+    """One modification rechecked upstairs, or a ``skipped`` section when
+    the family has no chart for it."""
+    try:
+        mod = build(family)
+        fact = check_factorization(family, mod.family)
+        reg = whitney_check(mod.family, 0, max_depth=depth)
+    except _SECTION_ERRORS as exc:
+        return {"skipped": str(exc)}, EXIT_INCONCLUSIVE
     section = {
         "construction": mod.to_json(),
         "factorization": fact.to_json(),
@@ -201,11 +206,7 @@ def _cmd_full_report(args, family):
 
     centered = family.centered(args.basepoint)[0]
     for key, build in _MODIFICATIONS.items():
-        try:
-            section, sec_code = _modification_section(
-                centered, build, args.depth)
-        except _SECTION_ERRORS as exc:
-            section, sec_code = {"skipped": str(exc)}, EXIT_INCONCLUSIVE
+        section, sec_code = _modification_section(centered, build, args.depth)
         sections[key] = section
         code = max(code, sec_code)
 
@@ -397,8 +398,7 @@ def _run(argv: list[str] | None) -> int:
                 "ambient": list(family.ambient),
             }}
     except (FamilyValidationError, ParseError, ConstantMapError,
-            NoUnitChartError, NonPolynomialChartError, DegenerateSurfaceError,
-            ValueError, OSError,
+            DegenerateSurfaceError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -38,6 +38,7 @@ __all__ = [
     "family_from_strings",
     "load_family",
     "load_equations",
+    "resolve_basepoint",
     "verify_implicit_equations",
 ]
 
@@ -56,6 +57,21 @@ class AxisVanishingError(FamilyValidationError):
 
 class DegenerateFiberError(FamilyValidationError):
     """A fiber that must be a curve is a single point."""
+
+
+def resolve_basepoint(basepoint) -> tuple[Scalar, str]:
+    """An axis point as a Scalar, with its report label.
+
+    ``basepoint`` is "generic" (one fresh generic symbol), a Scalar, or a
+    rational.  A rational point is labelled by its value, any other Scalar
+    ``generic (<value>)``.  Checkers handed the returned point instead of
+    "generic" therefore share one generic base point and one label.
+    """
+    if basepoint == "generic":
+        basepoint = fresh_symbol()
+    a0 = (basepoint if isinstance(basepoint, Scalar)
+          else Scalar.from_fraction(basepoint))
+    return a0, str(a0) if a0.is_rational() else f"generic ({a0})"
 
 
 def _default_ambient(n: int) -> tuple[str, ...]:
@@ -121,19 +137,10 @@ class Parametrization:
         return Parametrization(tuple(new), self.ambient, self.name)
 
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
-        """The family recentered on an axis point, that point and its label.
-
-        ``basepoint`` is "generic" (one fresh generic symbol), a Scalar, or
-        a rational.  A rational point is labelled by its value, any other
-        Scalar ``generic (<value>)``; a zero base point leaves the family as
-        it is.  Checkers handed the returned point instead of "generic"
-        therefore share one generic base point and one label.
-        """
-        if basepoint == "generic":
-            basepoint = fresh_symbol()
-        a0 = (basepoint if isinstance(basepoint, Scalar)
-              else Scalar.from_fraction(basepoint))
-        label = str(a0) if a0.is_rational() else f"generic ({a0})"
+        """The family recentered on an axis point, that point and its label
+        (see :func:`resolve_basepoint`); a zero base point leaves the family
+        as it is."""
+        a0, label = resolve_basepoint(basepoint)
         return (self if a0.is_zero() else self.recenter(a0)), a0, label
 
     def jacobian(self) -> list[tuple[Poly, Poly]]:

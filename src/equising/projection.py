@@ -31,7 +31,7 @@ from .algebra import (
     fresh_symbols,
     series_reversion,
 )
-from .family import DegenerateFiberError, Parametrization
+from .family import DegenerateFiberError, Parametrization, resolve_basepoint
 from .limits import Verdict
 
 __all__ = [
@@ -200,7 +200,7 @@ def strong_equisingularity_check(
     refute or verify only between confirmed sequences; an unconfirmed scan
     leaves the check Inconclusive instead of guessing.
     """
-    _, a0, _ = family.centered(basepoint)
+    a0, _ = resolve_basepoint(basepoint)
     generic = char_exponents_at(family, fresh_symbol())
     base_label = f"a = {a0}" if a0.is_rational() else "basepoint (generic)"
     labels_values = [(base_label, a0)]

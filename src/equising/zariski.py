@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import INFINITY, t_order
-from .family import Parametrization
+from .family import Parametrization, resolve_basepoint
 from .limits import Verdict, WhitneyJoint, whitney_check
 from .projection import generic_plane_projection
 
@@ -155,7 +155,7 @@ def equivalence_crosscheck(family: Parametrization, basepoint=0,
                            max_depth: int = 4) -> CrosscheckResult:
     """Run the arc sweep and the projection test on the same input, at
     one base point (a "generic" one is drawn once and shared)."""
-    _, a0, _ = family.centered(basepoint)
+    a0, _ = resolve_basepoint(basepoint)
     wh = whitney_check(family, a0, max_depth)
     za = zariski_check(family, a0)
     if wh.verdict is Verdict.INCONCLUSIVE:

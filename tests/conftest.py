@@ -198,7 +198,7 @@ def run_random_rolle_suite(rng: random.Random, count: int,
                            deriv_tol: float, value_tol: float) -> None:
     """Certificates for :func:`random_rolle_polys`: exact count and gcd
     checks, then numerical confirmation at the given tolerances."""
-    from equising import rolle_witness
+    from equising.rolle import rolle_witness
 
     for roots, mults, coeffs in random_rolle_polys(rng, count):
         n_distinct = len(roots)

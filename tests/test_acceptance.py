@@ -23,16 +23,14 @@ from equising import (
     load_equations,
     load_family,
     nash_modification,
-    prune_redundant,
     strong_equisingularity_check,
     verify_implicit_equations,
     wedge3,
-    whitney_a_check,
-    whitney_b_check,
     whitney_check,
     zariski_check,
 )
-from equising.limits import secant_vector
+from equising.limits import secant_vector, whitney_a_check, whitney_b_check
+from equising.modifications import prune_redundant
 from conftest import (
     corpus_path,
     direction_deviation,

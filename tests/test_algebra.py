@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,14 +13,13 @@ from equising import (
     Poly,
     Scalar,
     SeriesT,
-    leading_coeff_t,
     parse_poly,
     series_reversion,
     substitute_arc,
     t_order,
     wedge3,
 )
-from equising.algebra import dense_divmod, dense_gcd, fresh_symbol, symbol_run
+from equising.algebra import _mono_key, dense_divmod, dense_gcd, fresh_symbol, symbol_run
 
 AT = ("a", "t")
 
@@ -78,6 +78,79 @@ class TestScalar:
         assert (u + 1) ** 2 == u * u + 2 * u + 1
         assert u ** 0 == Scalar.from_fraction(1)
         assert (Scalar.from_fraction(2) ** -2).as_fraction() == Fraction(1, 4)
+
+    def test_random_expressions_store_coprime_ints(self):
+        """Every Scalar that arithmetic, ``subs`` and ``coeffs_in`` build
+        stores jointly coprime int coefficients with a positive leading
+        denominator coefficient, and equals the same expression in sympy.
+        Rationals round-trip through ``from_fraction``/``as_fraction``."""
+        try:
+            import sympy
+        except ImportError:
+            sympy = None
+
+        def check(s: Scalar, expr):
+            coeffs = [*s.num.values(), *s.den.values()]
+            assert all(type(c) is int for c in coeffs), (s, coeffs)
+            assert gcd(*coeffs) == 1, s
+            assert s.den[max(s.den, key=_mono_key)] > 0, s
+            if sympy is not None:
+                def to_sympy(p):
+                    return sum((c * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in m))
+                                for m, c in p.items()), sympy.Integer(0))
+                assert sympy.cancel(to_sympy(s.num) / to_sympy(s.den) - expr) == 0, s
+
+        for q in (Fraction(0), Fraction(-7, 3), Fraction(12, -8), -5):
+            assert Scalar.from_fraction(q).as_fraction() == q
+        rng = random.Random(2718)
+        for _ in range(40):
+            names = ["u", "v", "w"][:rng.randint(1, 3)]
+            pool = []
+            for n in names:
+                pool.append((Scalar.symbol(n), sympy.Symbol(n) if sympy else None))
+            for _ in range(2):
+                q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                assert Scalar.from_fraction(q).as_fraction() == q
+                pool.append((Scalar.from_fraction(q),
+                             sympy.Rational(q.numerator, q.denominator) if sympy else None))
+            for s, expr in pool:
+                check(s, expr)
+            for _ in range(6):
+                (x, ex), (y, ey) = rng.choice(pool), rng.choice(pool)
+                op = rng.choice(["+", "-", "*", "/", "**", "subs", "coeffs_in"])
+                if op == "+":
+                    z, ez = x + y, sympy and ex + ey
+                elif op == "-":
+                    z, ez = x - y, sympy and ex - ey
+                elif op == "*":
+                    z, ez = x * y, sympy and ex * ey
+                elif op == "/":
+                    if not y:
+                        continue
+                    z, ez = x / y, sympy and ex / ey
+                elif op == "**":
+                    k = rng.randint(-2 if x else 0, 3)
+                    z, ez = x ** k, sympy and ex ** k
+                elif op == "subs":
+                    n = rng.choice(names)
+                    try:
+                        z = x.subs(n, y)
+                    except ZeroDivisionError:
+                        continue
+                    ez = sympy and ex.subs(sympy.Symbol(n), ey)
+                else:
+                    n = rng.choice(names)
+                    if n in {s for m in x.den for s, _ in m}:
+                        continue
+                    cs = x.coeffs_in(n)
+                    k = rng.randrange(len(cs))
+                    z = cs[k]
+                    if sympy:
+                        sym = sympy.Symbol(n)
+                        top, bottom = sympy.fraction(sympy.cancel(ex))
+                        ez = sympy.Poly(top, sym).coeff_monomial(sym ** k) / bottom
+                check(z, ez)
+                pool.append((z, ez))
 
 
 class TestSymbolRun:
@@ -172,7 +245,6 @@ class TestPoly:
         assert t_order(p) == 2
         assert p.min_deg("t") == 2 and p.max_deg("t") == 5
         assert t_order(Poly.zero(AT)) == INFINITY
-        assert leading_coeff_t(p) == P("a").coeff_of("t", 0)
         assert p.coeff_of("t", 5).constant_value().as_fraction() == 3
 
     def test_compose_identity_and_eval(self):

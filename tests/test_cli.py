@@ -214,6 +214,16 @@ class TestVerdictsAndExitCodes:
         assert sec["factorization"]["status"] == "verified"
         assert sec["whitney"]["verdict"] == "Verified"
 
+    @pytest.mark.parametrize("command", ["blowup", "nash"])
+    @pytest.mark.parametrize("name", ["family-352", "tangent-arc"])
+    def test_modification_without_unit_chart_is_skipped(self, command, name):
+        proc = run_cli(command, corpus_path(f"{name}.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        golden = json.loads(corpus_path(f"golden/{name}.full.json").read_text())
+        assert report[command] == golden[command] == {"skipped": golden[command]["skipped"]}
+
 
 class TestErrors:
     def test_missing_file(self):

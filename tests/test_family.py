@@ -11,14 +11,19 @@ from equising import (
     DegenerateFiberError,
     FamilyValidationError,
     ParameterEntryError,
+    Parametrization,
     Poly,
+    Scalar,
+    equivalence_crosscheck,
     family_from_strings,
     fresh_symbol,
     load_equations,
     load_family,
     parse_poly,
+    strong_equisingularity_check,
     verify_implicit_equations,
 )
+from equising.family import resolve_basepoint
 from conftest import corpus_path, random_monomial_family
 
 
@@ -69,6 +74,26 @@ class TestGeometry:
         assert moved.entries[0].grammar_str() == "a"
         assert moved.entries[2] == parse_poly("a*t^5 + 1/2*t^5", ("a", "t"))
         assert moved.fiber(0)[2] == fam.fiber(Fraction(1, 2))[2]
+
+    def test_checkers_recenter_only_where_they_use_the_family(self, monkeypatch):
+        calls = []
+        recenter = Parametrization.recenter
+
+        def counted(self, a_value):
+            calls.append(a_value)
+            return recenter(self, a_value)
+
+        monkeypatch.setattr(Parametrization, "recenter", counted)
+        fam = load_family(corpus_path("family-589.json"))
+        half = Fraction(1, 2)
+        # once for the Whitney sweep, once for the projection test
+        equivalence_crosscheck(fam, half)
+        assert len(calls) == 2
+        calls.clear()
+        # the strong check reads fibers of the family as given
+        strong_equisingularity_check(fam, half)
+        assert calls == []
+        assert resolve_basepoint(half) == (Scalar.from_fraction(half), "1/2")
 
     def test_plucker_minors_of_monomial_family(self):
         fam = family_from_strings(["a", "t^3", "t^4", "a*t^5"])

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 from equising import (
     Verdict,
-    critical_exponents,
     family_from_strings,
     load_family,
     parse_poly,
-    whitney_a_check,
-    whitney_b_check,
     whitney_check,
 )
-from equising.limits import secant_vector
+from equising.limits import (
+    critical_exponents,
+    secant_vector,
+    whitney_a_check,
+    whitney_b_check,
+)
 from conftest import (
     corpus_path,
     direction_deviation,

@@ -13,9 +13,9 @@ from equising import (
     family_from_strings,
     load_family,
     nash_modification,
-    prune_redundant,
     whitney_check,
 )
+from equising.modifications import prune_redundant
 from conftest import corpus_path, exponent_pairs, random_monomial_family
 
 

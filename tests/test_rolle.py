@@ -15,9 +15,8 @@ from equising import (
     parse_poly,
     rolle_for_curve,
     rolle_for_map,
-    rolle_witness,
 )
-from equising.rolle import _roots
+from equising.rolle import _roots, rolle_witness
 from conftest import (
     corpus_path,
     derive_coeffs,

@@ -7,9 +7,9 @@ from equising import (
     Verdict,
     equivalence_crosscheck,
     load_family,
-    polar_is_empty,
     zariski_check,
 )
+from equising.zariski import polar_is_empty
 from conftest import corpus_path, random_monomial_family
 
 
