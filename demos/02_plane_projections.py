@@ -2,10 +2,13 @@
 Characteristic exponents of generic plane shadows
 =================================================
 
-Project each fiber of a family onto a generically chosen plane and read
-the characteristic exponents of the resulting plane branch.  A family
-can pass both arc-based and discriminant-based regularity and still
-change these exponents across fibers; this is the stronger invariant.
+The characteristic exponents of a fiber are those of its shadow on a
+generically chosen plane.  They are read without forming the shadow: one
+coordinate of least t-order is reparametrized to a pure power, and the
+exponents are where the gcd of the union of the coordinates' supports
+drops.  A family can pass both arc-based and discriminant-based
+regularity and still change these exponents across fibers; this is the
+stronger invariant.
 """
 
 from fractions import Fraction

@@ -65,7 +65,6 @@ from .projection import (
     StrongResult,
     char_exponents,
     char_exponents_at,
-    generic_plane_projection,
     strong_equisingularity_check,
 )
 from .rolle import (
@@ -128,7 +127,6 @@ __all__ = [
     "family_from_strings",
     "fresh_symbol",
     "fresh_symbols",
-    "generic_plane_projection",
     "hurwitz_count",
     "load_curve",
     "load_equations",

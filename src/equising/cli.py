@@ -398,7 +398,7 @@ def _run(argv: list[str] | None) -> int:
                 "ambient": list(family.ambient),
             }}
     except (FamilyValidationError, ParseError, ConstantMapError,
-            DegenerateSurfaceError, ValueError, OSError,
+            DegenerateSurfaceError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -242,6 +242,8 @@ def load_equations(path: str | Path, family: Parametrization) -> list[Poly]:
     if not isinstance(data, dict) or "equations" not in data:
         raise FamilyValidationError(f"{path.name}: expected an object with 'equations'")
     variables = tuple(data.get("vars", family.ambient))
+    if not variables:
+        raise FamilyValidationError(f"{path.name}: 'vars' must not be empty")
     if set(variables) - set(family.ambient):
         extra = sorted(set(variables) - set(family.ambient))
         raise FamilyValidationError(

@@ -1,17 +1,30 @@
-"""Characteristic exponents of fibers under generic plane projection.
+"""Characteristic exponents of fibers, read from the coordinates' supports.
 
-A space curve germ is flattened to a plane branch by a projection with
-generic (symbolic) coefficients, which preserves the characteristic
-exponents.  The projected pair (x(t), y(t)) is brought to normal form by
-an exact reparametrization making x a pure power, and the exponents are
-read off the support of the transformed y wherever the running gcd drops.
+A fiber is a branch (x1(t), ..., xn(t)) of multiplicity m, the least
+t-order of its coordinates, and its characteristic exponents are those of
+a generic plane projection (X, Y) = (sum l_i x_i, sum m_i x_i).  That
+projection is never formed.  X has order m; in a parameter s with X = s^m
+the coefficient of Y at s^j is sum m_i c_ij, c_ij that of x_i, which for
+generic m_i is nonzero exactly when some c_ij is: the support of Y is the
+union of the coordinates' supports.  Any coordinate of order m is
+transversal, like X, and the exponents relative to a transversal
+coordinate do not depend on which one is taken, so the first coordinate
+of order m serves in place of X.  This is the support computation behind
+Zariski's saturation (O. Zariski, Studies in equisingularity III, Amer.
+J. Math. 90, 1968; F. Pham and B. Teissier, Fractions lipschitziennes
+d'une algebre analytique complexe et saturation de Zariski, 1969).
+
+So an exact reparametrization t = t(s) makes that coordinate a constant
+times s^m, every other coordinate is composed with t(s), and the
+exponents are read off the union of their s-supports wherever the running
+gcd drops.  The arithmetic stays over Q, or Q(a) at the generic fiber.
 
 The scan works with truncated series, so it certifies its own
-completeness: the gcd of all support exponents of x and y is an a priori
-lower bound for the running gcd, and reaching it proves no further
-characteristic exponent exists.  If the bound is not reached within the
-truncation the order is doubled once; after that the sequence is returned
-with ``confirmed`` False rather than guessed.
+completeness: the gcd of all support exponents of the coordinates is an
+a priori lower bound for the running gcd, and reaching it proves no
+further characteristic exponent exists.  If the bound is not reached
+within the truncation the order is doubled once; after that the sequence
+is returned with ``confirmed`` False rather than guessed.
 
 Strong equisingularity of a family asks the sequence to be the same for
 the generic fiber and every special fiber of interest.
@@ -28,7 +41,6 @@ from .algebra import (
     Scalar,
     SeriesT,
     fresh_symbol,
-    fresh_symbols,
     series_reversion,
 )
 from .family import DegenerateFiberError, Parametrization, resolve_basepoint
@@ -37,7 +49,6 @@ from .limits import Verdict
 __all__ = [
     "CharSequence",
     "StrongResult",
-    "generic_plane_projection",
     "char_exponents",
     "char_exponents_at",
     "strong_equisingularity_check",
@@ -46,11 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharSequence:
-    """Multiplicity and characteristic exponents of a plane branch.
+    """Multiplicity and characteristic exponents of a branch.
 
     ``final_gcd`` is the gcd of beta0 and all recorded exponents; the
     sequence is complete exactly when it equals the support gcd of the
-    input pair, in which case ``confirmed`` is True.
+    input coordinates, in which case ``confirmed`` is True.
     """
 
     beta0: int
@@ -77,94 +88,61 @@ class CharSequence:
         }
 
 
-def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
-    """Two generic linear combinations of curve coordinates.
-
-    Symbolic coefficients stand for a generic projection plane, so any
-    conclusion drawn from nonvanishing holds for all but a proper closed
-    set of projections.
-    """
-    variables = entries[0].vars if entries else ("t",)
-    ls = fresh_symbols(len(entries))
-    ms = fresh_symbols(len(entries))
-    x = Poly.zero(variables)
-    y = Poly.zero(variables)
-    for c1, c2, e in zip(ls, ms, entries):
-        x = x + e * c1
-        y = y + e * c2
-    return x, y
-
-
-def _support_gcd(*polys: Poly) -> int:
-    g = 0
-    for p in polys:
-        for (e,) in p.terms:
-            g = _gcd(g, e)
-    return g
-
-
-def _normal_form_scan(x: Poly, y: Poly, m: int, order: int,
-                      floor_gcd: int) -> tuple[list[int], int]:
-    """Reparametrize so x is a pure m-th power and scan y's exponents."""
+def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
+                  floor_gcd: int) -> tuple[list[int], int]:
+    """Reparametrize so x is a constant times s^m, then scan the union of
+    the other coordinates' supports."""
     xm = x.coeff_of("t", m).constant_value()
     u_coeffs = [
         x.coeff_of("t", m + e).constant_value() / xm for e in range(order)
     ]
-    u = SeriesT.from_coeffs(u_coeffs, order)
-    v = u.root(m)
-    w = series_reversion(v)
+    w = series_reversion(SeriesT.from_coeffs(u_coeffs, order).root(m))
     t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
-    y_series = SeriesT.from_poly(y, order)
-    y_tilde = y_series.compose(t_of_s)
+    ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]
     d = m
     betas: list[int] = []
     for j in range(1, order):
         if d == floor_gcd or d == 1:
             break
-        if j % d and not y_tilde.coeffs[j].is_zero():
+        if j % d and any(not y.coeffs[j].is_zero() for y in ys):
             betas.append(j)
             d = _gcd(d, j)
     return betas, d
 
 
-def char_exponents(x: Poly, y: Poly) -> CharSequence:
-    """Characteristic sequence of the parametrized plane branch (x, y).
+def char_exponents(*coords: Poly) -> CharSequence:
+    """Characteristic sequence of the branch parametrized by ``coords``.
 
-    Both inputs are univariate polynomials in t.  The branch is taken as
-    parametrized; a common power in the parametrization shows up as a
-    final gcd larger than one rather than being divided out.
+    Every input is a univariate polynomial in t; two inputs are a plane
+    branch (x, y).  The branch is taken as parametrized; a common power in
+    the parametrization shows up as a final gcd larger than one rather
+    than being divided out.
     """
-    if x.is_zero() and y.is_zero():
-        raise DegenerateFiberError("the projected curve is a point")
-    if x.is_zero() or (not y.is_zero() and y.min_deg("t") < x.min_deg("t")):
-        x, y = y, x
-    m = int(x.min_deg("t"))
+    coords = [c for c in coords if not c.is_zero()]
+    if not coords:
+        raise DegenerateFiberError("the curve is a point")
+    m = int(min(c.min_deg("t") for c in coords))
     if m == 0:
-        raise ValueError("projected branch does not pass through the origin")
-    if y.is_zero():
-        return CharSequence(beta0=m, betas=(), final_gcd=m,
-                            confirmed=True, truncation=0)
-    floor_gcd = _support_gcd(x, y)
+        raise ValueError("branch does not pass through the origin")
     if m == 1:
         return CharSequence(1, (), 1, True, 0)
-    maxexp = max(x.max_deg("t"), y.max_deg("t"))
-    order = 2 * maxexp + 1
-    betas, d = [], m
-    for _ in range(2):
-        betas, d = _normal_form_scan(x, y, m, order, floor_gcd)
+    others = list(coords)
+    x = others.pop(next(k for k, c in enumerate(coords) if c.min_deg("t") == m))
+    floor_gcd = _gcd(*(e for c in coords for (e,) in c.terms))
+    first = 2 * max(c.max_deg("t") for c in coords) + 1
+    for order in (first, 2 * first):
+        betas, d = _support_scan(x, others, m, order, floor_gcd)
         if d == floor_gcd:
             return CharSequence(m, tuple(betas), d, True, order)
-        order *= 2
-    return CharSequence(m, tuple(betas), d, False, order // 2)
+    return CharSequence(m, tuple(betas), d, False, order)
 
 
 def char_exponents_at(family: Parametrization, a_value) -> CharSequence:
-    """Characteristic sequence of one fiber under a generic projection."""
+    """Characteristic sequence of one fiber."""
     entries = family.fiber(a_value)[1:]
     if all(e.is_zero() for e in entries):
         raise DegenerateFiberError(f"fiber at a = {a_value} is a point")
-    x, y = generic_plane_projection(entries)
-    return char_exponents(x, y)
+    return char_exponents(*entries)
 
 
 @dataclass(frozen=True)

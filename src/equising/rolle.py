@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim, parse_poly
-from .family import Parametrization
+from .family import FamilyValidationError, Parametrization
 
 __all__ = [
     "ConstantMapError",
@@ -230,7 +230,7 @@ def rolle_for_curve(entries: Sequence[Poly],
     in t; ``functional`` pairs one rational coefficient with each of them.
     """
     if len(functional) != len(entries):
-        raise ValueError(
+        raise FamilyValidationError(
             f"functional needs {len(entries)} coefficients, "
             f"got {len(functional)}")
     total: list[Fraction] = []
@@ -251,12 +251,12 @@ def load_curve(path) -> tuple[str, list[Poly]]:
     of polynomial expressions in t, and an optional ``name``."""
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or "entries" not in raw:
-        raise ValueError(f"{path}: expected an object with an 'entries' list")
+        raise FamilyValidationError(f"{path}: expected an object with an 'entries' list")
     entries = raw["entries"]
     if not isinstance(entries, list) or not entries or \
             not all(isinstance(e, str) for e in entries):
-        raise ValueError(f"{path}: 'entries' must be a nonempty list of "
-                         "expression strings")
+        raise FamilyValidationError(f"{path}: 'entries' must be a nonempty list of "
+                                    "expression strings")
     polys = [parse_poly(e, ("t",)) for e in entries]
     name = raw.get("name") or Path(path).stem
     return name, polys

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import INFINITY, t_order
+from .algebra import INFINITY, Poly, fresh_symbols, t_order
 from .family import Parametrization, resolve_basepoint
 from .limits import Verdict, WhitneyJoint, whitney_check
-from .projection import generic_plane_projection
 
 __all__ = [
     "DegenerateSurfaceError",
     "PolarResult",
     "ZariskiResult",
     "CrosscheckResult",
+    "generic_plane_projection",
     "polar_is_empty",
     "zariski_check",
     "equivalence_crosscheck",
@@ -100,6 +100,24 @@ class CrosscheckResult:
             "zariski": self.zariski.to_json(),
             "agree": self.agree,
         }
+
+
+def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
+    """Two generic linear combinations of curve coordinates.
+
+    Symbolic coefficients stand for a generic projection plane, so any
+    conclusion drawn from nonvanishing holds for all but a proper closed
+    set of projections.
+    """
+    variables = entries[0].vars if entries else ("t",)
+    ls = fresh_symbols(len(entries))
+    ms = fresh_symbols(len(entries))
+    x = Poly.zero(variables)
+    y = Poly.zero(variables)
+    for c1, c2, e in zip(ls, ms, entries):
+        x = x + e * c1
+        y = y + e * c2
+    return x, y
 
 
 def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from equising import (
@@ -50,8 +51,39 @@ def random_monomial_family(rng: random.Random, max_extra: int = 4,
             continue
 
 
+def random_binomial_family(rng: random.Random) -> Parametrization:
+    """A validated family of 2-3 entries, each one or two terms
+    c*a**i*t**j with c in +-1..9, i <= 3 and 1 <= j <= 6."""
+    while True:
+        entries = ["a"]
+        for _ in range(rng.randint(2, 3)):
+            terms = {(rng.randint(0, 3), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 2))}
+            entries.append(" + ".join(
+                f"({rng.choice((-1, 1)) * rng.randint(1, 9)})*a^{i}*t^{j}"
+                for i, j in sorted(terms)))
+        try:
+            return family_from_strings(entries)
+        except FamilyValidationError:
+            continue
+
+
+def monomial_char_exponents(t_orders) -> tuple[int, tuple[int, ...], int]:
+    """(beta0, betas, final gcd) of the branch (t^e for e in t_orders).
+
+    Walking the orders upward, each one the running gcd does not divide is
+    a characteristic exponent.  Shares no arithmetic with the library.
+    """
+    orders = sorted(set(t_orders))
+    d, betas = orders[0], []
+    for e in orders[1:]:
+        if e % d:
+            betas.append(e)
+            d = gcd(d, e)
+    return orders[0], tuple(betas), d
+
+
 def _lcm(a: int, b: int) -> int:
-    from math import gcd
     return a * b // gcd(a, b)
 
 

@@ -257,11 +257,88 @@ class TestErrors:
         assert proc.returncode == 1
         assert "constant" in proc.stderr
 
+    def test_rolle_curve_input_errors(self, tmp_path):
+        bad = tmp_path / "bad-curve.json"
+        bad.write_text(json.dumps({"entries": []}))
+        proc = run_cli("rolle", bad, "--functional", "1")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "nonempty list" in proc.stderr
+        proc = run_cli("rolle", corpus_path("cusp-curve.json"),
+                       "--functional", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: functional needs 2 coefficients, got 1\n"
+
+    def test_empty_equation_variables(self, tmp_path):
+        eqs = tmp_path / "eqs.json"
+        eqs.write_text(json.dumps({"equations": ["1"], "vars": []}))
+        proc = run_cli("verify-equations", corpus_path("family-345.json"),
+                       "--equations", eqs)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: eqs.json: 'vars' must not be empty\n"
+
+    def test_checker_value_error_is_not_an_input_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("checker bug")
+
+        monkeypatch.setattr(cli, "whitney_check", broken)
+        with pytest.raises(ValueError, match="checker bug"):
+            cli.main(["check-whitney", str(corpus_path("family-345.json"))])
+
     def test_version_and_help_exit_zero(self):
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "equising 0.1.0"
         assert run_cli("--help").returncode == 0
+
+
+TIMED_RUNS = """
+import json, sys, time
+from equising import cli
+times = []
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    times.append((code, time.perf_counter() - start))
+print(json.dumps(times))
+"""
+
+
+class TestSharedLowestOrder:
+    """Two coordinates share the lowest t-order.  A generic projection's
+    leading coefficient is then a sum of symbols, and the strong check used
+    to run for minutes; it must now finish within a second."""
+
+    @pytest.mark.parametrize("entries, extra, expected", [
+        (["a", "t^3", "a*t^3", "t^4"], [],
+         {"generic": "(3; 4)", "a = 0": "(3; 4)"}),
+        (["a", "t^5", "t^4", "a^3*t^4"], [],
+         {"generic": "(4; 5)", "a = 0": "(4; 5)"}),
+        (["a", "t^6", "t^3", "a^2*t^3"], [],
+         {"generic": "(3;)", "a = 0": "(3;)"}),
+        (["a", "5*t^5", "-8*t^4", "5*a^3*t^4 + 4*a^3*t^5"],
+         ["--special-a", "1/2"],
+         {"generic": "(4; 5)", "a = 0": "(4; 5)", "a = 1/2": "(4; 5)"}),
+        (["a", "4*t^5", "-3*a^3*t^7", "5*a*t^5", "-4*a*t^7"], [],
+         {"generic": "(5; 7)", "a = 0": "(5;)"}),
+    ])
+    def test_strong_and_full_report_within_a_second(self, tmp_path, entries,
+                                                    extra, expected):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": entries}))
+        commands = ("strong", "full-report")
+        runs = [[command, str(family), *extra, "--out",
+                 str(tmp_path / f"{command}.json")] for command in commands]
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_RUNS, json.dumps(runs)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for (code, seconds), command in zip(json.loads(proc.stdout), commands):
+            assert code in (0, 2)
+            assert seconds < 1.0, (command, seconds)
+            report = json.loads((tmp_path / f"{command}.json").read_text())
+            shown = {label: seq["display"]
+                     for label, seq in report["strong"]["sequences"].items()}
+            assert shown == expected
 
 
 class TestImport:

@@ -1,11 +1,14 @@
-"""Characteristic exponents under generic projection; strong comparison."""
+"""Characteristic exponents read from the coordinates' supports; strong
+comparison."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from equising import (
     DegenerateFiberError,
+    NoUnitChartError,
     Poly,
     Verdict,
     blowup_singular_locus,
@@ -17,7 +20,14 @@ from equising import (
     parse_poly,
     strong_equisingularity_check,
 )
-from conftest import corpus_path
+from equising.algebra import symbol_run
+from equising.zariski import generic_plane_projection
+from conftest import (
+    corpus_path,
+    monomial_char_exponents,
+    random_binomial_family,
+    random_monomial_family,
+)
 
 T = ("t",)
 
@@ -55,6 +65,11 @@ class TestPlanePairs:
         b = char_exponents(P("t^4"), P("t^6 + 5*t^7"))
         assert (a.beta0, a.betas) == (b.beta0, b.betas)
 
+    def test_space_branch_reads_the_union_of_supports(self):
+        seq = char_exponents(P("t^4"), P("t^6"), P("t^7"))
+        assert (seq.beta0, seq.betas, seq.final_gcd) == (4, (6, 7), 1)
+        assert seq.confirmed
+
     def test_point_input_rejected(self):
         with pytest.raises(DegenerateFiberError):
             char_exponents(Poly.zero(T), Poly.zero(T))
@@ -82,6 +97,71 @@ class TestFiberSequences:
     def test_display(self):
         fam = load_family(corpus_path("family-589.json"))
         assert char_exponents_at(fam, 0).display() == "(5; 8)"
+
+
+def projected(fiber):
+    """The plane branch of a generic projection of the fiber: the path the
+    support scan replaced, kept as its reference."""
+    return char_exponents(*generic_plane_projection(fiber))
+
+
+def shares_lowest_order(fiber) -> bool:
+    orders = [e.min_deg("t") for e in fiber if not e.is_zero()]
+    return orders.count(min(orders)) > 1
+
+
+class TestAgainstGenericProjection:
+    def test_corpus_and_modifications(self):
+        families = []
+        for name in ("family-345", "family-352", "family-467",
+                     "family-589", "tangent-arc"):
+            fam = load_family(corpus_path(f"{name}.json"))
+            families.append(fam)
+            for build in (blowup_singular_locus, nash_modification):
+                try:
+                    families.append(build(fam).family)
+                except NoUnitChartError:
+                    pass
+        assert len(families) == 11
+        for fam in families:
+            for value in (fresh_symbol(), 0, Fraction(1, 2), Fraction(-2, 3)):
+                fiber = fam.fiber(value)[1:]
+                assert char_exponents_at(fam, value).to_json() == \
+                    projected(fiber).to_json(), (fam.entry_strings(), value)
+
+    def test_fuzzed_fibers(self):
+        # Rational fibers only: at the generic fiber the reference runs over
+        # Q(a, projection symbols) and can take minutes.
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 200:
+            fam = random_binomial_family(rng)
+            for value in (0, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      rng.randint(1, 9))):
+                fiber = fam.fiber(value)[1:]
+                if shares_lowest_order(fiber):
+                    continue
+                assert char_exponents_at(fam, value).to_json() == \
+                    projected(fiber).to_json(), (fam.entry_strings(), value)
+                checked += 1
+
+
+class TestMonomialOracle:
+    def test_random_monomial_families(self):
+        rng = random.Random(7)
+        shared = 0
+        for _ in range(200):
+            fam = random_monomial_family(rng)
+            for value in (fresh_symbol(), 0, Fraction(rng.randint(1, 9),
+                                                      rng.randint(2, 9))):
+                fiber = fam.fiber(value)[1:]
+                shared += shares_lowest_order(fiber)
+                orders = [e.min_deg("t") for e in fiber if not e.is_zero()]
+                seq = char_exponents_at(fam, value)
+                assert (seq.beta0, seq.betas, seq.final_gcd) == \
+                    monomial_char_exponents(orders), (fam.entry_strings(), value)
+                assert seq.confirmed
+        assert shared > 0
 
 
 class TestStrongCheck:
@@ -115,6 +195,12 @@ class TestStrongCheck:
             bydict = dict(res.sequences)
             assert bydict["generic"].key() == (3, (4,))
             assert bydict["a = 0"].key() == (3, (5,))
+
+    def test_draws_only_the_generic_fiber_symbol(self):
+        fam = load_family(corpus_path("family-467.json"))
+        with symbol_run():
+            strong_equisingularity_check(fam, special_a=(Fraction(1, 2),))
+            assert str(fresh_symbol()) == "g2"
 
     def test_multiplicity_jump_refutes_outright(self):
         fam = load_family(corpus_path("family-352.json"))
