@@ -169,6 +169,20 @@ def _sp_str(p: SPoly) -> str:
     return "-" + out[2:] if out.startswith("- ") else out[2:]
 
 
+def _strip_common(num: SPoly, den: SPoly) -> tuple[SPoly, SPoly]:
+    """Divide num and den by the largest monomial dividing all their terms."""
+    monos = [dict(m) for m in itertools.chain(num, den)]
+    common = {name: min(d.get(name, 0) for d in monos) for name in monos[0]}
+    if not any(common.values()):
+        return num, den
+
+    def strip(m: Mono) -> Mono:
+        # names stay sorted; a name whose exponent drops to 0 leaves
+        return tuple((k, e - common.get(k, 0)) for k, e in m if e != common.get(k, 0))
+
+    return {strip(m): c for m, c in num.items()}, {strip(m): c for m, c in den.items()}
+
+
 class ParseError(ValueError):
     """Syntax or vocabulary error in a polynomial expression.
 
@@ -207,28 +221,10 @@ class Scalar:
             self.num: SPoly = {}
             self.den: SPoly = _sp_const(1)
             return
-        # cancel common monomial factor of all monomials in num and den
-        common: dict[str, int] = {}
-        first = True
-        for m in itertools.chain(num, den):
-            if first:
-                common = dict(m)
-                first = False
-            else:
-                for name in list(common):
-                    common[name] = min(common[name], dict(m).get(name, 0))
-        common = {k: v for k, v in common.items() if v > 0}
-        if common:
-            shift = tuple(sorted(common.items()))
-
-            def strip(m: Mono) -> Mono:
-                d = dict(m)
-                for name, e in shift:
-                    d[name] -= e
-                return tuple(sorted((k, v) for k, v in d.items() if v))
-
-            num = {strip(m): c for m, c in num.items()}
-            den = {strip(m): c for m, c in den.items()}
+        # cancel the common monomial factor of num and den; there is none
+        # when either holds the constant monomial
+        if _ONE_M not in num and _ONE_M not in den:
+            num, den = _strip_common(num, den)
         # integer content: make the coefficients jointly coprime, with a
         # positive leading coefficient in the denominator
         g = _int_gcd(*num.values(), *den.values())
@@ -279,7 +275,9 @@ class Scalar:
     def _coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return Scalar(_sp_const(x))
+        if isinstance(x, Fraction):
             return Scalar.from_fraction(x)
         return NotImplemented  # type: ignore[return-value]
 
@@ -326,8 +324,8 @@ class Scalar:
 
     def __pow__(self, n: int):
         if n < 0:
-            return Scalar.from_fraction(1) / self ** (-n)
-        out = Scalar.from_fraction(1)
+            return _S1 / self ** (-n)
+        out = _S1
         base = self
         while n:
             if n & 1:
@@ -941,29 +939,9 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
     segs = arc.segments()
     q = _int_lcm(*(e.denominator for e, _ in segs))
     s = ("s",)
-    if arc.a0.is_zero() and len(segs) <= 1:
-        # a is a single monomial in s (or zero), so each (a, t) term maps
-        # to one s term; skip the general composition machinery
-        if segs:
-            e, c = segs[0]
-            coeff = Scalar.symbol("c1") if c is None else c
-            a_exp = int(e * q)
-            cpow: dict[int, Scalar] = {}
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for (i, j), val in p.terms.items():
-            if i:
-                if not segs:
-                    continue
-                cp = cpow.get(i)
-                if cp is None:
-                    cp = cpow[i] = coeff ** i
-                val = val * cp
-                key = (i * a_exp + j * q,)
-            else:
-                key = (j * q,)
-            acc = terms.get(key)
-            terms[key] = val if acc is None else acc + val
-        return Poly(s, terms)
+    if arc.a0.is_zero() and not segs:
+        # the vertical arc a == 0 keeps the terms free of a, with t = s
+        return Poly(s, {(j,): val for (i, j), val in p.terms.items() if not i})
     a_val = Poly.const(s, arc.a0)
     for k, (e, c) in enumerate(segs, start=1):
         coeff = Scalar.symbol(f"c{k}") if c is None else c
@@ -1169,7 +1147,9 @@ def wedge3(v: Sequence, omega: Mapping[tuple[int, int], object], dim: int) -> di
 
     For a decomposable 2-form representing a plane, all coordinates vanish
     exactly when the line spanned by v lies in the plane.  Entries may be
-    Scalars or any ring elements supporting +, - and *.
+    Scalars or any ring elements supporting +, - and *; a coordinate whose
+    three products all have a zero factor is that zero product, of the
+    entries' own type.
     """
     if len(v) != dim:
         raise ValueError(f"vector has {len(v)} entries, expected {dim}")
@@ -1180,11 +1160,16 @@ def wedge3(v: Sequence, omega: Mapping[tuple[int, int], object], dim: int) -> di
     def om(i: int, j: int):
         return omega.get((i, j), _S0)
 
+    def vanishes(x) -> bool:
+        return isinstance(x, Scalar) and not x.num
+
     out: dict[tuple[int, int, int], object] = {}
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(j + 1, dim + 1):
-                out[(i, j, k)] = (
-                    v[i - 1] * om(j, k) - v[j - 1] * om(i, k) + v[k - 1] * om(i, j)
-                )
+    for i, j, k in itertools.combinations(range(1, dim + 1), 3):
+        # v_i*om(j,k) - v_j*om(i,k) + v_k*om(i,j) without the products that
+        # have a zero Scalar factor: adding a zero Scalar leaves a Scalar's
+        # stored form unchanged, so the coordinate prints the same
+        prods = [x * y for x, y in ((v[i - 1], om(j, k)), (v[j - 1], -om(i, k)),
+                                    (v[k - 1], om(i, j)))
+                 if not (vanishes(x) or vanishes(y))]
+        out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
     return out

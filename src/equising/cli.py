@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -371,21 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     with symbol_run():
-        return _run(argv)
+        code, report, args = _run(argv)
+    try:
+        if report is not None:
+            _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (as `| head` does): point stdout
+        # at devnull so the flush at exit fails no more, and keep the code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
-def _run(argv: list[str] | None) -> int:
+def _run(argv: list[str] | None) -> tuple[int, dict | None, argparse.Namespace | None]:
+    """Exit code, report and parsed arguments; no report after an error."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which would collide with
         # the Inconclusive code; keep 0 for --help/--version only
-        return EXIT_ERROR if exc.code else EXIT_DECISIVE
+        return (EXIT_ERROR if exc.code else EXIT_DECISIVE), None, None
     if args.command == "rolle" and bool(args.rho) == bool(args.functional):
         print("error: rolle takes exactly one of --rho (family file) or "
               "--functional (curve file)", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_ERROR, None, None
     try:
         if args.command == "rolle" and args.functional:
             subject, sections, code = _run_rolle_curve(args)
@@ -401,7 +412,7 @@ def _run(argv: list[str] | None) -> int:
             DegenerateSurfaceError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_ERROR, None, None
     report = {
         "report_version": REPORT_VERSION,
         "command": args.command,
@@ -409,8 +420,7 @@ def _run(argv: list[str] | None) -> int:
     }
     report.update(subject)
     report.update(sections)
-    _emit(report, args)
-    return code
+    return code, report, args
 
 
 if __name__ == "__main__":

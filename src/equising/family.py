@@ -216,14 +216,20 @@ def load_family(path: str | Path) -> Parametrization:
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or "entries" not in data:
         raise FamilyValidationError(f"{path.name}: expected an object with 'entries'")
-    entries = data["entries"]
-    if not isinstance(entries, list) or not all(isinstance(s, str) for s in entries):
-        raise FamilyValidationError(f"{path.name}: 'entries' must be a list of strings")
     return family_from_strings(
-        entries,
-        data.get("ambient", ()),
+        _strings(data, "entries", path),
+        _strings(data, "ambient", path, ()),
         data.get("name", path.stem),
     )
+
+
+def _strings(data: dict, key: str, path: Path, default=None) -> list[str]:
+    """``data[key]`` (or ``default`` when absent), refused unless it is a
+    list of strings."""
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
+        raise FamilyValidationError(f"{path.name}: '{key}' must be a list of strings")
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,7 @@ def load_equations(path: str | Path, family: Parametrization) -> list[Poly]:
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or "equations" not in data:
         raise FamilyValidationError(f"{path.name}: expected an object with 'equations'")
-    variables = tuple(data.get("vars", family.ambient))
+    variables = _strings(data, "vars", path, family.ambient)
     if not variables:
         raise FamilyValidationError(f"{path.name}: 'vars' must not be empty")
     if set(variables) - set(family.ambient):
@@ -249,7 +255,7 @@ def load_equations(path: str | Path, family: Parametrization) -> list[Poly]:
         raise FamilyValidationError(
             f"{path.name}: unknown ambient variables {extra}"
         )
-    return [parse_poly(s, variables) for s in data["equations"]]
+    return [parse_poly(s, variables) for s in _strings(data, "equations", path)]
 
 
 def verify_implicit_equations(

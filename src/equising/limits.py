@@ -17,7 +17,11 @@ captured, after curve selection, by arcs
 with rational theta > 0, together with the vertical arc a == a0.  For a
 fixed exponent the leading behavior of every relevant polynomial is a
 single coefficient vector depending polynomially on c, so each exponent
-regime reduces to exact linear algebra over the coefficient field.  Only
+regime reduces to exact linear algebra over the coefficient field.  That
+vector is read from theta-weighted initial forms, the Newton-polygon
+reading of the regime: along a = c*t**(p/q) the term a**i*t**j has weight
+i*p + j*q, and each leading coefficient is the sum of val*c**i over the
+terms of least weight; finite exponents never substitute the arc.  Only
 finitely many exponents (where two support monomials trade dominance) can
 change the outcome; between them one midpoint test covers the whole open
 sector, irrational exponents included.  When every leading coefficient
@@ -79,6 +83,9 @@ _RANK = {Verdict.VERIFIED: 0, Verdict.INCONCLUSIVE: 1, Verdict.REFUTED: 2}
 
 def _merge(v1: Verdict, v2: Verdict) -> Verdict:
     return v1 if _RANK[v1] >= _RANK[v2] else v2
+
+
+_ZERO, _ONE = Scalar.from_fraction(0), Scalar.from_fraction(1)
 
 
 @dataclass(frozen=True)
@@ -166,10 +173,8 @@ class WhitneyJoint:
 
 
 def _witness_json(w: ArcWitness) -> dict:
-    segs = [
-        {"theta": str(th), "c": c}
-        for th, c in _witness_segments(w.arc)
-    ]
+    segs = [{"theta": str(th), "c": "generic" if c is None else str(c)}
+            for th, c in w.arc.segments()]
     return {
         "arc": w.description,
         "a0": str(w.arc.a0),
@@ -178,13 +183,6 @@ def _witness_json(w: ArcWitness) -> dict:
         "value": w.value,
         "coefficient": w.coefficient,
     }
-
-
-def _witness_segments(arc: Arc) -> list[tuple[Fraction, str]]:
-    out = []
-    for th, c in arc.segments():
-        out.append((th, "generic" if c is None else str(c)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +228,7 @@ def arc_leading_vector(
     Entries are polynomials in (a, t); the result is None when every entry
     vanishes identically along the arc.
     """
-    subs = [substitute_arc(p, arc) for p in polys]
-    return _leading(subs)
+    return _leading([substitute_arc(p, arc) for p in polys])
 
 
 def _leading(subs: Sequence[Poly]) -> tuple[float, list[Scalar]] | None:
@@ -240,6 +237,42 @@ def _leading(subs: Sequence[Poly]) -> tuple[float, list[Scalar]] | None:
         return None
     k = int(nu)
     return nu, [p.coeff_of("s", k).constant_value() for p in subs]
+
+
+def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar) -> list[Scalar]:
+    """Joint theta-weighted initial forms of (a, t) polynomials at (c, 1).
+
+    Along a = c*t**theta, theta = p/q, the term val*a**i*t**j has order
+    (i*p + j*q)/q.  Each entry sums val*c**i over the terms of least order
+    among all entries: what ``_leading`` reads off the substituted
+    polynomials, without building them.
+    """
+    p, q = theta.numerator, theta.denominator
+    w = min((i * p + j * q for poly in polys for i, j in poly.terms), default=None)
+    cpow = [_ONE, csym]
+    out = []
+    for poly in polys:
+        acc = _ZERO
+        for (i, j), val in poly.terms.items():
+            if i * p + j * q == w:
+                while len(cpow) <= i:
+                    cpow.append(cpow[-1] * csym)
+                acc = acc + (val * cpow[i] if i else val)
+        out.append(acc)
+    return out
+
+
+def _regime_lead(polys: Sequence[Poly], theta: Fraction | None,
+                 csym: Scalar) -> list[Scalar] | None:
+    """Leading coefficients along a = c*t**theta, or along a == 0 when
+    theta is None; None when every polynomial vanishes along the arc."""
+    if theta is None:
+        led = arc_leading_vector(polys, Arc(theta=None))
+        return None if led is None else led[1]
+    # c is a fresh symbol, so distinct terms (i, j) carry distinct powers of
+    # c and cannot cancel: an initial form is zero only for a zero polynomial
+    lead = _initial(polys, theta, csym)
+    return None if all(v.is_zero() for v in lead) else lead
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +396,6 @@ _WITNESS_TRIALS = (
 )
 
 
-def _fmt_theta(th: Fraction | None) -> str:
-    return "inf" if th is None else str(th)
-
-
 @dataclass
 class _SweepState:
     verdict: Verdict = Verdict.VERIFIED
@@ -439,7 +468,7 @@ def _build_arc(
     for idx in range(len(segs) - 1, -1, -1):
         th_abs, c = segs[idx]
         rel = th_abs - (prev_abs[idx - 1] if idx > 0 else 0)
-        node = Arc(theta=rel, c=c, a0=a0 if idx == 0 else Scalar.from_fraction(0),
+        node = Arc(theta=rel, c=c, a0=a0 if idx == 0 else _ZERO,
                    refinement=node)
     assert node is not None
     return node
@@ -467,31 +496,20 @@ def _sweep(
 
     for th, kind in _regime_plan(crits, w_min):
         th_abs = None if th is None else th / t_scale
-        arc = Arc(theta=th, c=csym) if th is not None else Arc(theta=None)
-        sub_vec = [substitute_arc(v, arc) for v in vec]
-        if all(p.is_zero() for p in sub_vec):
-            records.append(RegimeRecord(
-                theta=_fmt_theta(th_abs), kind=kind, status="vacuous",
-                note="the arc stays inside the singular axis"))
+        label = "inf" if th_abs is None else str(th_abs)
+        vec_lead = _regime_lead(vec, th, csym)
+        if vec_lead is None:
+            records.append(RegimeRecord(label, kind, "vacuous",
+                                        "the arc stays inside the singular axis"))
             continue
-        sub_om = {ij: substitute_arc(omega[ij], arc) for ij in keys}
-        led_om = _leading([sub_om[ij] for ij in keys])
-        if led_om is None:
-            records.append(RegimeRecord(
-                theta=_fmt_theta(th_abs), kind=kind, status="degenerate",
-                note="every tangent minor vanishes along the arc"))
-            state.inconclusive(
-                f"no tangent planes along the arc family at exponent {_fmt_theta(th_abs)}")
+        om_lead_list = _regime_lead([omega[ij] for ij in keys], th, csym)
+        if om_lead_list is None:
+            records.append(RegimeRecord(label, kind, "degenerate",
+                                        "every tangent minor vanishes along the arc"))
+            state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
             continue
-        _, om_lead_list = led_om
         om_lead = dict(zip(keys, om_lead_list))
-
-        if mode == "b":
-            led_vec = _leading(sub_vec)
-            assert led_vec is not None
-            _, test_vec = led_vec
-        else:
-            test_vec = [Scalar.from_fraction(1)] + [Scalar.from_fraction(0)] * (dim - 1)
+        test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
 
         coords = wedge3(test_vec, om_lead, dim)
         nonzero = {ijk: v for ijk, v in coords.items() if not v.is_zero()}
@@ -517,9 +535,8 @@ def _sweep(
                 coefficient=coeff_label,
             )
             records.append(RegimeRecord(
-                theta=_fmt_theta(th_abs), kind=kind, status="violated",
-                note=f"limit direction leaves the tangent-plane limit "
-                     f"(wedge coordinate {ijk})"))
+                label, kind, "violated",
+                f"limit direction leaves the tangent-plane limit (wedge coordinate {ijk})"))
             state.refute(witness)
             continue
 
@@ -542,13 +559,13 @@ def _sweep(
                 if unresolved is not None:
                     status = "unresolved"
                     state.inconclusive(
-                        f"cancellation locus at exponent {_fmt_theta(th_abs)} has "
+                        f"cancellation locus at exponent {label} has "
                         f"roots outside the coefficient field: {unresolved}")
             for c0 in roots:
                 if depth_left == 0:
                     status = "unresolved"
                     state.inconclusive(
-                        f"refinement depth exhausted at exponent {_fmt_theta(th_abs)}, "
+                        f"refinement depth exhausted at exponent {label}, "
                         f"coefficient {c0}")
                     continue
                 p, q = th.numerator, th.denominator
@@ -567,9 +584,7 @@ def _sweep(
                 refinements.extend(sub_records)
             if roots and status == "contained":
                 note = f"leading terms cancel at {len(roots)} special coefficient value(s); refined"
-        records.append(RegimeRecord(
-            theta=_fmt_theta(th_abs), kind=kind, status=status, note=note,
-            refinements=tuple(refinements)))
+        records.append(RegimeRecord(label, kind, status, note, tuple(refinements)))
     return state, records
 
 

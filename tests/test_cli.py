@@ -7,6 +7,7 @@ process, or next to other runs in other threads.
 """
 
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -275,6 +276,44 @@ class TestErrors:
                        "--equations", eqs)
         assert proc.returncode == 1
         assert proc.stderr == "error: eqs.json: 'vars' must not be empty\n"
+
+    @pytest.mark.parametrize("ambient", [5, "xyz", [1, 2], None])
+    def test_ambient_must_be_a_list_of_strings(self, tmp_path, ambient):
+        f = tmp_path / "fam.json"
+        f.write_text(json.dumps({"entries": ["a", "t^2"], "ambient": ambient}))
+        proc = run_cli("check-whitney", f)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: fam.json: 'ambient' must be a list of strings\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("equations", [3]), ("equations", "x - y"), ("vars", 7), ("vars", ["x", 2]),
+    ])
+    def test_equations_and_vars_must_be_lists_of_strings(self, tmp_path, key, value):
+        eqs = tmp_path / "eqs.json"
+        eqs.write_text(json.dumps({"equations": ["y - z"], key: value}))
+        proc = run_cli("verify-equations", corpus_path("family-345.json"),
+                       "--equations", eqs)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: eqs.json: '{key}' must be a list of strings\n"
+
+    @pytest.mark.parametrize("argv, want_code", [
+        (["full-report", corpus_path("family-345.json")], 0),
+        (["check-whitney", corpus_path("family-352.json"), "--format", "text"], 0),
+        (["check-whitney", corpus_path("tangent-arc.json"), "--depth", "0"], 2),
+    ])
+    def test_closed_pipe_keeps_exit_code_without_traceback(self, argv, want_code):
+        # the read end is closed before the report is written, as when
+        # `| head -c 10` exits early
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "equising.cli", *map(str, argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == want_code
+        assert proc.stderr == ""
 
     def test_checker_value_error_is_not_an_input_error(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -4,13 +4,20 @@ import random
 from fractions import Fraction
 
 from equising import (
+    Arc,
+    Poly,
+    Scalar,
     Verdict,
     family_from_strings,
     load_family,
     parse_poly,
+    substitute_arc,
+    wedge3,
     whitney_check,
 )
 from equising.limits import (
+    _initial,
+    _leading,
     critical_exponents,
     secant_vector,
     whitney_a_check,
@@ -43,6 +50,104 @@ class TestCriticalExponents:
 
     def test_fractional(self):
         assert critical_exponents([P("a^2*t + t^4")]) == {Fraction(3, 2)}
+
+
+def random_coefficient(rng, symbolic):
+    q = Scalar.from_fraction(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      rng.randint(1, 4)))
+    if symbolic and rng.random() < 0.5:
+        g = Scalar.symbol("g1")
+        q = q * g ** rng.randint(1, 2) + rng.randint(-3, 3)
+    return q
+
+
+def random_poly(rng, symbolic, terms=4):
+    return Poly(AT, {(rng.randint(0, 4), rng.randint(0, 6)):
+                     random_coefficient(rng, symbolic)
+                     for _ in range(rng.randint(0, terms))})
+
+
+class TestInitialForms:
+    """The theta-weighted initial forms must equal the lowest coefficients
+    of the substituted polynomials, the path they replace in the sweep."""
+
+    THETAS = [Fraction(1), Fraction(3), Fraction(1, 2), Fraction(5, 3),
+              Fraction(2, 7)]
+
+    def check(self, polys, theta):
+        c = Scalar.symbol("c1")
+        got = _initial(polys, theta, c)
+        led = _leading([substitute_arc(p, Arc(theta=theta, c=c)) for p in polys])
+        if led is None:
+            assert all(v.is_zero() for v in got)
+            return
+        assert got == led[1]
+        assert [str(v) for v in got] == [str(v) for v in led[1]]
+
+    def test_random_polynomials(self):
+        rng = random.Random(707)
+        for symbolic in (False, True):
+            for _ in range(60):
+                polys = [random_poly(rng, symbolic) for _ in range(rng.randint(1, 4))]
+                for theta in self.THETAS:
+                    self.check(polys, theta)
+
+    def test_refined_polynomials(self):
+        rng = random.Random(808)
+        for _ in range(30):
+            symbolic = rng.random() < 0.5
+            polys = [random_poly(rng, symbolic) for _ in range(rng.randint(1, 3))]
+            p, q = rng.randint(1, 4), rng.randint(1, 3)
+            c0 = random_coefficient(rng, symbolic)
+            a_new = Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a")
+            t_new = Poly.monomial(AT, (0, q))
+            refined = [f.compose([a_new, t_new]) for f in polys]
+            for theta in self.THETAS:
+                self.check(refined, theta + p)
+
+    def test_all_zero(self):
+        assert all(v.is_zero() for v in
+                   _initial([Poly.zero(AT)] * 3, Fraction(1, 2), Scalar.symbol("c1")))
+
+
+class TestWedgeZeroSkip:
+    """wedge3 skips products with a zero Scalar factor; its coordinates
+    must equal and print as the full three-term formula."""
+
+    @staticmethod
+    def full(v, om, dim, zero):
+        def o(i, j):
+            return om.get((i, j), zero)
+        return {(i, j, k): v[i - 1] * o(j, k) - v[j - 1] * o(i, k) + v[k - 1] * o(i, j)
+                for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+                for k in range(j + 1, dim + 1)}
+
+    def test_sparse_scalar_vectors(self):
+        rng = random.Random(909)
+        zero = Scalar.from_fraction(0)
+        for _ in range(200):
+            dim = rng.randint(3, 5)
+
+            def entry():
+                return zero if rng.random() < 0.6 else random_coefficient(rng, True)
+
+            v = [entry() for _ in range(dim)]
+            om = {(i, j): entry() for i in range(1, dim + 1)
+                  for j in range(i + 1, dim + 1) if rng.random() < 0.7}
+            got, want = wedge3(v, om, dim), self.full(v, om, dim, zero)
+            assert got == want
+            assert {k: str(x) for k, x in got.items()} == \
+                {k: str(x) for k, x in want.items()}
+
+    def test_poly_entries(self):
+        zero = Scalar.from_fraction(0)
+        v = [P("0"), P("t^2"), P("0"), P("a*t")]
+        # (2, 3, 4) has a zero Scalar factor in each of its three products
+        om = {(1, 2): P("t"), (1, 3): P("a + t^3"), (1, 4): P("2*t")}
+        got = wedge3(v, om, 4)
+        want = self.full(v, om, 4, zero)
+        assert got == want
+        assert all(isinstance(x, Poly) for x in got.values())
 
 
 class TestVerifiedFamily:
