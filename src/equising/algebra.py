@@ -119,6 +119,15 @@ def _mono_key(m: Mono):
     return (sum(e for _, e in m), m)
 
 
+def _lex_lead(p: SPoly) -> tuple[Mono, int]:
+    """Leading term of a nonzero polynomial under lex order with names
+    ascending from the most significant: a monomial order, which
+    ``_mono_key``'s tie-break is not."""
+    names = sorted({name for m in p for name, _ in m})
+    lead = max(p, key=lambda m: [dict(m).get(name, 0) for name in names])
+    return lead, p[lead]
+
+
 def _sp_add(p: SPoly, q: SPoly) -> SPoly:
     r = dict(p)
     for m, c in q.items():
@@ -341,9 +350,14 @@ class Scalar:
         return _sp_add(_sp_mul(self.num, o.den), _sp_neg(_sp_mul(o.num, self.den))) == {}
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
-        return hash(frozenset(self.num.items()))
+        # the ratio of the lex-leading terms of num and den: leading terms
+        # multiply, so every representation of a value has the same ratio,
+        # and a rational value hashes as its Fraction
+        if not self.num:
+            return hash(0)
+        (n, cn), (d, cd) = _lex_lead(self.num), _lex_lead(self.den)
+        mono = _mono_mul(n, tuple((name, -e) for name, e in d))
+        return hash((Fraction(cn, cd), mono) if mono else Fraction(cn, cd))
 
     def subs(self, name: str, value: "Scalar | Fraction | int") -> "Scalar":
         """Substitute a rational or Scalar value for a symbol."""

@@ -1,13 +1,11 @@
 """Whitney regularity along the singular axis, decided by exact arc sweeps.
 
-The singular locus of the image surface is the parameter axis.  Whitney
-condition (a) at a point of the axis asks that every limit of tangent
-planes at nearby smooth surface points contain the axis direction;
-condition (b) asks that the limit planes also contain the limit of secant
-lines from the axis point to the approaching smooth points.  Checking (b)
-with secants taken from the retraction of each point onto the axis, plus
-condition (a), is equivalent to the classical pair condition; both parts
-are exposed separately and combined by :func:`whitney_check`.
+The singular locus of the image surface is the parameter axis, and
+:func:`whitney_check` decides Whitney conditions (a) and (b) for the pair
+(smooth part, axis) at a point of it.  One sweep decides both: the two
+conditions share every regime, leading form and refinement and differ
+only in the vector tested against the tangent-plane limits, and the report
+keeps a regime list per condition.
 
 Strategy.  Every way of approaching the base point inside the surface is
 captured, after curve selection, by arcs
@@ -47,6 +45,7 @@ from .algebra import (
     Arc,
     Poly,
     Scalar,
+    dense_divmod,
     dense_gcd,
     dense_trim,
     substitute_arc,
@@ -63,8 +62,6 @@ __all__ = [
     "secant_vector",
     "critical_exponents",
     "arc_leading_vector",
-    "whitney_a_check",
-    "whitney_b_check",
     "whitney_check",
 ]
 
@@ -343,16 +340,6 @@ def _eval_poly(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Divide by (x - r); assumes r is a root."""
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] + acc * r
-        out[k - 1] = acc
-    return out
-
-
 def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | None]:
     """Nonzero roots of a coefficient polynomial, exactly.
 
@@ -375,7 +362,7 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
         roots: list[Fraction] = []
         for r in _rational_roots(fr):
             while len(fr) > 1 and _eval_poly(fr, r) == 0:
-                fr = _deflate(fr, r)
+                fr = dense_divmod(fr, [-r, 1])[0]
                 if r not in roots:
                     roots.append(r)
         scalars = [Scalar.from_fraction(r) for r in roots]
@@ -478,16 +465,17 @@ def _sweep(
     vec: list[Poly],
     omega: dict[tuple[int, int], Poly],
     dim: int,
-    mode: str,
+    modes: str,
     w_min: Fraction,
     depth_left: int,
     t_scale: int,
     prefix: list[tuple[Fraction, Scalar]],
     a0: Scalar,
     a0_label: str,
-) -> tuple[_SweepState, list[RegimeRecord]]:
-    state = _SweepState()
-    records: list[RegimeRecord] = []
+) -> list[tuple[_SweepState, list[RegimeRecord]]]:
+    """Sweep every condition in ``modes`` ("a", "b") at once; one
+    (state, records) pair per condition, in the order of ``modes``."""
+    out = [(_SweepState(), []) for _ in modes]
     keys = sorted(omega)
     crits = sorted(th for th in critical_exponents(vec + [omega[k] for k in keys])
                    if th > w_min)
@@ -499,68 +487,103 @@ def _sweep(
         label = "inf" if th_abs is None else str(th_abs)
         vec_lead = _regime_lead(vec, th, csym)
         if vec_lead is None:
-            records.append(RegimeRecord(label, kind, "vacuous",
-                                        "the arc stays inside the singular axis"))
+            for _, records in out:
+                records.append(RegimeRecord(label, kind, "vacuous",
+                                            "the arc stays inside the singular axis"))
             continue
         om_lead_list = _regime_lead([omega[ij] for ij in keys], th, csym)
         if om_lead_list is None:
-            records.append(RegimeRecord(label, kind, "degenerate",
-                                        "every tangent minor vanishes along the arc"))
-            state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
+            for state, records in out:
+                records.append(RegimeRecord(label, kind, "degenerate",
+                                            "every tangent minor vanishes along the arc"))
+                state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
             continue
         om_lead = dict(zip(keys, om_lead_list))
-        test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
+        om_gcd = None
+        contained = []  # (mode, state, records, status, roots)
 
-        coords = wedge3(test_vec, om_lead, dim)
-        nonzero = {ijk: v for ijk, v in coords.items() if not v.is_zero()}
+        for mode, (state, records) in zip(modes, out):
+            test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
+            coords = wedge3(test_vec, om_lead, dim)
+            nonzero = {ijk: v for ijk, v in coords.items() if not v.is_zero()}
 
-        if nonzero:
-            ijk = min(nonzero)
-            val = nonzero[ijk]
-            if th is None:
-                final = None
-                coeff_label = "exact"
-                value_str = str(val)
-            else:
-                c_pick = _pick_witness(val, test_vec if mode == "b" else None,
-                                       om_lead_list, cname)
-                final = (th_abs, c_pick)
-                coeff_label = "generic" if c_pick is None else str(c_pick)
-                value_str = str(val if c_pick is None else val.subs(cname, c_pick))
-            witness = ArcWitness(
-                arc=_build_arc(prefix, final, a0),
-                description=_arc_description(prefix, final, a0_label),
-                wedge_index=ijk,
-                value=value_str,
-                coefficient=coeff_label,
-            )
-            records.append(RegimeRecord(
-                label, kind, "violated",
-                f"limit direction leaves the tangent-plane limit (wedge coordinate {ijk})"))
-            state.refute(witness)
-            continue
+            if nonzero:
+                ijk = min(nonzero)
+                val = nonzero[ijk]
+                if th is None:
+                    final = None
+                    coeff_label = "exact"
+                    value_str = str(val)
+                else:
+                    c_pick = _pick_witness(val, test_vec if mode == "b" else None,
+                                           om_lead_list, cname)
+                    final = (th_abs, c_pick)
+                    coeff_label = "generic" if c_pick is None else str(c_pick)
+                    value_str = str(val if c_pick is None else val.subs(cname, c_pick))
+                witness = ArcWitness(
+                    arc=_build_arc(prefix, final, a0),
+                    description=_arc_description(prefix, final, a0_label),
+                    wedge_index=ijk,
+                    value=value_str,
+                    coefficient=coeff_label,
+                )
+                records.append(RegimeRecord(
+                    label, kind, "violated",
+                    f"limit direction leaves the tangent-plane limit (wedge coordinate {ijk})"))
+                state.refute(witness)
+                continue
 
-        note = ""
-        status = "contained"
-        refinements: list[RegimeRecord] = []
-        if th is not None:
-            gcds: list[list[Scalar]] = []
-            if mode == "b":
-                gcds.append(_c_gcd_many(
-                    [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]))
-            gcds.append(_c_gcd_many(
-                [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()]))
+            status = "contained"
             roots: list[Scalar] = []
-            for g in gcds:
-                got, unresolved = _extract_roots(g, cname)
-                for r in got:
-                    if not any(r == r2 for r2 in roots):
-                        roots.append(r)
-                if unresolved is not None:
-                    status = "unresolved"
-                    state.inconclusive(
-                        f"cancellation locus at exponent {label} has "
-                        f"roots outside the coefficient field: {unresolved}")
+            if th is not None:
+                gcds: list[list[Scalar]] = []
+                if mode == "b":
+                    gcds.append(_c_gcd_many(
+                        [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]))
+                if om_gcd is None:
+                    om_gcd = _c_gcd_many(
+                        [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()])
+                gcds.append(om_gcd)
+                for g in gcds:
+                    got, unresolved = _extract_roots(g, cname)
+                    for r in got:
+                        if not any(r == r2 for r2 in roots):
+                            roots.append(r)
+                    if unresolved is not None:
+                        status = "unresolved"
+                        state.inconclusive(
+                            f"cancellation locus at exponent {label} has "
+                            f"roots outside the coefficient field: {unresolved}")
+            contained.append((mode, state, records, status, roots))
+
+        # each distinct root is composed and swept once, for the conditions
+        # that refine it.  Roots are matched by printed form, not only by
+        # value: two forms of one value compose into polynomials that print
+        # differently, so each form is swept on its own, as it is alone.
+        subs: dict[str, dict[str, tuple[_SweepState, list[RegimeRecord]]]] = {}
+        if depth_left:
+            for c0 in (r for *_, roots in contained for r in roots):
+                key = str(c0)
+                if key in subs:
+                    continue
+                sub_modes = "".join(mode for mode, *_, roots in contained
+                                    if any(str(r) == key for r in roots))
+                p, q = th.numerator, th.denominator
+                a_new = Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a")
+                t_new = Poly.monomial(AT, (0, q))
+                results = _sweep(
+                    [v.compose([a_new, t_new]) for v in vec],
+                    {ij: omega[ij].compose([a_new, t_new]) for ij in keys},
+                    dim, sub_modes,
+                    w_min=Fraction(p), depth_left=depth_left - 1,
+                    t_scale=t_scale * q,
+                    prefix=prefix + [(th_abs, c0)],
+                    a0=a0, a0_label=a0_label,
+                )
+                subs[key] = dict(zip(sub_modes, results))
+
+        for mode, state, records, status, roots in contained:
+            refinements: list[RegimeRecord] = []
             for c0 in roots:
                 if depth_left == 0:
                     status = "unresolved"
@@ -568,24 +591,14 @@ def _sweep(
                         f"refinement depth exhausted at exponent {label}, "
                         f"coefficient {c0}")
                     continue
-                p, q = th.numerator, th.denominator
-                a_new = Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a")
-                t_new = Poly.monomial(AT, (0, q))
-                vec2 = [v.compose([a_new, t_new]) for v in vec]
-                om2 = {ij: omega[ij].compose([a_new, t_new]) for ij in keys}
-                sub_state, sub_records = _sweep(
-                    vec2, om2, dim, mode,
-                    w_min=Fraction(p), depth_left=depth_left - 1,
-                    t_scale=t_scale * q,
-                    prefix=prefix + [(th_abs, c0)],
-                    a0=a0, a0_label=a0_label,
-                )
+                sub_state, sub_records = subs[str(c0)][mode]
                 state.absorb(sub_state)
                 refinements.extend(sub_records)
+            note = ""
             if roots and status == "contained":
                 note = f"leading terms cancel at {len(roots)} special coefficient value(s); refined"
-        records.append(RegimeRecord(label, kind, status, note, tuple(refinements)))
-    return state, records
+            records.append(RegimeRecord(label, kind, status, note, tuple(refinements)))
+    return out
 
 
 def _pick_witness(
@@ -611,66 +624,34 @@ def _pick_witness(
 # ---------------------------------------------------------------------------
 
 
-def _run_conditions(family: Parametrization, basepoint, modes: str,
-                    max_depth: int) -> list[WhitneyResult]:
-    """Recenter once, then sweep each condition in ``modes`` ("a", "b")
-    over the same family, minors and base point."""
+def whitney_check(family: Parametrization, basepoint=0,
+                  max_depth: int = 4) -> WhitneyJoint:
+    """Whitney conditions (a) and (b) along the singular axis.
+
+    Condition (a) asks that every limit of tangent planes at nearby smooth
+    points contain the axis direction.  Condition (b), in retraction form,
+    asks that the limit planes also contain the limit of the secants from
+    the axis retraction of each point to the point itself.  Together they
+    are equivalent to the classical secant condition for pairs (smooth
+    part, axis), so the joint verdict is the conjunction.  One sweep
+    decides both, at one base point (one generic symbol when ``basepoint``
+    is "generic").
+    """
     fam, a0, label = family.centered(basepoint)
-    dim = fam.dim
-    if dim < 3:
+    if fam.dim < 3:
         rec = RegimeRecord(
             theta="all", kind="sector", status="trivial",
             note="ambient dimension below 3: every line lies in every plane")
-        return [WhitneyResult(Verdict.VERIFIED, mode, label, None, (rec,), ())
-                for mode in modes]
-    vec = secant_vector(fam)
-    omega = fam.plucker_minors()
-    results = []
-    for mode in modes:
-        state, records = _sweep(
-            vec, omega, dim, mode,
+        part_a, part_b = (WhitneyResult(Verdict.VERIFIED, mode, label, None, (rec,), ())
+                          for mode in "ab")
+    else:
+        swept = _sweep(
+            secant_vector(fam), fam.plucker_minors(), fam.dim, "ab",
             w_min=Fraction(0), depth_left=max_depth, t_scale=1,
             prefix=[], a0=a0, a0_label=label,
         )
-        results.append(WhitneyResult(
-            verdict=state.verdict,
-            condition=mode,
-            basepoint=label,
-            witness=state.witness,
-            regimes=tuple(records),
-            reasons=tuple(state.reasons),
-        ))
-    return results
-
-
-def whitney_a_check(family: Parametrization, basepoint=0,
-                    max_depth: int = 4) -> WhitneyResult:
-    """Condition (a): tangent-plane limits contain the axis direction."""
-    return _run_conditions(family, basepoint, "a", max_depth)[0]
-
-
-def whitney_b_check(family: Parametrization, basepoint=0,
-                    max_depth: int = 4) -> WhitneyResult:
-    """Condition (b), retraction form: the limit of secants from the axis
-    retraction lies in the tangent-plane limit."""
-    return _run_conditions(family, basepoint, "b", max_depth)[0]
-
-
-def whitney_check(family: Parametrization, basepoint=0,
-                  max_depth: int = 4) -> WhitneyJoint:
-    """Conditions (a) and (b) together.
-
-    The retraction form of (b) combined with (a) is equivalent to the
-    classical secant condition for pairs (smooth part, axis), so the joint
-    verdict is the conjunction.  Both conditions are checked at the same
-    base point, one generic symbol when ``basepoint`` is "generic".
-    """
-    part_a, part_b = _run_conditions(family, basepoint, "ab", max_depth)
-    if Verdict.REFUTED in (part_a.verdict, part_b.verdict):
-        verdict = Verdict.REFUTED
-    elif Verdict.INCONCLUSIVE in (part_a.verdict, part_b.verdict):
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.VERIFIED
-    witness = part_b.witness or part_a.witness
-    return WhitneyJoint(verdict, part_a, part_b, witness)
+        part_a, part_b = (WhitneyResult(state.verdict, mode, label, state.witness,
+                                        tuple(records), tuple(state.reasons))
+                          for mode, (state, records) in zip("ab", swept))
+    return WhitneyJoint(_merge(part_a.verdict, part_b.verdict), part_a, part_b,
+                        part_b.witness or part_a.witness)

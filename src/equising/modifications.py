@@ -276,6 +276,41 @@ def _drop_axis_value(p: Poly) -> tuple[Poly, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _chart_ratios(cands: list[tuple[object, Poly]], what: str):
+    """The unit chart entry among ``cands`` and the other candidates' ratios
+    against it, each recentered on its axis section; also whether any
+    ratio was recentered.  Candidates are (key, polynomial) pairs, and an
+    error names the offending one as ``what key``."""
+    key, divisor = _unit_chart(cands, what)
+    ratios: list[Poly] = []
+    recentered = False
+    for k, p in cands:
+        if k == key:
+            continue
+        ratio, shifted = _drop_axis_value(_exact_ratio(p, divisor, f"{what} {k}"))
+        recentered = recentered or shifted
+        ratios.append(ratio)
+    return divisor, ratios, recentered
+
+
+def _modification(kind: str, family: Parametrization, entries: list[Poly],
+                  divisor: Poly, notes: list[str]) -> ModificationResult:
+    """Prune the modified family; a skipped pruning adds its note."""
+    total = Parametrization(tuple(entries), (),
+                            f"{family.name}:{kind}" if family.name else kind)
+    pruned = prune_redundant(total)
+    if not pruned.applicable:
+        notes.append(pruned.note)
+    return ModificationResult(
+        kind=kind,
+        total=total,
+        pruned=pruned,
+        divisor=divisor.grammar_str(),
+        smooth=_is_smooth(pruned.family),
+        notes=tuple(notes),
+    )
+
+
 def blowup_singular_locus(family: Parametrization) -> ModificationResult:
     """Blow up the ambient space along the singular axis and take the chart
     around the strict transform.
@@ -286,33 +321,11 @@ def blowup_singular_locus(family: Parametrization) -> ModificationResult:
     subtracting that section, an ambient translation that changes no
     equisingularity invariant.
     """
-    cands = [(i, p) for i, p in enumerate(family.entries) if i >= 1]
-    (k, divisor) = _unit_chart(cands, "coordinate")
-    new_entries: list[Poly] = [family.entries[0], divisor]
-    recentered = False
-    for i, p in enumerate(family.entries):
-        if i == 0 or i == k:
-            continue
-        ratio = _exact_ratio(p, divisor, f"coordinate {family.ambient[i]}")
-        ratio, shifted = _drop_axis_value(ratio)
-        recentered = recentered or shifted
-        new_entries.append(ratio)
-    total = Parametrization(tuple(new_entries), (),
-                            _suffix(family.name, "blowup"))
-    pruned = prune_redundant(total)
-    notes = []
-    if recentered:
-        notes.append("chart recentered along the exceptional section")
-    if not pruned.applicable:
-        notes.append(pruned.note)
-    return ModificationResult(
-        kind="blowup",
-        total=total,
-        pruned=pruned,
-        divisor=divisor.grammar_str(),
-        smooth=_is_smooth(pruned.family),
-        notes=tuple(notes),
-    )
+    divisor, ratios, recentered = _chart_ratios(
+        list(zip(family.ambient[1:], family.entries[1:])), "coordinate")
+    return _modification(
+        "blowup", family, [family.entries[0], divisor] + ratios, divisor,
+        ["chart recentered along the exceptional section"] if recentered else [])
 
 
 def nash_modification(family: Parametrization) -> ModificationResult:
@@ -324,38 +337,11 @@ def nash_modification(family: Parametrization) -> ModificationResult:
     The lifted family keeps the original coordinates and appends those
     ratios.
     """
-    minors = family.plucker_minors()
-    cands = sorted(minors.items())
-    (key, divisor) = _unit_chart(cands, "tangent minor")
-    new_entries: list[Poly] = list(family.entries)
-    recentered = False
-    for ij, p in cands:
-        if ij == key:
-            continue
-        ratio = _exact_ratio(p, divisor, f"tangent minor {ij}")
-        ratio, shifted = _drop_axis_value(ratio)
-        recentered = recentered or shifted
-        new_entries.append(ratio)
-    total = Parametrization(tuple(new_entries), (),
-                            _suffix(family.name, "nash"))
-    pruned = prune_redundant(total)
-    notes = []
-    if recentered:
-        notes.append("Gauss chart recentered along the limit-plane section")
-    if not pruned.applicable:
-        notes.append(pruned.note)
-    return ModificationResult(
-        kind="nash",
-        total=total,
-        pruned=pruned,
-        divisor=divisor.grammar_str(),
-        smooth=_is_smooth(pruned.family),
-        notes=tuple(notes),
-    )
-
-
-def _suffix(name: str, tag: str) -> str:
-    return f"{name}:{tag}" if name else tag
+    divisor, ratios, recentered = _chart_ratios(
+        sorted(family.plucker_minors().items()), "tangent minor")
+    return _modification(
+        "nash", family, list(family.entries) + ratios, divisor,
+        ["Gauss chart recentered along the limit-plane section"] if recentered else [])
 
 
 def _is_smooth(family: Parametrization) -> bool:

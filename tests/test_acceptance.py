@@ -29,7 +29,7 @@ from equising import (
     whitney_check,
     zariski_check,
 )
-from equising.limits import secant_vector, whitney_a_check, whitney_b_check
+from equising.limits import secant_vector
 from equising.modifications import prune_redundant
 from conftest import (
     corpus_path,
@@ -305,9 +305,10 @@ def test_criterion_7_property_suites():
     b_verified = 0
     for _ in range(60):
         fam = random_monomial_family(rng)
-        if whitney_b_check(fam).verdict is Verdict.VERIFIED:
+        res = whitney_check(fam)
+        if res.part_b.verdict is Verdict.VERIFIED:
             b_verified += 1
-            assert whitney_a_check(fam).verdict is Verdict.VERIFIED
+            assert res.part_a.verdict is Verdict.VERIFIED
     assert b_verified > 0
 
     # appending redundant coordinates or pruning them back never moves
@@ -348,7 +349,7 @@ def test_criterion_7_property_suites():
         fam = load(name)
         secant = secant_vector(fam)
         minors = [p for _, p in sorted(fam.plucker_minors().items())]
-        for arc in regime_arcs(whitney_b_check(fam)):
+        for arc in regime_arcs(whitney_check(fam).part_b):
             assert direction_deviation(secant, arc) < 1e-6
             assert direction_deviation(minors, arc) < 1e-6
             regime_count += 1

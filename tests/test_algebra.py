@@ -152,6 +152,43 @@ class TestScalar:
                 check(z, ez)
                 pool.append((z, ez))
 
+    def test_hash_agrees_with_equality(self):
+        """Scalars keep common polynomial factors of num and den, so one
+        value has many representations; all of them must hash alike, and
+        a rational value must hash like its Fraction."""
+        g1, g2 = Scalar.symbol("g1"), Scalar.symbol("g2")
+        a = (g1 * g2 + g1) / (g2 + 1)
+        assert a == g1 and hash(a) == hash(g1)
+        assert len({a, g1}) == 1
+        assert hash((g1 + 1) / (g1 + 1)) == hash(1) == hash(Scalar.from_fraction(1))
+        assert hash(Scalar.from_fraction(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+
+        rng = random.Random(3141)
+        atoms = [g1, g2, Scalar.symbol("u")]
+
+        def rand_scalar():
+            s = Scalar.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = Scalar.from_fraction(rng.choice((-2, -1, 1, 3)))
+                for _ in range(rng.randint(1, 2)):
+                    term = term * rng.choice(atoms)
+                s = s + term
+            return s
+
+        pairs = 0
+        for _ in range(400):
+            x, f = rand_scalar(), rand_scalar()
+            if rng.random() < 0.5 and not f.is_zero():
+                x = x / f
+            f = rand_scalar()
+            if f.is_zero():
+                continue
+            y = (x * f) / f
+            assert y == x
+            assert hash(y) == hash(x), (x, y)
+            pairs += 1
+        assert pairs > 300
+
 
 class TestSymbolRun:
     def test_each_run_numbers_from_one(self):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level definition is used in the package or exported.
 
 An ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
 is read anywhere in the module, appears in a quoted annotation, or is
@@ -70,3 +71,37 @@ def test_no_unused_imports(path):
 
 def test_scan_sees_every_module():
     assert {p.name for p in MODULES} >= {"algebra.py", "cli.py", "family.py"}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names in quoted annotations."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    for annotation in _annotations(node):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out |= _names(ast.parse(sub.value, mode="eval"))
+    return out
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    """A module-level def or class is referenced somewhere in the package
+    outside its own body, or listed in ``equising.__all__``."""
+    import equising
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, referenced = [], set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            refs = _references(node)
+            if isinstance(node, defs):
+                defined.append((path.name, node.name))
+                refs.discard(node.name)
+            referenced |= refs
+    unused = [f"{module}:{name}" for module, name in defined
+              if name not in referenced and name not in equising.__all__]
+    assert not unused, f"defined but never used nor exported: {unused}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from equising import (
     Arc,
+    FamilyValidationError,
     Poly,
     Scalar,
     Verdict,
@@ -15,13 +16,16 @@ from equising import (
     wedge3,
     whitney_check,
 )
+from equising import limits
+from equising.family import resolve_basepoint
 from equising.limits import (
+    WhitneyResult,
+    _extract_roots,
     _initial,
     _leading,
+    _sweep,
     critical_exponents,
     secant_vector,
-    whitney_a_check,
-    whitney_b_check,
 )
 from conftest import (
     corpus_path,
@@ -240,9 +244,9 @@ class TestStructuralProperties:
         rng = random.Random(404)
         for _ in range(60):
             fam = random_monomial_family(rng)
-            b = whitney_b_check(fam)
-            if b.verdict is Verdict.VERIFIED:
-                assert whitney_a_check(fam).verdict is Verdict.VERIFIED, \
+            res = whitney_check(fam)
+            if res.part_b.verdict is Verdict.VERIFIED:
+                assert res.part_a.verdict is Verdict.VERIFIED, \
                     fam.entry_strings()
 
     def test_verdict_invariant_under_entry_permutation(self):
@@ -281,7 +285,7 @@ class TestNumericalOracle:
         for name in self.CORPUS:
             fam = load_family(corpus_path(name))
             vec = secant_vector(fam)
-            for arc in regime_arcs(whitney_b_check(fam)):
+            for arc in regime_arcs(whitney_check(fam).part_b):
                 dev = direction_deviation(vec, arc)
                 assert dev < 1e-6, (name, arc.theta_str(), dev)
 
@@ -289,7 +293,7 @@ class TestNumericalOracle:
         for name in self.CORPUS:
             fam = load_family(corpus_path(name))
             minors = list(fam.plucker_minors().values())
-            for arc in regime_arcs(whitney_b_check(fam)):
+            for arc in regime_arcs(whitney_check(fam).part_b):
                 dev = direction_deviation(minors, arc)
                 assert dev < 1e-6, (name, arc.theta_str(), dev)
 
@@ -298,3 +302,95 @@ class TestNumericalOracle:
         w = whitney_check(fam).witness
         dev = direction_deviation(secant_vector(fam), w.arc)
         assert dev < 1e-6
+
+
+class TestExtractRoots:
+    def test_rational_roots_and_unresolved_factor(self):
+        # 3*c*(c - 1)^2*(c + 1/2)*(c^2 + 1): the root at zero is dropped,
+        # repeated roots are listed once, c^2 + 1 stays unresolved
+        coeffs = [0, Fraction(3, 2), 0, -3, 3, Fraction(-9, 2), 3]
+        roots, unresolved = _extract_roots(
+            [Scalar.from_fraction(c) for c in coeffs], "c1")
+        assert [str(r) for r in roots] == ["1", "-1/2"]
+        assert unresolved == "(3)*c1^2 + (3)"
+
+
+def random_small_family(rng):
+    """2-3 entries of 1-3 terms c*a^i*t^j, c in +-1, +-2, i <= 3, j <= 4."""
+    while True:
+        entries = ["a"]
+        for _ in range(rng.randint(2, 3)):
+            terms = {(rng.randint(0, 3), rng.randint(0, 4))
+                     for _ in range(rng.randint(1, 3))}
+            entries.append(" + ".join(f"({rng.choice((-2, -1, 1, 2))})*a^{i}*t^{j}"
+                                      for i, j in sorted(terms)))
+        try:
+            return family_from_strings(entries)
+        except FamilyValidationError:
+            continue
+
+
+def refined_apart(rec_a, rec_b) -> bool:
+    """Whether, at some regime of two parallel record lists, exactly one
+    condition refines."""
+    return any(bool(ra.refinements) != bool(rb.refinements)
+               or refined_apart(ra.refinements, rb.refinements)
+               for ra, rb in zip(rec_a, rec_b))
+
+
+def nested(records) -> bool:
+    return any(sub.refinements for r in records for sub in r.refinements) or \
+        any(nested(r.refinements) for r in records)
+
+
+class TestJointSweep:
+    """One sweep decides both conditions; each condition's part must equal
+    a sweep of that condition alone."""
+
+    @staticmethod
+    def alone(fam, a0, max_depth, mode):
+        centered, a0, label = fam.centered(a0)
+        ((state, records),) = _sweep(
+            secant_vector(centered), centered.plucker_minors(), centered.dim, mode,
+            w_min=Fraction(0), depth_left=max_depth, t_scale=1,
+            prefix=[], a0=a0, a0_label=label)
+        return WhitneyResult(state.verdict, mode, label, state.witness,
+                             tuple(records), tuple(state.reasons))
+
+    def test_joint_equals_each_condition_alone(self):
+        # every base point of a family that refines somewhere, and of every
+        # tenth family besides, is compared at each depth
+        rng = random.Random(1111)
+        families = [random_small_family(rng) for _ in range(240)]
+        families.append(load_family(corpus_path("tangent-arc.json")))
+        compared = seen_nested = seen_apart = 0
+        for n, fam in enumerate(families):
+            for basepoint in (0, Fraction(1, 2), "generic"):
+                a0, _ = resolve_basepoint(basepoint)
+                deep = whitney_check(fam, a0, 4)
+                if n % 10 and not any(r.refinements for r in
+                                      deep.part_a.regimes + deep.part_b.regimes):
+                    continue
+                seen_nested += nested(deep.part_a.regimes + deep.part_b.regimes)
+                seen_apart += refined_apart(deep.part_a.regimes, deep.part_b.regimes)
+                for max_depth in (0, 1, 4):
+                    joint = whitney_check(fam, a0, max_depth)
+                    for part, mode in ((joint.part_a, "a"), (joint.part_b, "b")):
+                        assert part.to_json() == \
+                            self.alone(fam, a0, max_depth, mode).to_json(), \
+                            (fam.entry_strings(), basepoint, max_depth, mode)
+                    compared += 1
+        assert compared > 150 and seen_nested and seen_apart
+
+    def test_each_root_swept_once(self, monkeypatch):
+        calls = []
+        sweep = limits._sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "_sweep", counted)
+        res = whitney_check(load_family(corpus_path("tangent-arc.json")))
+        assert res.verdict is Verdict.REFUTED
+        assert len(calls) == 3
