@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -101,6 +101,9 @@ Mono = tuple[tuple[str, int], ...]
 SPoly = dict[Mono, int]
 
 _ONE_M: Mono = ()
+# the denominator of every Scalar whose denominator is 1: shared, so never
+# mutated
+_D1: SPoly = {_ONE_M: 1}
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -217,18 +220,28 @@ class Scalar:
     monomial factors and integer content are cancelled and the denominator's
     leading coefficient is made positive, which keeps printing canonical.
     A rational enters through :meth:`from_fraction`.
+
+    Every Scalar whose normalized denominator is 1, zero included, holds
+    the one shared dict ``_D1`` as ``den``, so a unit denominator is
+    tested with ``is``.  When both operands hold it, ``+``, ``*`` and
+    ``==`` work on the numerators alone: the general path would leave the
+    same dict, in the same key order.  ``_D1`` must never be mutated, and
+    no Scalar's ``num`` or ``den`` either.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: SPoly, den: SPoly | None = None):
-        if den is None:
-            den = _sp_const(1)
+        if den is None or den is _D1:
+            # an int polynomial over 1 is already normalized
+            self.num: SPoly = num
+            self.den: SPoly = _D1
+            return
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            self.num: SPoly = {}
-            self.den: SPoly = _sp_const(1)
+            self.num = {}
+            self.den = _D1
             return
         # cancel the common monomial factor of num and den; there is none
         # when either holds the constant monomial
@@ -243,7 +256,11 @@ class Scalar:
             num = {m: c // g for m, c in num.items()}
             den = {m: c // g for m, c in den.items()}
         self.num = num
-        self.den = den
+        self.den = _D1 if den == _D1 else den
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which restores _D1
+        return Scalar, (self.num, self.den)
 
     # -- constructors --
 
@@ -294,6 +311,8 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den is _D1 and o.den is _D1:
+            return Scalar(_sp_add(self.num, o.num), _D1)
         return Scalar(_sp_add(_sp_mul(self.num, o.den), _sp_mul(o.num, self.den)),
                       _sp_mul(self.den, o.den))
 
@@ -315,6 +334,8 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den is _D1 and o.den is _D1:
+            return Scalar(_sp_mul(self.num, o.num), _D1)
         return Scalar(_sp_mul(self.num, o.num), _sp_mul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -347,6 +368,8 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den is _D1 and o.den is _D1:
+            return self.num == o.num
         return _sp_add(_sp_mul(self.num, o.den), _sp_neg(_sp_mul(o.num, self.den))) == {}
 
     def __hash__(self):
@@ -397,7 +420,7 @@ class Scalar:
         if self.is_rational():
             return str(self.as_fraction())
         ns = _sp_str(self.num)
-        if self.den == _sp_const(1):
+        if self.den is _D1:
             return ns
         return f"({ns})/({_sp_str(self.den)})"
 
@@ -1077,8 +1100,7 @@ class SeriesT:
             q = c0.as_fraction()
             if q <= 0:
                 raise ValueError("series root needs a positive rational constant term")
-            rn = round(q.numerator ** (1 / m))
-            rd = round(q.denominator ** (1 / m))
+            rn, rd = _int_root(q.numerator, m), _int_root(q.denominator, m)
             if rn ** m != q.numerator or rd ** m != q.denominator:
                 raise ValueError(f"{q} has no exact rational {m}-th root")
             scale = Scalar.from_fraction(Fraction(rn, rd))
@@ -1120,6 +1142,20 @@ class SeriesT:
         parts = [f"{c}*s^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(s^{self.order})"
+
+
+def _int_root(n: int, m: int) -> int:
+    """The integer part of the m-th root of n >= 1, exactly, at any size."""
+    if m == 2:
+        return isqrt(n)
+    # Newton's iteration from above, 2^ceil(bits/m) > n^(1/m), decreases
+    # strictly until it reaches the floor of the root
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 def series_reversion(v: SeriesT) -> SeriesT:

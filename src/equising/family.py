@@ -13,7 +13,7 @@ fibers, the Jacobian, its 2x2 minors, and fiber multiplicities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -92,6 +92,10 @@ class Parametrization:
     entries: tuple[Poly, ...]
     ambient: tuple[str, ...] = ()
     name: str = ""
+    # the last recentering, (printed base point, recentered family): the
+    # checks of one report center on one point and share it
+    _last_center: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -139,9 +143,18 @@ class Parametrization:
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
         """The family recentered on an axis point, that point and its label
         (see :func:`resolve_basepoint`); a zero base point leaves the family
-        as it is."""
+        as it is.  The last recentering is kept, so checks at one point
+        recenter once between them."""
         a0, label = resolve_basepoint(basepoint)
-        return (self if a0.is_zero() else self.recenter(a0)), a0, label
+        if a0.is_zero():
+            return self, a0, label
+        # keyed by the printed point: equal points printed apart would
+        # recenter into differently printed families
+        last = self._last_center
+        if last is None or last[0] != str(a0):
+            last = (str(a0), self.recenter(a0))
+            object.__setattr__(self, "_last_center", last)
+        return last[1], a0, label
 
     def jacobian(self) -> list[tuple[Poly, Poly]]:
         """Rows (d/da, d/dt) of each entry."""

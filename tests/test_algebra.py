@@ -19,7 +19,17 @@ from equising import (
     t_order,
     wedge3,
 )
-from equising.algebra import _mono_key, dense_divmod, dense_gcd, fresh_symbol, symbol_run
+from equising.algebra import (
+    _D1,
+    _mono_key,
+    _sp_add,
+    _sp_mul,
+    _sp_neg,
+    dense_divmod,
+    dense_gcd,
+    fresh_symbol,
+    symbol_run,
+)
 
 AT = ("a", "t")
 
@@ -188,6 +198,109 @@ class TestScalar:
             assert hash(y) == hash(x), (x, y)
             pairs += 1
         assert pairs > 300
+
+    def test_unit_denominator_fast_path_matches_general_path(self):
+        """``+``, ``-``, ``*``, unary ``-`` and ``==`` on operands holding
+        the shared unit denominator skip normalization; each must return
+        exactly what the general path builds (same items in the same
+        order, same text), store the shared dict whenever the denominator
+        is 1, and give the same results for an operand whose denominator
+        is an equal copy of it."""
+        rng = random.Random(1729)
+        names = ("g1", "g2", "u")
+
+        def rand_spoly(terms):
+            p = {}
+            for _ in range(terms):
+                m = tuple(sorted((n, rng.randint(1, 2))
+                                 for n in rng.sample(names, rng.randint(0, 2))))
+                p = _sp_add(p, {m: rng.choice((-6, -3, -2, -1, 1, 2, 3, 4))})
+            return p
+
+        def rand_scalar():
+            kind = rng.random()
+            if kind < 0.1:
+                return Scalar.from_fraction(0)
+            if kind < 0.2:
+                return Scalar.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            if kind < 0.6:
+                return Scalar(rand_spoly(rng.randint(1, 3)))
+            return Scalar(rand_spoly(rng.randint(1, 3)), rand_spoly(rng.randint(1, 2)) or {(): 5})
+
+        def general(num, den):
+            # a fresh denominator dict is never the shared one, so this is
+            # the general normalization
+            return Scalar(num, dict(den))
+
+        def reference(op, x, y):
+            if op == "+":
+                return general(_sp_add(_sp_mul(x.num, y.den), _sp_mul(y.num, x.den)),
+                               _sp_mul(x.den, y.den))
+            if op == "-":
+                return general(_sp_add(_sp_mul(x.num, y.den), _sp_mul(_sp_neg(y.num), x.den)),
+                               _sp_mul(x.den, y.den))
+            if op == "*":
+                return general(_sp_mul(x.num, y.num), _sp_mul(x.den, y.den))
+            if op == "neg":
+                return general(_sp_neg(x.num), x.den)
+            return _sp_add(_sp_mul(x.num, y.den), _sp_neg(_sp_mul(y.num, x.den))) == {}
+
+        def apply(op, x, y):
+            return {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
+                    "neg": lambda: -x, "==": lambda: x == y}[op]()
+
+        def unshared(s):
+            c = Scalar.__new__(Scalar)
+            c.num, c.den = s.num, dict(s.den)
+            return c
+
+        def same(z, ref):
+            if isinstance(ref, bool):
+                return z is ref
+            return (list(z.num.items()) == list(ref.num.items())
+                    and list(z.den.items()) == list(ref.den.items())
+                    and str(z) == str(ref))
+
+        pool = [rand_scalar() for _ in range(40)]
+        for s in pool:
+            assert (s.den is _D1) == (s.den == {(): 1}), s
+        counts = {"unit": 0, "mixed": 0, "to_unit": 0}
+        for _ in range(3000):
+            x, op = rng.choice(pool), rng.choice(("+", "-", "*", "neg", "=="))
+            y = rng.choice(pool) if rng.random() < 0.85 else rng.randint(-4, 4)
+            if x and rng.random() < 0.15:
+                y = 1 / x
+            z = apply(op, x, y)
+            yy = y if isinstance(y, Scalar) else Scalar.from_fraction(y)
+            ref = reference(op, x, yy)
+            assert same(z, ref), (op, x, y, z, ref)
+            if op != "==":
+                # a unit denominator is always the shared dict
+                assert (z.den is _D1) == (z.den == {(): 1}), (op, x, y, z)
+            units = (x.den is _D1) + (op == "neg" or yy.den is _D1)
+            counts["unit" if units == 2 else "mixed"] += 1
+            if units < 2 and op != "==" and z.den is _D1:
+                counts["to_unit"] += 1
+            # an equal copy of the unit denominator takes the general path
+            # to the same result
+            for xc, yc in ((unshared(x), y), (x, unshared(yy)), (unshared(x), unshared(yy))):
+                assert same(apply(op, xc, yc), ref), (op, x, y)
+            if (op != "==" and len(pool) < 400 and len(z.num) <= 6
+                    and (z.den is _D1 or rng.random() < 0.3)):
+                pool.append(z)
+        assert counts["unit"] > 1500 and counts["mixed"] > 1000 and counts["to_unit"] > 40, counts
+
+    def test_copies_keep_the_shared_unit_denominator(self):
+        import copy
+        import pickle
+        u = Scalar.symbol("u")
+        cases = {"u": u, "3*u - 2": u * 3 - 2, "0": Scalar.from_fraction(0),
+                 "(u + 1)/(3)": (u + 1) / 3}
+        for text, s in cases.items():
+            assert str(s) == text
+            for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert c == s and str(c) == text
+                assert (c.den is _D1) == (s.den is _D1)
 
 
 class TestSymbolRun:
@@ -426,6 +539,27 @@ class TestSeries:
     def test_root_rejects_non_power_constant(self):
         with pytest.raises(ValueError):
             SeriesT.from_coeffs([2, 1], 4).root(2)
+
+    @pytest.mark.parametrize("c0, m, root", [
+        (Fraction(3 ** 700), 2, Fraction(3 ** 350)),       # past float range
+        (Fraction((10 ** 40 + 1) ** 2), 2, Fraction(10 ** 40 + 1)),  # past float precision
+        (Fraction(7 ** 300, 2 ** 99), 3, Fraction(7 ** 100, 2 ** 33)),
+    ])
+    def test_root_of_large_rational_constant(self, c0, m, root):
+        u = SeriesT.from_coeffs([c0, 1], 3)
+        v = u.root(m)
+        assert v.coeffs[0].as_fraction() == root
+        w = v
+        for _ in range(m - 1):
+            w = w * v
+        assert (w - u).valuation() == INFINITY
+
+    def test_root_rejects_near_powers(self):
+        for n in ((10 ** 40 + 1) ** 2 - 1, (10 ** 40 + 1) ** 2 + 1, 3 ** 701):
+            with pytest.raises(ValueError, match="no exact rational 2-th root"):
+                SeriesT.from_coeffs([n, 1], 3).root(2)
+        with pytest.raises(ValueError, match="no exact rational 3-th root"):
+            SeriesT.from_coeffs([Fraction(7 ** 300 + 1, 2 ** 99), 1], 3).root(3)
 
     def test_reversion_inverts_composition(self):
         v = SeriesT.from_coeffs([1, -2, Fraction(3, 5), 0, 1], 5)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import corpus_path
-from equising import cli
+from equising import Parametrization, cli
 
 GOLDEN_RUNS = {
     "family-345": (["--equations", str(corpus_path("family-345.eqs.json")),
@@ -194,6 +194,44 @@ class TestVerdictsAndExitCodes:
                   cc["whitney"]["condition_b"]["basepoint"],
                   cc["zariski"]["basepoint"]}
         assert labels == {"generic (g1)"}
+
+    @pytest.mark.parametrize("basepoint, recenterings", [
+        ("origin", 0), ("1/2", 1), ("generic", 1)])
+    def test_one_recentering_per_report(self, basepoint, recenterings,
+                                        monkeypatch, tmp_path):
+        """``crosscheck`` and ``full-report`` recenter the family once
+        and share it; their sections equal the reports of the single
+        checks, which recenter on their own."""
+        calls = []
+        recenter = Parametrization.recenter
+
+        def counted(self, a_value):
+            calls.append(a_value)
+            return recenter(self, a_value)
+
+        monkeypatch.setattr(Parametrization, "recenter", counted)
+        family = str(corpus_path("family-467.json"))
+
+        def report(command, *extra):
+            out = tmp_path / f"{command}.json"
+            calls.clear()
+            cli.main([command, family, "--basepoint", basepoint, *extra,
+                      "--out", str(out)])
+            return json.loads(out.read_text()), len(calls)
+
+        full, n_full = report("full-report")
+        cc, n_cc = report("crosscheck")
+        assert (n_full, n_cc) == (recenterings, recenterings)
+        whitney, _ = report("check-whitney")
+        zariski, _ = report("check-zariski")
+        assert full["whitney"] == cc["crosscheck"]["whitney"] == whitney["whitney"]
+        assert full["zariski"] == cc["crosscheck"]["zariski"] == zariski["zariski"]
+        for command in ("blowup", "nash"):
+            section, _ = report(command)
+            assert full[command] == section[command]
+        if basepoint == "origin":
+            golden = corpus_path("golden/family-467.full.json").read_text()
+            assert (tmp_path / "full-report.json").read_text() == golden
 
     def test_negative_rationals_in_equals_form(self):
         report, code = run_json("check-whitney", corpus_path("family-345.json"),

@@ -86,9 +86,16 @@ class TestGeometry:
         monkeypatch.setattr(Parametrization, "recenter", counted)
         fam = load_family(corpus_path("family-589.json"))
         half = Fraction(1, 2)
-        # once for the Whitney sweep, once for the projection test
+        # once, shared by the Whitney sweep and the projection test
         equivalence_crosscheck(fam, half)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        # only the last recentering is kept, and a different point makes a
+        # new one
+        calls.clear()
+        for point in (half, Fraction(1, 3), half, half, 0):
+            moved, _, _ = fam.centered(point)
+            assert moved == (recenter(fam, point) if point else fam)
+        assert calls == [Fraction(1, 3), half]
         calls.clear()
         # the strong check reads fibers of the family as given
         strong_equisingularity_check(fam, half)
