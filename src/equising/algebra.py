@@ -678,22 +678,20 @@ class Poly:
             polys.append(v if isinstance(v, Poly) else Poly.const(target, v))
         if len(polys) != len(self.vars):
             raise ValueError("need one value per variable")
-        cache: list[dict[int, Poly]] = [
-            {0: Poly.const(target, 1)} for _ in polys
-        ]
-
-        def power(i: int, n: int) -> Poly:
-            c = cache[i]
-            if n not in c:
-                c[n] = power(i, n - 1) * polys[i]
-            return c[n]
+        # powers[i][k] = polys[i]^k, each the previous power times polys[i]
+        powers: list[list[Poly]] = []
+        for i, p in enumerate(polys):
+            pw = [Poly.const(target, 1)]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                pw.append(pw[-1] * p)
+            powers.append(pw)
 
         out = Poly(target)
         for e, c in self.terms.items():
             term = Poly.const(target, c)
             for i, exp in enumerate(e):
                 if exp:
-                    term = term * power(i, exp)
+                    term = term * powers[i][exp]
             out = out + term
         return out
 
@@ -998,6 +996,16 @@ class SeriesT:
 
     coeffs[k] is the coefficient of the k-th power; len(coeffs) == order.
     Arithmetic results carry the minimum truncation order of the operands.
+
+    Products, inverses and compositions iterate over nonzero coefficients
+    only, collected once per call, and add their terms in the same order
+    as a dense loop that skips zeros: every result coefficient is the same
+    Scalar, with the same ``num``/``den`` key order, as that loop's.
+
+    Coefficient tuples are built from lists, never from generators: a
+    tuple built from a generator is allocated at a guessed length and
+    resized, so freeing it grows the interpreter's tuple free list of
+    another size, which only a full garbage collection empties.
     """
 
     coeffs: tuple[Scalar, ...]
@@ -1028,6 +1036,10 @@ class SeriesT:
     def __getitem__(self, k: int) -> Scalar:
         return self.coeffs[k]
 
+    def _terms(self, n: int) -> list[tuple[int, Scalar]]:
+        """The nonzero coefficients below s^n as (k, coeffs[k]), k ascending."""
+        return [(k, c) for k, c in enumerate(self.coeffs[:n]) if c.num]
+
     def truncate(self, order: int) -> "SeriesT":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -1041,25 +1053,20 @@ class SeriesT:
 
     def __add__(self, other: "SeriesT") -> "SeriesT":
         n = min(self.order, other.order)
-        return SeriesT(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n)), n)
+        return SeriesT(tuple([self.coeffs[k] + other.coeffs[k] for k in range(n)]), n)
 
     def __sub__(self, other: "SeriesT") -> "SeriesT":
         n = min(self.order, other.order)
-        return SeriesT(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n)), n)
+        return SeriesT(tuple([self.coeffs[k] - other.coeffs[k] for k in range(n)]), n)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = _as_scalar(other)
-            return SeriesT(tuple(x * c for x in self.coeffs), self.order)
+            return SeriesT(tuple([x * c for x in self.coeffs]), self.order)
         n = min(self.order, other.order)
         out = [_S0] * n
-        for i, ci in enumerate(self.coeffs[:n]):
-            if ci.is_zero():
-                continue
-            for j in range(n - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
+        for k, c in _mul_terms(self._terms(n), other._terms(n), n):
+            out[k] = c
         return SeriesT(tuple(out), n)
 
     __rmul__ = __mul__
@@ -1069,13 +1076,14 @@ class SeriesT:
         if self.order == 0 or self.coeffs[0].is_zero():
             raise ValueError("series inverse needs a nonzero constant term")
         a0 = self.coeffs[0]
+        support = self._terms(self.order)[1:]
         out = [_S1 / a0] + [_S0] * (self.order - 1)
         for k in range(1, self.order):
             acc = _S0
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if not ai.is_zero():
-                    acc = acc + ai * out[k - i]
+            for i, ai in support:
+                if i > k:
+                    break
+                acc = acc + ai * out[k - i]
             out[k] = -acc / a0
         return SeriesT(tuple(out), self.order)
 
@@ -1105,7 +1113,7 @@ class SeriesT:
                 raise ValueError(f"{q} has no exact rational {m}-th root")
             scale = Scalar.from_fraction(Fraction(rn, rd))
             inv = _S1 / c0
-            unit = SeriesT(tuple(c * inv for c in self.coeffs), self.order)
+            unit = SeriesT(tuple([c * inv for c in self.coeffs]), self.order)
             return unit.root(m) * scale
         # binomial series around 1: (1+z)^(1/m) with z of positive valuation
         n = self.order
@@ -1127,21 +1135,39 @@ class SeriesT:
         n = min(self.order, inner.order)
         if n and not inner.coeffs[0].is_zero():
             raise ValueError("composition needs inner valuation >= 1")
-        out = SeriesT.from_coeffs([self.coeffs[0]] if n else [], n)
-        gk = SeriesT.from_coeffs([1], n)
-        for k in range(1, n):
-            gk = gk * inner
-            if gk.valuation() >= n:
+        out = [self.coeffs[0]] + [_S0] * (n - 1) if n else []
+        right = inner._terms(n)
+        gk = [(0, _S1)]
+        # powers past the outer series' last nonzero coefficient add nothing
+        last = next((k for k in range(n - 1, 0, -1) if self.coeffs[k].num), 0)
+        for k in range(1, last + 1):
+            gk = _mul_terms(gk, right, n)
+            if not gk:  # valuation >= n
                 break
             c = self.coeffs[k]
-            if not c.is_zero():
-                out = out + gk * c
-        return out
+            if c.num:
+                for j, g in gk:
+                    out[j] = out[j] + g * c
+        return SeriesT(tuple(out), n)
 
     def __str__(self):
         parts = [f"{c}*s^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(s^{self.order})"
+
+
+def _mul_terms(left: list[tuple[int, Scalar]], right: list[tuple[int, Scalar]],
+               n: int) -> list[tuple[int, Scalar]]:
+    """Nonzero terms below s^n of the product of two series given by their
+    nonzero terms, k ascending.  Each coefficient starts from zero and adds
+    its products in the order of a dense loop over i, then j."""
+    out: dict[int, Scalar] = {}
+    for i, ci in left:
+        for j, cj in right:
+            if i + j >= n:
+                break
+            out[i + j] = out.get(i + j, _S0) + ci * cj
+    return sorted((k, c) for k, c in out.items() if c.num)
 
 
 def _int_root(n: int, m: int) -> int:
@@ -1161,22 +1187,26 @@ def _int_root(n: int, m: int) -> int:
 def series_reversion(v: SeriesT) -> SeriesT:
     """Given s(t) = t*v(t) with v(0) = 1, return w with t(s) = s*w(s).
 
-    Newton iteration on the functional equation; each pass doubles the
-    number of correct coefficients.
+    Newton iteration on the functional equation s(t(s)) = s at doubling
+    precision (R. P. Brent and H. T. Kung, J. ACM 25, 1978): with t exact
+    modulo s^c, one step taken on operands truncated at s^k, k = min(n, 2c),
+    makes it exact modulo s^k.  When v is 1 up to its order, s(t) = t is
+    its own reversion and no step is taken.
     """
     n = v.order
     if n == 0 or not (v.coeffs[0] == _S1):
         raise ValueError("reversion needs unit constant term")
     # series s(t) = t * v(t) as coefficients in t, degree shifted by one
-    s_of_t = SeriesT.from_coeffs([_S0] + list(v.coeffs[: n - 1]), n) if n > 1 else SeriesT.from_coeffs([_S0], n)
+    s_of_t = SeriesT.from_coeffs([_S0] + list(v.coeffs[: n - 1]), n)
     ds = _series_derivative(s_of_t)
     t = SeriesT.from_coeffs([0, 1], n)
-    s_var = SeriesT.from_coeffs([0, 1], n)
-    correct = 2
-    while correct < n + 1:
-        err = s_of_t.compose(t) - s_var
+    correct = 2 if any(v.coeffs[1:]) else n
+    while correct < n:
+        k = min(n, 2 * correct)
+        t = SeriesT.from_coeffs(t.coeffs, k)
+        err = s_of_t.compose(t) - SeriesT.from_coeffs([0, 1], k)
         t = t - err * ds.compose(t).inverse()
-        correct *= 2
+        correct = k
     # t(s) is exact modulo s^n, so the cofactor w in t = s*w(s) is one
     # order shorter
     return SeriesT(tuple(t.coeffs[1:]), n - 1)
@@ -1184,7 +1214,7 @@ def series_reversion(v: SeriesT) -> SeriesT:
 
 def _series_derivative(f: SeriesT) -> SeriesT:
     n = f.order
-    return SeriesT(tuple(f.coeffs[k + 1] * (k + 1) for k in range(n - 1)) + (_S0,), n)
+    return SeriesT(tuple([f.coeffs[k + 1] * (k + 1) for k in range(n - 1)] + [_S0]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,173 @@ class TestSeries:
         assert all(c.is_zero() for k, c in enumerate(ident.coeffs) if k != 1)
 
 
+# -- dense series loops, kept as references for the sparse kernels --
+
+def _dense_mul(f, g):
+    n = min(f.order, g.order)
+    out = [Scalar.from_fraction(0)] * n
+    for i, ci in enumerate(f.coeffs[:n]):
+        if ci.is_zero():
+            continue
+        for j in range(n - i):
+            cj = g.coeffs[j]
+            if not cj.is_zero():
+                out[i + j] = out[i + j] + ci * cj
+    return SeriesT(tuple(out), n)
+
+
+def _dense_inverse(f):
+    a0 = f.coeffs[0]
+    out = [Scalar.from_fraction(1) / a0] + [Scalar.from_fraction(0)] * (f.order - 1)
+    for k in range(1, f.order):
+        acc = Scalar.from_fraction(0)
+        for i in range(1, k + 1):
+            ai = f.coeffs[i]
+            if not ai.is_zero():
+                acc = acc + ai * out[k - i]
+        out[k] = -acc / a0
+    return SeriesT(tuple(out), f.order)
+
+
+def _dense_compose(f, inner):
+    n = min(f.order, inner.order)
+    out = SeriesT.from_coeffs([f.coeffs[0]] if n else [], n)
+    gk = SeriesT.from_coeffs([1], n)
+    for k in range(1, n):
+        gk = _dense_mul(gk, inner)
+        if gk.valuation() >= n:
+            break
+        c = f.coeffs[k]
+        if not c.is_zero():
+            out = out + gk * c
+    return out
+
+
+def _dense_reversion(v):
+    """Newton at full order from t = s, one pass per doubling."""
+    n = v.order
+    s_of_t = SeriesT.from_coeffs([0] + list(v.coeffs[: n - 1]), n)
+    ds = SeriesT(tuple(s_of_t.coeffs[k + 1] * (k + 1) for k in range(n - 1))
+                 + (Scalar.from_fraction(0),), n)
+    t = s_var = SeriesT.from_coeffs([0, 1], n)
+    correct = 2
+    while correct < n + 1:
+        err = _dense_compose(s_of_t, t) - s_var
+        t = t - _dense_mul(err, _dense_inverse(_dense_compose(ds, t)))
+        correct *= 2
+    return SeriesT(tuple(t.coeffs[1:]), n - 1)
+
+
+def _items(f):
+    """Coefficients with the key order of their stored dicts, and order."""
+    return [(list(c.num.items()), list(c.den.items())) for c in f.coeffs], f.order
+
+
+class TestSeriesKernels:
+    """The sparse ``*``, ``inverse``, ``compose`` and the doubling-precision
+    ``series_reversion`` against the dense loops above, on seeded random
+    series: sparse and dense, with rational, symbolic and non-unit
+    denominator coefficients, at orders 1-40."""
+
+    G1, G2 = Scalar.symbol("g1"), Scalar.symbol("g2")
+
+    def coeff(self, rng, kind):
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        if kind == "rational":
+            return Scalar.from_fraction(q)
+        sym = rng.choice((self.G1, self.G2, self.G1 * self.G2))
+        c = Scalar.from_fraction(q) * sym + rng.randint(-3, 3)
+        if kind == "ratfunc":
+            c = c / (rng.choice((self.G1, self.G2)) + rng.randint(1, 3))
+        return c
+
+    def series(self, rng, kind, order, density, const=None):
+        cs = [self.coeff(rng, kind) if rng.random() < density else 0
+              for _ in range(order)]
+        if order and const is not None:
+            cs[0] = const
+        return SeriesT.from_coeffs(cs, order)
+
+    def cases(self):
+        """(kind, order, density) triples.  Symbolic series stay shorter:
+        their coefficients grow with every product, and denominators with
+        symbols are never cancelled."""
+        rng = random.Random(1978)
+        out = []
+        for kind, sparse_top, dense_top in (("rational", 40, 24), ("symbol", 40, 7),
+                                            ("ratfunc", 14, 5)):
+            for _ in range(8):
+                out.append((kind, rng.randint(1, sparse_top), 0.12))
+            for _ in range(4):
+                out.append((kind, rng.randint(1, dense_top), 0.9))
+        return rng, out
+
+    def test_mul_inverse_compose_match_dense_loops(self):
+        rng, cases = self.cases()
+        for kind, n, density in cases:
+            f = self.series(rng, kind, n, density)
+            g = self.series(rng, kind, n + rng.randint(0, 3), density)
+            assert _items(f * g) == _items(_dense_mul(f, g)), (f, g)
+            assert _items(g * f) == _items(_dense_mul(g, f)), (f, g)
+            unit = self.series(rng, kind, n, density, const=self.coeff(rng, kind))
+            assert _items(unit.inverse()) == _items(_dense_inverse(unit)), unit
+            inner = self.series(rng, kind, n, density, const=0)
+            assert _items(f.compose(inner)) == _items(_dense_compose(f, inner)), (f, inner)
+            # a monomial inner series: the strong check's s -> c*s^e
+            e = rng.randint(1, 3)
+            mono = SeriesT.from_coeffs([0] * e + [self.coeff(rng, kind)], n)
+            assert _items(f.compose(mono)) == _items(_dense_compose(f, mono)), (f, mono)
+
+    def test_reversion_matches_dense_newton(self):
+        rng, cases = self.cases()
+        one = Scalar.from_fraction(1)
+        inputs = [SeriesT.from_coeffs([1], n) for n in (1, 2, 3, 17, 40)]
+        inputs += [self.series(rng, kind, n, density, const=one)
+                   for kind, n, density in cases]
+        inputs += [self.series(rng, "ratfunc", n, 0.9, const=one) for n in (1, 2, 2)]
+        for v in inputs:
+            w = series_reversion(v)
+            ref = _dense_reversion(v)
+            assert w.order == ref.order == v.order - 1
+            assert all(x == y for x, y in zip(w.coeffs, ref.coeffs)), v
+            n = v.order
+            s_of_t = SeriesT.from_coeffs([0] + list(v.coeffs[: n - 1]), n)
+            t_of_s = SeriesT.from_coeffs([0] + list(w.coeffs), n)
+            assert _items(_dense_compose(s_of_t, t_of_s)) == \
+                _items(SeriesT.from_coeffs([0, 1], n)), v
+
+    def test_kernels_agree_with_sympy_on_rationals(self):
+        ring_series = pytest.importorskip("sympy.polys.ring_series")
+        from sympy import QQ
+        from sympy.polys.rings import ring
+
+        R, x, y = ring("x,y", QQ)
+
+        def to_ring(f, var=x):
+            qs = [c.as_fraction() for c in f.coeffs]
+            return sum((QQ(q.numerator, q.denominator) * var ** k for k, q in enumerate(qs)),
+                       R.zero)
+
+        rng, cases = self.cases()
+        for kind, n, density in cases:
+            if kind != "rational":
+                continue
+            f = self.series(rng, kind, n, density)
+            g = self.series(rng, kind, n, density)
+            unit = self.series(rng, kind, n, density, const=self.coeff(rng, kind))
+            inner = self.series(rng, kind, n, density, const=0)
+            v = self.series(rng, kind, n, density, const=Scalar.from_fraction(1))
+            assert to_ring(f * g) == ring_series.rs_mul(to_ring(f), to_ring(g), x, n)
+            assert to_ring(unit.inverse()) == ring_series.rs_series_inversion(to_ring(unit), x, n)
+            assert to_ring(f.compose(inner)) == \
+                ring_series.rs_subs(to_ring(f), {x: to_ring(inner)}, x, n)
+            if n >= 2:
+                # t(s) = s*w(s) mod s^n against sympy's reversion of s = t*v(t)
+                w = series_reversion(v)
+                s_of_t = x * to_ring(v.truncate(n - 1))
+                assert y * to_ring(w, y) == ring_series.rs_series_reversion(s_of_t, x, n, y)
+
+
 class TestWedge:
     def test_membership_detection(self):
         plane = {(1, 2): Scalar.from_fraction(1)}

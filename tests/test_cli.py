@@ -418,6 +418,30 @@ class TestSharedLowestOrder:
             assert shown == expected
 
 
+class TestLargeExponents:
+    """Exponents of 2000, past the interpreter's recursion limit: building
+    powers in ``Poly.compose`` must not take one stack frame per unit of
+    the exponent."""
+
+    @pytest.mark.parametrize("entries, agree, verdict", [
+        (["a", "t^2", "t^2001"], True, "Verified"),
+        (["a", "a^2000*t + t^2", "t^3"], None, "Refuted"),
+    ])
+    def test_crosscheck_and_strong(self, tmp_path, entries, agree, verdict):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": entries}))
+        for command in ("crosscheck", "strong"):
+            out = tmp_path / f"{command}.json"
+            code = cli.main([command, str(family), "--out", str(out)])
+            report = json.loads(out.read_text())
+            if command == "crosscheck":
+                assert report["crosscheck"]["agree"] is agree
+                assert code == (0 if agree else 2)
+            else:
+                assert report["strong"]["verdict"] == verdict
+                assert code == 0
+
+
 class TestImport:
     def test_cli_imports_without_numpy(self):
         proc = subprocess.run(

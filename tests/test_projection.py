@@ -2,6 +2,7 @@
 comparison."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from equising import (
     DegenerateFiberError,
     NoUnitChartError,
     Poly,
+    Scalar,
     Verdict,
     blowup_singular_locus,
     char_exponents,
@@ -17,6 +19,7 @@ from equising import (
     fresh_symbol,
     load_family,
     nash_modification,
+    family_from_strings,
     parse_poly,
     strong_equisingularity_check,
 )
@@ -209,3 +212,39 @@ class TestStrongCheck:
         bydict = dict(res.sequences)
         assert bydict["generic"].beta0 == 2
         assert bydict["a = 0"].beta0 == 3
+
+
+class TestHighDegree:
+    """The strong check at t-degree 300-500.  The transversal coordinate is
+    the monomial t^2, so the reversion is the identity and each coordinate
+    is composed with s alone: the Scalar multiplications must grow
+    linearly in the degree, not with its square or cube."""
+
+    @pytest.mark.parametrize("entries, verdict, shown, max_muls", [
+        (["a", "t^2", "t^501"], Verdict.VERIFIED,
+         {"generic": "(2; 501)", "a = 0": "(2; 501)"}, 8000),
+        (["a", "t^2 + a^300*t", "t^301 + a*t^3"], Verdict.REFUTED,
+         {"generic": "(1;)", "a = 0": "(2; 301)"}, 4000),
+    ])
+    def test_multiplications_and_time_are_bounded(self, monkeypatch, entries,
+                                                  verdict, shown, max_muls):
+        muls = 0
+        mul = Scalar.__mul__
+
+        def counted(self, other):
+            nonlocal muls
+            muls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        monkeypatch.setattr(Scalar, "__rmul__", counted)
+        family = family_from_strings(entries)
+        start = time.perf_counter()
+        with symbol_run():
+            res = strong_equisingularity_check(family)
+        seconds = time.perf_counter() - start
+        assert res.verdict is verdict
+        assert {label: seq.display() for label, seq in res.sequences} == shown
+        assert all(seq.confirmed for _, seq in res.sequences)
+        assert muls <= max_muls, muls
+        assert seconds < 2.0, seconds
