@@ -77,7 +77,6 @@ from .rolle import (
 )
 from .zariski import (
     CrosscheckResult,
-    DegenerateSurfaceError,
     PolarResult,
     ZariskiResult,
     equivalence_crosscheck,
@@ -95,7 +94,6 @@ __all__ = [
     "ConstantMapError",
     "CrosscheckResult",
     "DegenerateFiberError",
-    "DegenerateSurfaceError",
     "DroppedCoordinate",
     "EquationCheck",
     "FactorizationResult",

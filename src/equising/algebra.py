@@ -28,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
     "Scalar",
@@ -792,10 +792,17 @@ class Poly:
 # coefficient must be written as part of a rational, e.g. "-1*t^2".
 
 
-class _Lexer:
-    def __init__(self, text: str):
+class _Parser:
+    """Recursive descent over one text, one method per rule.  Methods
+    rather than nested closures, so a parse leaves no reference cycle."""
+
+    def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0
+        self.variables = variables
+
+    def error(self, msg: str) -> NoReturn:
+        raise ParseError(msg, self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -805,6 +812,89 @@ class _Lexer:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def digits(self):
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+
+    def read_nat(self) -> int:
+        if self.peek() == "-":
+            self.error("negative exponent")
+        start = self.pos
+        self.digits()
+        if self.pos == start:
+            self.error("expected a natural number")
+        return int(self.text[start:self.pos])
+
+    def read_int(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        digits = self.pos
+        self.digits()
+        if self.pos == digits:
+            self.pos = start
+            self.error("expected an integer")
+        return int(self.text[start:self.pos])
+
+    def base(self) -> Poly:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return inner
+        if ch.isdigit() or ch == "-":
+            n = self.read_int()
+            if self.peek() == "/":
+                self.pos += 1
+                d = self.read_nat()
+                if d == 0:
+                    self.error("zero denominator")
+                return Poly.const(self.variables, Fraction(n, d))
+            return Poly.const(self.variables, n)
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                                 or self.text[self.pos] == "_"):
+                self.pos += 1
+            name = self.text[start:self.pos]
+            if name not in self.variables:
+                self.pos = start
+                self.error(f"unknown variable {name!r}")
+            return Poly.var(self.variables, name)
+        self.error("expected a number, variable or '('")
+
+    def factor(self) -> Poly:
+        b = self.base()
+        if self.peek() == "^":
+            self.pos += 1
+            return b ** self.read_nat()
+        return b
+
+    def term(self) -> Poly:
+        f = self.factor()
+        while self.peek() == "*":
+            self.pos += 1
+            f = f * self.factor()
+        return f
+
+    def expr(self) -> Poly:
+        acc = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                acc = acc + self.term()
+            elif ch == "-":
+                # binary minus: a '-' that starts a rational belongs to term()
+                self.pos += 1
+                acc = acc - self.term()
+            else:
+                return acc
+
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse an expression into a Poly over the given ordered variables.
@@ -812,103 +902,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     Raises ParseError (with byte offset) on syntax errors, unknown variable
     names, or negative exponents.
     """
-    variables = tuple(variables)
-    lx = _Lexer(text)
-
-    def error(msg: str):
-        raise ParseError(msg, lx.pos)
-
-    def read_nat() -> int:
-        lx.skip_ws()
-        if lx.peek() == "-":
-            error("negative exponent")
-        start = lx.pos
-        while lx.pos < len(lx.text) and lx.text[lx.pos].isdigit():
-            lx.pos += 1
-        if lx.pos == start:
-            error("expected a natural number")
-        return int(lx.text[start:lx.pos])
-
-    def read_int() -> int:
-        lx.skip_ws()
-        start = lx.pos
-        if lx.peek() == "-":
-            lx.pos += 1
-        digits = lx.pos
-        while lx.pos < len(lx.text) and lx.text[lx.pos].isdigit():
-            lx.pos += 1
-        if lx.pos == digits:
-            lx.pos = start
-            error("expected an integer")
-        return int(lx.text[start:lx.pos])
-
-    def base() -> Poly:
-        ch = lx.peek()
-        if ch == "(":
-            lx.pos += 1
-            inner = expr()
-            if lx.peek() != ")":
-                error("expected ')'")
-            lx.pos += 1
-            return inner
-        if ch.isdigit() or ch == "-":
-            n = read_int()
-            if lx.peek() == "/":
-                lx.pos += 1
-                d = read_nat()
-                if d == 0:
-                    error("zero denominator")
-                return Poly.const(variables, Fraction(n, d))
-            return Poly.const(variables, n)
-        if ch.isalpha() or ch == "_":
-            start = lx.pos
-            while lx.pos < len(lx.text) and (lx.text[lx.pos].isalnum() or lx.text[lx.pos] == "_"):
-                lx.pos += 1
-            name = lx.text[start:lx.pos]
-            if name not in variables:
-                lx.pos = start
-                error(f"unknown variable {name!r}")
-            return Poly.var(variables, name)
-        error("expected a number, variable or '('")
-        raise AssertionError  # unreachable
-
-    def factor() -> Poly:
-        b = base()
-        if lx.peek() == "^":
-            lx.pos += 1
-            return b ** read_nat()
-        return b
-
-    def term() -> Poly:
-        f = factor()
-        while lx.peek() == "*":
-            lx.pos += 1
-            f = f * factor()
-        return f
-
-    def expr() -> Poly:
-        acc = term()
-        while True:
-            ch = lx.peek()
-            if ch == "+":
-                lx.pos += 1
-                acc = acc + term()
-            elif ch == "-":
-                # binary minus: a '-' that starts a rational belongs to term()
-                save = lx.pos
-                lx.pos += 1
-                try:
-                    acc = acc - term()
-                except ParseError:
-                    lx.pos = save
-                    raise
-            else:
-                return acc
-
-    out = expr()
-    lx.skip_ws()
-    if lx.pos != len(lx.text):
-        error("trailing input")
+    parser = _Parser(text, tuple(variables))
+    out = parser.expr()
+    if parser.peek():
+        parser.error("trailing input")
     return out
 
 

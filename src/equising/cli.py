@@ -44,7 +44,7 @@ from .modifications import (
 )
 from .projection import strong_equisingularity_check
 from .rolle import ConstantMapError, load_curve, rolle_for_curve, rolle_for_map
-from .zariski import DegenerateSurfaceError, equivalence_crosscheck, zariski_check
+from .zariski import equivalence_crosscheck, zariski_check
 
 REPORT_VERSION = 1
 
@@ -408,9 +408,8 @@ def _run(argv: list[str] | None) -> tuple[int, dict | None, argparse.Namespace |
                 "entries": family.entry_strings(),
                 "ambient": list(family.ambient),
             }}
-    except (FamilyValidationError, ParseError, ConstantMapError,
-            DegenerateSurfaceError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (FamilyValidationError, ParseError, ConstantMapError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR, None, None
     report = {

@@ -18,15 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import (
-    AT,
-    INFINITY,
-    Poly,
-    Scalar,
-    fresh_symbol,
-    parse_poly,
-    t_order,
-)
+from .algebra import AT, Poly, Scalar, fresh_symbol, parse_poly
 
 __all__ = [
     "Parametrization",
@@ -119,8 +111,7 @@ class Parametrization:
                 raise AxisVanishingError(
                     f"entry {name} does not vanish on the axis t = 0"
                 )
-        if all(e.compose([Poly.const(("t",), 0), Poly.var(("t",), "t")]).is_zero()
-               for e in self.entries[1:]):
+        if not any(i == 0 for e in self.entries[1:] for i, _ in e.terms):
             raise DegenerateFiberError("the fiber at a = 0 is a point, not a curve")
 
     @property
@@ -171,28 +162,19 @@ class Parametrization:
                 out[(i + 1, j + 1)] = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
         return out
 
-    def multiplicity(self, a_value: Scalar | Fraction | int = 0) -> int:
-        """Multiplicity of the fiber curve at a parameter value.
-
-        Computed as the minimal t-order over the non-parameter entries of
-        the fiber.  This equals the local multiplicity of the image curve
-        when the parametrization of the fiber is generically one to one,
-        which is assumed throughout and not verified.
-        """
-        orders = [t_order(f) for f in self.fiber(a_value)[1:]]
-        k = min(orders)
-        if k == INFINITY:
-            raise DegenerateFiberError(f"fiber at a = {a_value} is a point")
-        return int(k)
-
-    def generic_multiplicity(self) -> int:
-        """Multiplicity of the fiber at a transcendental parameter value."""
-        return self.multiplicity(fresh_symbol())
-
     def is_equimultiple(self) -> tuple[bool, int, int]:
-        """Compare the multiplicity at a = 0 with the generic one."""
-        special = self.multiplicity(0)
-        generic = self.generic_multiplicity()
+        """Compare the fiber multiplicity at a = 0 with the generic one.
+
+        Both are read from the supports of the non-parameter entries: at
+        a = 0 the least j over the a-free terms a^0 t^j, at a generic a
+        (where no coefficient of t^j vanishes) the least j over all terms.
+        They are multiplicities of the parametrization, and equal those of
+        the image curves only where a fiber's parametrization is one to
+        one, which is assumed and not checked.
+        """
+        exps = [e for entry in self.entries[1:] for e in entry.terms]
+        special = min(j for i, j in exps if i == 0)
+        generic = min(j for _, j in exps)
         return special == generic, special, generic
 
     def entry_strings(self) -> list[str]:

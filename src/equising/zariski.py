@@ -5,8 +5,13 @@ surface by a pair of generic linear forms and ask whether the critical
 locus of the projection (off the singular axis) is empty near the base
 point; with symbolic coefficients standing for a generic projection this
 reduces to checking that the Jacobian determinant is, up to its power of
-t, a unit at the origin.  Second, ask that the fiber multiplicity be
-constant through the base point.  Both parts are decided exactly, so the
+t, a unit at the origin.  That Jacobian is read from the 2x2 Jacobian
+(Pluecker) minors of the parametrization, the input the Whitney sweep
+also reads, so no projection is formed.  Second, ask that the fiber
+multiplicity be constant through the base point.  The multiplicities are
+those of the parametrization, read from the entries' supports; they are
+the image curves' only where each fiber is parametrized one to one, which
+is assumed and not checked.  Both parts are decided exactly, so the
 combined verdict is always Verified or Refuted.
 
 For these surface germs the combined test is equivalent to Whitney
@@ -18,24 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import INFINITY, Poly, fresh_symbols, t_order
+from .algebra import Scalar, fresh_symbols, t_order
 from .family import Parametrization, resolve_basepoint
 from .limits import Verdict, WhitneyJoint, whitney_check
 
 __all__ = [
-    "DegenerateSurfaceError",
     "PolarResult",
     "ZariskiResult",
     "CrosscheckResult",
-    "generic_plane_projection",
     "polar_is_empty",
     "zariski_check",
     "equivalence_crosscheck",
 ]
-
-
-class DegenerateSurfaceError(ValueError):
-    """The parametrization is nowhere immersive, so no tangent data exists."""
 
 
 @dataclass(frozen=True)
@@ -102,43 +101,29 @@ class CrosscheckResult:
         }
 
 
-def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
-    """Two generic linear combinations of curve coordinates.
-
-    Symbolic coefficients stand for a generic projection plane, so any
-    conclusion drawn from nonvanishing holds for all but a proper closed
-    set of projections.
-    """
-    variables = entries[0].vars if entries else ("t",)
-    ls = fresh_symbols(len(entries))
-    ms = fresh_symbols(len(entries))
-    x = Poly.zero(variables)
-    y = Poly.zero(variables)
-    for c1, c2, e in zip(ls, ms, entries):
-        x = x + e * c1
-        y = y + e * c2
-    return x, y
-
-
 def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
     """Decide whether the generic-projection critical locus avoids a
     punctured neighborhood of the base point.
 
-    The Jacobian of the two projected coordinates with respect to (a, t)
-    expands over the 2x2 minors of the parametrization with generic
-    cofactors, so it vanishes identically only for nowhere-immersive input,
-    which is rejected.
+    Projecting by x = sum l_i e_i and y = sum m_i e_i, with fresh symbols
+    l and m, gives the Jacobian sum_{i<j} (l_i m_j - l_j m_i) p_ij over the
+    Pluecker minors p_ij.  Those Pluecker combinations are linearly
+    independent over the family's coefficients, so no two minors cancel:
+    the Jacobian's power of t is the least one among the minors, and its
+    cofactor at the origin is the same combination of the minors'
+    a^0 t^k coefficients.  Some minor, p_1j = d f_j / dt, is nonzero for
+    every validated family.
     """
     fam, _, _ = family.centered(basepoint)
-    l_proj, m_proj = generic_plane_projection(list(fam.entries))
-    jac = l_proj.diff("a") * m_proj.diff("t") - m_proj.diff("a") * l_proj.diff("t")
-    if jac.is_zero():
-        raise DegenerateSurfaceError(
-            "projected Jacobian vanishes identically: the family is "
-            "nowhere immersive")
-    k = t_order(jac)
-    assert k != INFINITY
-    unit = jac.coeff_of("t", int(k)).constant_value()
+    ls = fresh_symbols(fam.dim)
+    ms = fresh_symbols(fam.dim)
+    minors = fam.plucker_minors()
+    k = int(min(t_order(p) for p in minors.values()))
+    unit = Scalar.from_fraction(0)
+    for (i, j), p in minors.items():
+        c = p.terms.get((0, k))
+        if c is not None:
+            unit = unit + (ls[i - 1] * ms[j - 1] - ls[j - 1] * ms[i - 1]) * c
     empty = not unit.is_zero()
     note = ("critical locus confined to the axis"
             if empty else
@@ -146,7 +131,7 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
             "meets every neighborhood off the axis")
     return PolarResult(
         empty=empty,
-        vanishing_order=int(k),
+        vanishing_order=k,
         unit_at_origin=str(unit),
         cofactor_note=note,
     )

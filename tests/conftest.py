@@ -15,11 +15,14 @@ from math import gcd
 from pathlib import Path
 
 from equising import (
+    INFINITY,
     Arc,
     FamilyValidationError,
     Parametrization,
     Poly,
     family_from_strings,
+    fresh_symbols,
+    t_order,
 )
 from equising.limits import arc_leading_vector
 
@@ -66,6 +69,29 @@ def random_binomial_family(rng: random.Random) -> Parametrization:
             return family_from_strings(entries)
         except FamilyValidationError:
             continue
+
+
+def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
+    """Two generic linear combinations of the coordinates, drawing all the
+    l symbols first, then all the m: the reference for the polar test and
+    the support scans, which form no projection."""
+    variables = entries[0].vars if entries else ("t",)
+    ls = fresh_symbols(len(entries))
+    ms = fresh_symbols(len(entries))
+    x = Poly.zero(variables)
+    y = Poly.zero(variables)
+    for c1, c2, e in zip(ls, ms, entries):
+        x = x + e * c1
+        y = y + e * c2
+    return x, y
+
+
+def fiber_multiplicity(family: Parametrization, a_value) -> int:
+    """Least t-order over the non-parameter entries of the fiber at
+    ``a_value``, read from the fiber itself."""
+    k = min(t_order(f) for f in family.fiber(a_value)[1:])
+    assert k != INFINITY, f"fiber at a = {a_value} is a point"
+    return int(k)
 
 
 def monomial_char_exponents(t_orders) -> tuple[int, tuple[int, ...], int]:

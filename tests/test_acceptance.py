@@ -35,6 +35,7 @@ from conftest import (
     corpus_path,
     direction_deviation,
     exponent_pairs,
+    fiber_multiplicity,
     leading_direction,
     random_monomial_family,
     regime_arcs,
@@ -334,10 +335,11 @@ def test_criterion_7_property_suites():
     rng = random.Random(77004)
     for _ in range(100):
         fam = random_monomial_family(rng)
-        generic = fam.generic_multiplicity()
-        assert fam.multiplicity(0) >= generic
+        _, special, generic = fam.is_equimultiple()
+        assert special >= generic
+        assert generic == fiber_multiplicity(fam, fresh_symbol())
         pin = Fraction(rng.randint(1, 7), rng.randint(1, 5))
-        assert fam.multiplicity(pin) == generic
+        assert fiber_multiplicity(fam, pin) == generic
 
     # separation certificates on 200 fresh random maps
     run_random_rolle_suite(random.Random(77005), 200, 1e-8, 1e-4)

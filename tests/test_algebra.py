@@ -1,5 +1,7 @@
 """Exact arithmetic layer: scalars, polynomials, arcs, series, wedges."""
 
+import gc
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,6 +32,7 @@ from equising.algebra import (
     fresh_symbol,
     symbol_run,
 )
+from conftest import CORPUS
 
 AT = ("a", "t")
 
@@ -360,6 +363,21 @@ class TestParsePrint:
             P("a + ")
         with pytest.raises(ParseError):
             P("(a + t")
+
+
+    def test_parse_leaves_no_reference_cycle(self):
+        # a cycle would leave every parse's objects to the cyclic collector
+        texts = [text for path in sorted(CORPUS.glob("*.json"))
+                 for text in json.loads(path.read_text()).get("entries", [])]
+        assert len(texts) > 20
+        gc.collect()
+        gc.disable()
+        try:
+            for text in texts:
+                P(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPoly:

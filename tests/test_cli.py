@@ -26,6 +26,10 @@ GOLDEN_RUNS = {
     "tangent-arc": ([], 2),
 }
 
+# --basepoint value -> golden file suffix.  Off the origin every report
+# exits 2: a modification is skipped or its factorization is undecided.
+OFF_ORIGIN_GOLDENS = {"generic": "generic", "1/2": "half"}
+
 
 def run_cli(*argv):
     return subprocess.run(
@@ -46,6 +50,19 @@ class TestReports:
         proc = run_cli("full-report", corpus_path(f"{name}.json"), *extra)
         assert proc.returncode == want_code, proc.stderr
         golden = corpus_path(f"golden/{name}.full.json").read_text()
+        assert proc.stdout == golden
+
+    @pytest.mark.parametrize("basepoint", sorted(OFF_ORIGIN_GOLDENS))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_off_origin_full_report_matches_golden(self, name, basepoint):
+        # pins the generic symbols' numbering: the base point label, the
+        # projection symbols in unit_at_origin and every later draw
+        extra, _ = GOLDEN_RUNS[name]
+        proc = run_cli("full-report", corpus_path(f"{name}.json"), *extra,
+                       "--basepoint", basepoint)
+        assert proc.returncode == 2, proc.stderr
+        suffix = OFF_ORIGIN_GOLDENS[basepoint]
+        golden = corpus_path(f"golden/{name}.full.{suffix}.json").read_text()
         assert proc.stdout == golden
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

@@ -24,9 +24,9 @@ from equising import (
     strong_equisingularity_check,
 )
 from equising.algebra import symbol_run
-from equising.zariski import generic_plane_projection
 from conftest import (
     corpus_path,
+    generic_plane_projection,
     monomial_char_exponents,
     random_binomial_family,
     random_monomial_family,

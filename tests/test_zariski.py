@@ -3,14 +3,25 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from equising import (
     Verdict,
     equivalence_crosscheck,
+    fresh_symbol,
     load_family,
+    t_order,
     zariski_check,
 )
+from equising.algebra import symbol_run
 from equising.zariski import polar_is_empty
-from conftest import corpus_path, random_monomial_family
+from conftest import (
+    corpus_path,
+    fiber_multiplicity,
+    generic_plane_projection,
+    random_binomial_family,
+    random_monomial_family,
+)
 
 
 class TestPolar:
@@ -39,6 +50,86 @@ class TestPolar:
         assert polar_is_empty(fam, Fraction(1, 2)).empty
 
 
+
+def projection_polar(family, basepoint) -> dict:
+    """The polar fields from the Jacobian of the generic projection itself:
+    the reference for :func:`polar_is_empty`, which reads the minors."""
+    fam, _, _ = family.centered(basepoint)
+    x, y = generic_plane_projection(list(fam.entries))
+    jac = x.diff("a") * y.diff("t") - y.diff("a") * x.diff("t")
+    k = int(t_order(jac))
+    unit = jac.coeff_of("t", k).constant_value()
+    return {"empty": not unit.is_zero(), "vanishing_order": k,
+            "unit_at_origin": str(unit)}
+
+
+class TestPolarFromMinors:
+    """The polar test read from the Pluecker minors and the multiplicities
+    read from the supports, against the generic projection's Jacobian and
+    the fibers' t-orders."""
+
+    POINTS = (0, Fraction(1, 2), "generic")
+
+    def test_matches_projection_and_fibers_fuzz(self):
+        rng = random.Random(1212)
+        families = [random_monomial_family(rng) for _ in range(200)]
+        families += [random_binomial_family(rng) for _ in range(150)]
+        pairs = 0
+        for fam in families:
+            for point in self.POINTS:
+                with symbol_run():
+                    got = polar_is_empty(fam, point).to_json()
+                    after = fresh_symbol()
+                with symbol_run():
+                    want = projection_polar(fam, point)
+                    want_after = fresh_symbol()
+                assert got.pop("note")
+                assert got == want, (fam.entry_strings(), point)
+                # both draw the l symbols, then the m symbols
+                assert after == want_after
+
+                moved, _, _ = fam.centered(point)
+                with symbol_run():
+                    equal, special, generic = moved.is_equimultiple()
+                    # no symbol drawn
+                    assert str(fresh_symbol()) == "g1"
+                assert special == fiber_multiplicity(moved, 0)
+                assert generic == fiber_multiplicity(moved, fresh_symbol())
+                assert equal is (special == generic)
+
+                # the point (if generic), then 2 * dim projection symbols
+                with symbol_run():
+                    zariski_check(fam, point)
+                    drawn = (point == "generic") + 2 * fam.dim
+                    assert str(fresh_symbol()) == f"g{drawn + 1}"
+                pairs += 1
+        assert pairs >= 1000
+
+    def test_vanishing_order_and_unit_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        a, t = sympy.symbols("a t")
+        rng = random.Random(1313)
+        for _ in range(20):
+            fam = random_binomial_family(rng)
+            n = fam.dim
+            with symbol_run():
+                res = polar_is_empty(fam)
+            # the l symbols are g1..gn, the m symbols g(n+1)..g(2n)
+            g = sympy.symbols(f"g1:{2 * n + 1}")
+            entries = [sympy.sympify(e.replace("^", "**"))
+                       for e in fam.entry_strings()]
+            x = sum(g[i] * e for i, e in enumerate(entries))
+            y = sum(g[n + i] * e for i, e in enumerate(entries))
+            jac = sympy.Poly(sympy.expand(x.diff(a) * y.diff(t)
+                                          - y.diff(a) * x.diff(t)), t)
+            k = min(m[0] for m in jac.monoms())
+            assert res.vanishing_order == k, fam.entry_strings()
+            unit = jac.coeff_monomial(t ** k).subs(a, 0)
+            printed = sympy.sympify(res.unit_at_origin.replace("^", "**"))
+            assert sympy.expand(unit - printed) == 0, fam.entry_strings()
+            assert res.empty is (unit != 0)
+
+
 class TestZariski:
     def test_always_decisive(self):
         for name in ("family-345.json", "family-352.json",
@@ -61,7 +152,7 @@ class TestZariski:
         assert not res.polar.empty
 
     def test_fails_on_either_leg(self):
-        # non-empty polar refutes even where multiplicity is constant
+        # the polar cofactor vanishes and the multiplicity drops
         res = zariski_check(load_family(corpus_path("tangent-arc.json")))
         assert res.verdict is Verdict.REFUTED
         assert (res.multiplicity_special, res.multiplicity_generic) == (2, 1)
