@@ -26,6 +26,7 @@ __all__ = [
     "ParameterEntryError",
     "AxisVanishingError",
     "DegenerateFiberError",
+    "CoefficientSizeError",
     "EquationCheck",
     "family_from_strings",
     "load_family",
@@ -49,6 +50,18 @@ class AxisVanishingError(FamilyValidationError):
 
 class DegenerateFiberError(FamilyValidationError):
     """A fiber that must be a curve is a single point."""
+
+
+class CoefficientSizeError(FamilyValidationError):
+    """An input coefficient's numerator or denominator has more than
+    MAX_COEFF_DIGITS decimal digits."""
+
+
+# reports print input coefficients and products of up to three of them
+# (recentered on small base points), and the interpreter refuses to print
+# an int of more than 4,300 digits
+MAX_COEFF_DIGITS = 1000
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
 
 def resolve_basepoint(basepoint) -> tuple[Scalar, str]:
@@ -88,6 +101,7 @@ class Parametrization:
     # checks of one report center on one point and share it
     _last_center: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    _minors: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -153,14 +167,16 @@ class Parametrization:
 
     def plucker_minors(self) -> dict[tuple[int, int], Poly]:
         """2x2 Jacobian minors p[i, j] (1-based, i < j), the tangent-plane
-        Pluecker coordinates of the parametrized surface."""
-        rows = self.jacobian()
-        out: dict[tuple[int, int], Poly] = {}
-        n = len(rows)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[(i + 1, j + 1)] = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-        return out
+        Pluecker coordinates of the parametrized surface.  Built once per
+        family, so the Whitney and Zariski checks share them; each call
+        returns a new dict."""
+        if self._minors is None:
+            rows = self.jacobian()
+            n = len(rows)
+            object.__setattr__(self, "_minors", {
+                (i + 1, j + 1): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
+                for i in range(n) for j in range(i + 1, n)})
+        return dict(self._minors)
 
     def is_equimultiple(self) -> tuple[bool, int, int]:
         """Compare the fiber multiplicity at a = 0 with the generic one.
@@ -190,11 +206,13 @@ def family_from_strings(
     ambient: Sequence[str] = (),
     name: str = "",
 ) -> Parametrization:
-    return Parametrization(
-        tuple(parse_poly(s, AT) for s in entries),
-        tuple(ambient),
-        name,
-    )
+    fam = Parametrization(tuple(parse_poly(s, AT) for s in entries), tuple(ambient), name)
+    for label, e in zip(fam.ambient, fam.entries):
+        if any(abs(n) >= _COEFF_BOUND for val in e.terms.values()
+               for n in (*val.num.values(), *val.den.values())):
+            raise CoefficientSizeError(
+                f"entry {label} has a coefficient of more than {MAX_COEFF_DIGITS} digits")
+    return fam
 
 
 def load_family(path: str | Path) -> Parametrization:

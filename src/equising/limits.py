@@ -22,9 +22,12 @@ i*p + j*q, and each leading coefficient is the sum of val*c**i over the
 terms of least weight; finite exponents never substitute the arc.  Only
 finitely many exponents (where two support monomials trade dominance) can
 change the outcome; between them one midpoint test covers the whole open
-sector, irrational exponents included.  When every leading coefficient
-cancels at special values of c the test is rerun along refined arcs rooted
-at those values, to a configurable depth.
+sector, irrational exponents included.  Where the least weight selects a
+single term on each side (the secants and the minors), every leading
+coefficient is val*c**i at each exponent up to the next true breakpoint
+of the Newton polygon, so those regimes share one evaluation.  When every
+leading coefficient cancels at special values of c the test is rerun
+along refined arcs rooted at those values, to a configurable depth.
 
 Verdicts are exact: Verified and Refuted are proofs, and anything the
 sweep cannot settle inside the rational/symbolic coefficient field is
@@ -202,7 +205,8 @@ def critical_exponents(polys: Iterable[Poly]) -> set[Fraction]:
     dominance along arcs a = c*t**theta.
 
     A superset of the true breakpoints is harmless: extra cut points only
-    split sectors whose leading structure does not actually change.
+    split sectors whose leading structure does not actually change, and
+    the sweep evaluates such a run of regimes once.
     """
     points: set[tuple[int, int]] = set()
     for p in polys:
@@ -236,22 +240,31 @@ def _leading(subs: Sequence[Poly]) -> tuple[float, list[Scalar]] | None:
     return nu, [p.coeff_of("s", k).constant_value() for p in subs]
 
 
-def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar) -> list[Scalar]:
-    """Joint theta-weighted initial forms of (a, t) polynomials at (c, 1).
+def _support(polys: Sequence[Poly], theta: Fraction) -> frozenset[tuple[int, int]]:
+    """Exponents (i, j) of least weight i*p + j*q among all entries' terms.
 
     Along a = c*t**theta, theta = p/q, the term val*a**i*t**j has order
-    (i*p + j*q)/q.  Each entry sums val*c**i over the terms of least order
-    among all entries: what ``_leading`` reads off the substituted
-    polynomials, without building them.
+    (i*p + j*q)/q, so these are the terms that lead along the arc.
     """
     p, q = theta.numerator, theta.denominator
-    w = min((i * p + j * q for poly in polys for i, j in poly.terms), default=None)
+    points = {ij for poly in polys for ij in poly.terms}
+    w = min((i * p + j * q for i, j in points), default=None)
+    return frozenset((i, j) for i, j in points if i * p + j * q == w)
+
+
+def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar,
+             support: frozenset[tuple[int, int]] | None = None) -> list[Scalar]:
+    """Joint theta-weighted initial forms of (a, t) polynomials at (c, 1):
+    each entry sums val*c**i over its terms in ``support``, by default
+    ``_support(polys, theta)``.  This is what ``_leading`` reads off the
+    substituted polynomials, without building them."""
+    support = _support(polys, theta) if support is None else support
     cpow = [_ONE, csym]
     out = []
     for poly in polys:
         acc = _ZERO
         for (i, j), val in poly.terms.items():
-            if i * p + j * q == w:
+            if (i, j) in support:
                 while len(cpow) <= i:
                     cpow.append(cpow[-1] * csym)
                 acc = acc + (val * cpow[i] if i else val)
@@ -259,17 +272,18 @@ def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar) -> list[Scala
     return out
 
 
-def _regime_lead(polys: Sequence[Poly], theta: Fraction | None,
-                 csym: Scalar) -> list[Scalar] | None:
+def _regime_lead(polys: Sequence[Poly], theta: Fraction | None, csym: Scalar,
+                 support: frozenset[tuple[int, int]] | None = None
+                 ) -> list[Scalar] | None:
     """Leading coefficients along a = c*t**theta, or along a == 0 when
     theta is None; None when every polynomial vanishes along the arc."""
     if theta is None:
         led = arc_leading_vector(polys, Arc(theta=None))
         return None if led is None else led[1]
     # c is a fresh symbol, so distinct terms (i, j) carry distinct powers of
-    # c and cannot cancel: an initial form is zero only for a zero polynomial
-    lead = _initial(polys, theta, csym)
-    return None if all(v.is_zero() for v in lead) else lead
+    # c and cannot cancel: the initial forms vanish only on an empty support
+    support = _support(polys, theta) if support is None else support
+    return _initial(polys, theta, csym, support) if support else None
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +304,8 @@ def _c_gcd_many(ps: Iterable[list[Scalar]]) -> list[Scalar]:
 
 
 def _render_cpoly(p: Sequence[Scalar], cname: str) -> str:
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c.is_zero():
-            continue
-        if k == 0:
-            parts.append(f"({c})")
-        elif k == 1:
-            parts.append(f"({c})*{cname}")
-        else:
-            parts.append(f"({c})*{cname}^{k}")
+    parts = [f"({c})" + ("" if k == 0 else f"*{cname}" if k == 1 else f"*{cname}^{k}")
+             for k, c in reversed(list(enumerate(p))) if not c.is_zero()]
     return " + ".join(parts) if parts else "0"
 
 
@@ -322,15 +327,8 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def _eval_poly(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
@@ -349,10 +347,7 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
     arc belongs to a lower exponent regime.
     """
     p = dense_trim(list(p))
-    k = 0
-    while k < len(p) and p[k].is_zero():
-        k += 1
-    p = p[k:]
+    p = p[next((k for k, c in enumerate(p) if not c.is_zero()), len(p)):]
     if len(p) <= 1:
         return [], None
     if len(p) == 2:
@@ -409,20 +404,13 @@ class _SweepState:
 def _regime_plan(
     crits: Sequence[Fraction], w_min: Fraction
 ) -> list[tuple[Fraction | None, str]]:
+    """Each sector's midpoint (one past the last critical exponent for the
+    last sector) and each critical exponent, in order, then the vertical arc."""
+    bounds = [w_min, *crits]
     plan: list[tuple[Fraction | None, str]] = []
-    if crits:
-        first = crits[0] / 2 if w_min == 0 else (w_min + crits[0]) / 2
-        plan.append((first, "sector"))
-        for i, th in enumerate(crits):
-            plan.append((th, "critical"))
-            if i + 1 < len(crits):
-                plan.append(((th + crits[i + 1]) / 2, "sector"))
-            else:
-                plan.append((th + 1, "sector"))
-    else:
-        plan.append((Fraction(1) if w_min == 0 else w_min + 1, "sector"))
-    plan.append((None, "vertical"))
-    return plan
+    for lo, hi in zip(bounds, bounds[1:]):
+        plan += [((lo + hi) / 2, "sector"), (hi, "critical")]
+    return plan + [(bounds[-1] + 1, "sector"), (None, "vertical")]
 
 
 def _arc_description(
@@ -445,19 +433,14 @@ def _build_arc(
     final: tuple[Fraction, Scalar | None] | None,
     a0: Scalar,
 ) -> Arc:
-    segs: list[tuple[Fraction, Scalar | None]] = list(prefix)
-    if final is not None:
-        segs.append(final)
+    segs: list[tuple[Fraction, Scalar | None]] = [*prefix, *([final] if final else [])]
     if not segs:
         return Arc(theta=None, a0=a0)
     node: Arc | None = None
-    prev_abs = [th for th, _ in segs]
     for idx in range(len(segs) - 1, -1, -1):
         th_abs, c = segs[idx]
-        rel = th_abs - (prev_abs[idx - 1] if idx > 0 else 0)
-        node = Arc(theta=rel, c=c, a0=a0 if idx == 0 else _ZERO,
-                   refinement=node)
-    assert node is not None
+        node = Arc(theta=th_abs - (segs[idx - 1][0] if idx else 0), c=c,
+                   a0=a0 if idx == 0 else _ZERO, refinement=node)
     return node
 
 
@@ -477,84 +460,75 @@ def _sweep(
     (state, records) pair per condition, in the order of ``modes``."""
     out = [(_SweepState(), []) for _ in modes]
     keys = sorted(omega)
-    crits = sorted(th for th in critical_exponents(vec + [omega[k] for k in keys])
-                   if th > w_min)
+    om_polys = [omega[k] for k in keys]
+    crits = sorted(th for th in critical_exponents(vec + om_polys) if th > w_min)
     cname = f"c{len(prefix) + 1}"
     csym = Scalar.symbol(cname)
+    # (leads, tests) per pair of one-vertex supports: one evaluation serves
+    # every finite regime whose weight selects that pair
+    shared: dict[tuple, tuple] = {}
 
     for th, kind in _regime_plan(crits, w_min):
         th_abs = None if th is None else th / t_scale
         label = "inf" if th_abs is None else str(th_abs)
-        vec_lead = _regime_lead(vec, th, csym)
-        if vec_lead is None:
-            for _, records in out:
-                records.append(RegimeRecord(label, kind, "vacuous",
-                                            "the arc stays inside the singular axis"))
-            continue
-        om_lead_list = _regime_lead([omega[ij] for ij in keys], th, csym)
-        if om_lead_list is None:
-            for state, records in out:
-                records.append(RegimeRecord(label, kind, "degenerate",
-                                            "every tangent minor vanishes along the arc"))
-                state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
-            continue
-        om_lead = dict(zip(keys, om_lead_list))
-        om_gcd = None
+        sv = so = vertices = None
+        if th is not None:
+            sv, so = _support(vec, th), _support(om_polys, th)
+            # one vertex (i, j) on each side makes every lead val*c**i, the
+            # same at each exponent between two true breakpoints, and leaves
+            # no nonzero root to refine
+            if len(sv) == len(so) == 1:
+                vertices = (sv, so)
+        if vertices in shared:
+            vec_lead, om_lead_list, tests = shared[vertices]
+        else:
+            vec_lead = _regime_lead(vec, th, csym, sv)
+            if vec_lead is None:
+                for _, records in out:
+                    records.append(RegimeRecord(label, kind, "vacuous",
+                                                "the arc stays inside the singular axis"))
+                continue
+            om_lead_list = _regime_lead(om_polys, th, csym, so)
+            if om_lead_list is None:
+                for state, records in out:
+                    records.append(RegimeRecord(label, kind, "degenerate",
+                                                "every tangent minor vanishes along the arc"))
+                    state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
+                continue
+            tests = _regime_tests(vec_lead, om_lead_list, keys, dim, modes,
+                                  cname, th is not None)
+            if vertices is not None:
+                shared[vertices] = vec_lead, om_lead_list, tests
         contained = []  # (mode, state, records, status, roots)
 
-        for mode, (state, records) in zip(modes, out):
-            test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
-            coords = wedge3(test_vec, om_lead, dim)
-            nonzero = {ijk: v for ijk, v in coords.items() if not v.is_zero()}
-
-            if nonzero:
-                ijk = min(nonzero)
-                val = nonzero[ijk]
-                if th is None:
-                    final = None
-                    coeff_label = "exact"
-                    value_str = str(val)
-                else:
-                    c_pick = _pick_witness(val, test_vec if mode == "b" else None,
-                                           om_lead_list, cname)
-                    final = (th_abs, c_pick)
-                    coeff_label = "generic" if c_pick is None else str(c_pick)
-                    value_str = str(val if c_pick is None else val.subs(cname, c_pick))
-                witness = ArcWitness(
-                    arc=_build_arc(prefix, final, a0),
-                    description=_arc_description(prefix, final, a0_label),
-                    wedge_index=ijk,
-                    value=value_str,
-                    coefficient=coeff_label,
-                )
+        for mode, (state, records), (ijk, val, roots, unresolved) in zip(modes, out, tests):
+            if ijk is not None:
                 records.append(RegimeRecord(
                     label, kind, "violated",
                     f"limit direction leaves the tangent-plane limit (wedge coordinate {ijk})"))
-                state.refute(witness)
+                if state.witness is not None:   # only the first witness is kept
+                    state.refute(None)
+                    continue
+                final = c_pick = None
+                if th is not None:
+                    c_pick = _pick_witness(val, vec_lead if mode == "b" else None,
+                                           om_lead_list, cname)
+                    final = (th_abs, c_pick)
+                state.refute(ArcWitness(
+                    arc=_build_arc(prefix, final, a0),
+                    description=_arc_description(prefix, final, a0_label),
+                    wedge_index=ijk,
+                    value=str(val if c_pick is None else val.subs(cname, c_pick)),
+                    coefficient=("exact" if th is None else
+                                 "generic" if c_pick is None else str(c_pick)),
+                ))
                 continue
-
-            status = "contained"
-            roots: list[Scalar] = []
-            if th is not None:
-                gcds: list[list[Scalar]] = []
-                if mode == "b":
-                    gcds.append(_c_gcd_many(
-                        [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]))
-                if om_gcd is None:
-                    om_gcd = _c_gcd_many(
-                        [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()])
-                gcds.append(om_gcd)
-                for g in gcds:
-                    got, unresolved = _extract_roots(g, cname)
-                    for r in got:
-                        if not any(r == r2 for r2 in roots):
-                            roots.append(r)
-                    if unresolved is not None:
-                        status = "unresolved"
-                        state.inconclusive(
-                            f"cancellation locus at exponent {label} has "
-                            f"roots outside the coefficient field: {unresolved}")
-            contained.append((mode, state, records, status, roots))
+            for factor in unresolved:
+                state.inconclusive(
+                    f"cancellation locus at exponent {label} has "
+                    f"roots outside the coefficient field: {factor}")
+            contained.append((mode, state, records,
+                              "unresolved" if unresolved else "contained", roots))
 
         # each distinct root is composed and swept once, for the conditions
         # that refine it.  Roots are matched by printed form, not only by
@@ -599,6 +573,43 @@ def _sweep(
                 note = f"leading terms cancel at {len(roots)} special coefficient value(s); refined"
             records.append(RegimeRecord(label, kind, status, note, tuple(refinements)))
     return out
+
+
+def _regime_tests(vec_lead: list[Scalar], om_lead_list: list[Scalar],
+                  keys: list[tuple[int, int]], dim: int, modes: str, cname: str,
+                  finite: bool) -> list[tuple]:
+    """Per condition in ``modes``, ``(ijk, value, roots, unresolved)``: the
+    first nonzero wedge coordinate of its test vector with the minors' leads
+    (ijk is None when the vector lies in the limit plane), then, at a finite
+    exponent, the nonzero values of c cancelling the leads and the factors
+    whose roots leave the coefficient field."""
+    om_lead = dict(zip(keys, om_lead_list))
+    om_gcd = None
+    tests = []
+    for mode in modes:
+        test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
+        coords = wedge3(test_vec, om_lead, dim)
+        ijk = min((ijk for ijk, v in coords.items() if not v.is_zero()), default=None)
+        roots: list[Scalar] = []
+        unresolved: list[str] = []
+        if ijk is None and finite:
+            gcds: list[list[Scalar]] = []
+            if mode == "b":
+                gcds.append(_c_gcd_many(
+                    [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]))
+            if om_gcd is None:
+                om_gcd = _c_gcd_many(
+                    [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()])
+            gcds.append(om_gcd)
+            for g in gcds:
+                got, factor = _extract_roots(g, cname)
+                for r in got:
+                    if not any(r == r2 for r2 in roots):
+                        roots.append(r)
+                if factor is not None:
+                    unresolved.append(factor)
+        tests.append((ijk, None if ijk is None else coords[ijk], roots, unresolved))
+    return tests
 
 
 def _pick_witness(

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import corpus_path
 from equising import Parametrization, cli
+from equising.family import MAX_COEFF_DIGITS
 
 GOLDEN_RUNS = {
     "family-345": (["--equations", str(corpus_path("family-345.eqs.json")),
@@ -457,6 +458,32 @@ class TestLargeExponents:
             else:
                 assert report["strong"]["verdict"] == verdict
                 assert code == 0
+
+
+class TestHugeCoefficients:
+    """9^9999 has 9,543 digits, more than the interpreter prints: the
+    family is refused when it is loaded, before any report is built."""
+
+    @pytest.mark.parametrize("command",
+                             ["check-zariski", "check-whitney", "strong", "full-report"])
+    @pytest.mark.parametrize("entry", ["t^2 + 9^9999*t^3", "t^2 + 1/9^9999*t^3"])
+    def test_refused_with_message(self, tmp_path, capsys, command, entry):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": ["a", entry]}))
+        assert cli.main([command, str(family)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: entry y has a coefficient of more than "
+                                f"{MAX_COEFF_DIGITS} digits\n")
+
+    def test_coefficients_at_the_cap_are_reported(self, tmp_path):
+        big = "9" * MAX_COEFF_DIGITS
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": [
+            "a", f"t^2 + {big}*a*t^3 + 1/{big}*t^5", f"a*t^3 + {big}*t^5 + a^2*t^2"]}))
+        for command in ("check-zariski", "check-whitney", "strong"):
+            assert cli.main([command, str(family), "--basepoint=-2"]) == 0
+        assert cli.main(["full-report", str(family), "--basepoint=1/2"]) == 2
 
 
 class TestImport:

@@ -23,7 +23,7 @@ from equising import (
     strong_equisingularity_check,
     verify_implicit_equations,
 )
-from equising.family import resolve_basepoint
+from equising.family import MAX_COEFF_DIGITS, CoefficientSizeError, resolve_basepoint
 from conftest import (
     corpus_path,
     fiber_multiplicity,
@@ -33,6 +33,13 @@ from conftest import (
 
 
 class TestValidation:
+    def test_coefficient_size_cap(self):
+        big = "9" * MAX_COEFF_DIGITS
+        assert family_from_strings(["a", f"t^2 + {big}*t^3 + 1/{big}*a*t"])
+        for entry in (f"t^2 + {big}9*t^3", f"t^2 + 1/{big}9*a*t", "t^2 + 10^1000*t^3"):
+            with pytest.raises(CoefficientSizeError, match="entry y has a coefficient"):
+                family_from_strings(["a", entry])
+
     def test_first_entry_must_be_parameter(self):
         with pytest.raises(ParameterEntryError):
             family_from_strings(["t", "t^2"])
@@ -121,6 +128,22 @@ class TestGeometry:
         assert set(minors) == set(expected)
         for key, text in expected.items():
             assert minors[key] == parse_poly(text, ("a", "t")), key
+
+    def test_plucker_minors_built_once_per_family(self, monkeypatch):
+        calls = []
+        jacobian = Parametrization.jacobian
+        monkeypatch.setattr(Parametrization, "jacobian",
+                            lambda fam: calls.append(fam) or jacobian(fam))
+        for basepoint in (0, Fraction(1, 2), "generic"):
+            calls.clear()
+            fam = load_family(corpus_path("family-352.json"))
+            equivalence_crosscheck(fam, basepoint)
+            assert len(calls) == 1, basepoint
+        calls.clear()
+        minors = fam.plucker_minors()
+        minors[(1, 2)] = Poly.zero(("a", "t"))
+        assert fam.plucker_minors()[(1, 2)] == fam.entries[1].diff("t")
+        assert calls == [fam]
 
     def test_plucker_quadric_identity_fuzz(self):
         # decomposable 2-forms satisfy the Grassmann quadric identically

@@ -20,9 +20,13 @@ from equising import limits
 from equising.family import resolve_basepoint
 from equising.limits import (
     WhitneyResult,
+    _c_gcd_many,
     _extract_roots,
     _initial,
     _leading,
+    _regime_lead,
+    _regime_plan,
+    _support,
     _sweep,
     critical_exponents,
     secant_vector,
@@ -30,6 +34,7 @@ from equising.limits import (
 from conftest import (
     corpus_path,
     direction_deviation,
+    random_binomial_family,
     random_monomial_family,
     regime_arcs,
 )
@@ -394,3 +399,119 @@ class TestJointSweep:
         res = whitney_check(load_family(corpus_path("tangent-arc.json")))
         assert res.verdict is Verdict.REFUTED
         assert len(calls) == 3
+
+
+def shared_regime_families():
+    rng = random.Random(1313)
+    return ([random_monomial_family(rng) for _ in range(20)]
+            + [random_binomial_family(rng) for _ in range(20)])
+
+
+SHARED_BASEPOINTS = (0, Fraction(1, 2), "generic", Fraction(-2))
+
+
+class TestSharedRegimes:
+    """Finite regimes whose weight selects one vertex of each support share
+    one evaluation in the sweep; every regime, refinements included, must
+    get the status it gets evaluated alone at its own exponent."""
+
+    @staticmethod
+    def centered_system(fam, basepoint):
+        a0, _ = resolve_basepoint(basepoint)
+        centered, _, _ = fam.centered(a0)
+        minors = centered.plucker_minors()
+        keys = sorted(minors)
+        return a0, centered, secant_vector(centered), keys, [minors[k] for k in keys]
+
+    @staticmethod
+    def status_alone(vec, keys, om_polys, theta, mode, dim):
+        """(status, roots) of one regime from its own leads, before the
+        refinement depth is taken into account."""
+        csym = Scalar.symbol("c1")
+        vec_lead = _regime_lead(vec, theta, csym)
+        if vec_lead is None:
+            return "vacuous", []
+        om_lead = _regime_lead(om_polys, theta, csym)
+        if om_lead is None:
+            return "degenerate", []
+        zero, one = Scalar.from_fraction(0), Scalar.from_fraction(1)
+        test_vec = vec_lead if mode == "b" else [one] + [zero] * (dim - 1)
+        if any(not v.is_zero() for v in wedge3(test_vec, dict(zip(keys, om_lead)), dim).values()):
+            return "violated", []
+        if theta is None:
+            return "contained", []
+        roots, unresolved = [], False
+        for leads in ([test_vec, om_lead] if mode == "b" else [om_lead]):
+            g = _c_gcd_many([c.coeffs_in("c1") for c in leads if not c.is_zero()])
+            got, factor = _extract_roots(g, "c1")
+            roots += [r for r in got if not any(r == r2 for r2 in roots)]
+            unresolved |= factor is not None
+        return ("unresolved" if unresolved else "contained"), roots
+
+    def check_sweep(self, records, vec, keys, om_polys, mode, dim, w_min, depth, t_scale):
+        """Compare the leading records of a sweep, refinements included, with
+        each regime evaluated alone; (records used, regimes compared)."""
+        crits = sorted(th for th in critical_exponents(vec + om_polys) if th > w_min)
+        plan = _regime_plan(crits, w_min)
+        assert [r.theta for r in records[:len(plan)]] == \
+            ["inf" if th is None else str(th / t_scale) for th, _ in plan]
+        compared = len(plan)
+        for rec, (theta, _) in zip(records, plan):
+            status, roots = self.status_alone(vec, keys, om_polys, theta, mode, dim)
+            assert rec.status == ("unresolved" if roots and not depth else status), \
+                (rec.theta, depth)
+            rest = rec.refinements
+            for c0 in (roots if depth else []):
+                p, q = theta.numerator, theta.denominator
+                arc = [Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a"),
+                       Poly.monomial(AT, (0, q))]
+                used, n = self.check_sweep(
+                    rest, [v.compose(arc) for v in vec], keys,
+                    [o.compose(arc) for o in om_polys], mode, dim, Fraction(p),
+                    depth - 1, t_scale * q)
+                rest, compared = rest[used:], compared + n
+            assert not rest
+        return len(plan), compared
+
+    def test_each_regime_matches_its_own_evaluation(self):
+        compared = shared = refined = 0
+        for fam in shared_regime_families():
+            for basepoint in SHARED_BASEPOINTS:
+                a0, centered, vec, keys, om_polys = self.centered_system(fam, basepoint)
+                res = whitney_check(fam, a0)
+                for part, mode in ((res.part_a, "a"), (res.part_b, "b")):
+                    used, n = self.check_sweep(part.regimes, vec, keys, om_polys, mode,
+                                               centered.dim, Fraction(0), 4, 1)
+                    assert used == len(part.regimes), (fam.entry_strings(), basepoint)
+                    compared += n
+                    refined += n - used
+                seen = set()
+                for rec in res.part_a.regimes[:-1]:
+                    theta = Fraction(rec.theta)
+                    sv, so = _support(vec, theta), _support(om_polys, theta)
+                    if len(sv) == len(so) == 1:
+                        shared += (sv, so) in seen
+                        seen.add((sv, so))
+        assert compared > 6000 and refined > 30 and shared > 2500
+
+    def test_single_vertex_regimes_have_equal_leads(self):
+        csym = Scalar.symbol("c1")
+        groups = 0
+        for fam in shared_regime_families():
+            for basepoint in SHARED_BASEPOINTS:
+                _, _, vec, _, om_polys = self.centered_system(fam, basepoint)
+                crits = sorted(critical_exponents(vec + om_polys))
+                by_vertices = {}
+                for theta, _ in _regime_plan(crits, Fraction(0))[:-1]:
+                    sv, so = _support(vec, theta), _support(om_polys, theta)
+                    if len(sv) == len(so) == 1:
+                        by_vertices.setdefault((sv, so), []).append(theta)
+                for thetas in by_vertices.values():
+                    leads = [(_regime_lead(vec, th, csym), _regime_lead(om_polys, th, csym))
+                             for th in thetas]
+                    for lead in leads[1:]:
+                        assert lead == leads[0]
+                        assert [list(map(str, v)) for v in lead] == \
+                            [list(map(str, v)) for v in leads[0]]
+                    groups += len(thetas) > 1
+        assert groups > 80
