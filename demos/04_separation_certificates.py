@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from equising import (
-    hurwitz_count,
     load_curve,
     load_family,
     parse_poly,
@@ -34,7 +33,7 @@ cert = rolle_for_map(fam, rho)
 
 print("restricted map:", cert.map_poly)
 print("degree", cert.degree, "with", cert.distinct_roots, "distinct roots")
-lhs, rhs = hurwitz_count(cert)
+lhs, rhs = cert.derivative_degree, cert.shared_degree
 print(f"critical count {lhs} vs shared-root bound {rhs}:",
       "a free critical point is forced" if lhs > rhs else "nothing forced")
 print("witness divisor of the derivative:", cert.witness_poly)
@@ -56,4 +55,4 @@ print("witness:", cert.witness_poly, "vanishing near",
 # A map with a single repeated root has nothing to certify.
 cert = rolle_for_curve(entries, [Fraction(0), Fraction(1)])
 print("\nt^3 on the same curve: witness needed?", cert.witness_needed,
-      "| hurwitz count", hurwitz_count(cert))
+      "| hurwitz count", (cert.derivative_degree, cert.shared_degree))

@@ -70,7 +70,6 @@ from .projection import (
 from .rolle import (
     ConstantMapError,
     RolleCertificate,
-    hurwitz_count,
     load_curve,
     rolle_for_curve,
     rolle_for_map,
@@ -125,7 +124,6 @@ __all__ = [
     "family_from_strings",
     "fresh_symbol",
     "fresh_symbols",
-    "hurwitz_count",
     "load_curve",
     "load_equations",
     "load_family",

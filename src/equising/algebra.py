@@ -541,9 +541,6 @@ class Poly:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def _check(self, other: "Poly"):
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -928,37 +925,22 @@ def t_order(p: Poly) -> float:
 
 @dataclass(frozen=True)
 class Arc:
-    """Monomial test arc a = a0 + c*t**theta (with optional deeper tail).
+    """Test arc a = a0 + c1*t**theta1 + c2*t**theta2 + ...
 
-    ``theta`` is a positive Fraction, or None for the vertical arc a == a0.
-    ``c`` is an exact Scalar coefficient, or None for a symbolic generic
-    coefficient (rendered as c1, c2, ... by substitution depth).
-    ``refinement`` adds a further tail c'*t**(theta + theta') whose exponent
-    field is relative to this segment's theta.
+    ``segments`` holds the (theta, c) pairs: absolute exponents, positive
+    Fractions in strictly increasing order, checked on construction; no
+    segments is the vertical arc a == a0.  Each ``c`` is an exact Scalar,
+    or None for a symbolic generic coefficient (rendered c1, c2, ... by
+    position).
     """
 
-    theta: Fraction | None
-    c: Scalar | None = None
+    segments: tuple[tuple[Fraction, Scalar | None], ...] = ()
     a0: Scalar = _S0
-    refinement: "Arc | None" = None
 
-    def segments(self) -> list[tuple[Fraction, Scalar | None]]:
-        """Flatten to [(absolute exponent, coefficient), ...]."""
-        out: list[tuple[Fraction, Scalar | None]] = []
-        node: Arc | None = self
-        total = Fraction(0)
-        while node is not None:
-            if node.theta is None:
-                break
-            if node.theta <= 0:
-                raise ValueError("arc exponents must be positive")
-            total += node.theta
-            out.append((total, node.c))
-            node = node.refinement
-        return out
-
-    def theta_str(self) -> str:
-        return "inf" if self.theta is None else str(self.theta)
+    def __post_init__(self):
+        exps = [0] + [th for th, _ in self.segments]
+        if any(lo >= hi for lo, hi in zip(exps, exps[1:])):
+            raise ValueError("arc exponents must be positive and increasing")
 
 
 def substitute_arc(p: Poly, arc: Arc) -> Poly:
@@ -968,7 +950,7 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
     a = a0 + sum of c_k * s**(e_k * Q), Q clearing all exponent denominators.
     Symbolic coefficients become Scalar symbols c1, c2, ...
     """
-    segs = arc.segments()
+    segs = arc.segments
     q = _int_lcm(*(e.denominator for e, _ in segs))
     s = ("s",)
     if arc.a0.is_zero() and not segs:
@@ -1036,11 +1018,6 @@ class SeriesT:
     def _terms(self, n: int) -> list[tuple[int, Scalar]]:
         """The nonzero coefficients below s^n as (k, coeffs[k]), k ascending."""
         return [(k, c) for k, c in enumerate(self.coeffs[:n]) if c.num]
-
-    def truncate(self, order: int) -> "SeriesT":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesT(self.coeffs[:order], order)
 
     def valuation(self) -> float:
         for k, c in enumerate(self.coeffs):

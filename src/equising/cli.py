@@ -27,9 +27,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .algebra import ParseError, fresh_symbol, parse_poly, symbol_run
+from .algebra import ParseError, Poly, fresh_symbol, parse_poly, symbol_run
 from .family import (
+    CoefficientSizeError,
     FamilyValidationError,
+    check_coefficient_size,
     load_equations,
     load_family,
     verify_implicit_equations,
@@ -82,10 +84,16 @@ def _parse_rational(text: str) -> Fraction:
 
 def _parse_functional(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        coeffs = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated rationals, got {text!r}")
+    try:
+        check_coefficient_size(Poly(("t",), {(k,): c for k, c in enumerate(coeffs)}),
+                               "the functional")
+    except CoefficientSizeError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return coeffs
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -160,6 +168,7 @@ def _rolle_exit(cert) -> int:
 
 def _cmd_rolle(args, family):
     rho = parse_poly(args.rho, family.ambient)
+    check_coefficient_size(rho, "--rho")
     cert = rolle_for_map(family, rho, at=args.at)
     return {"rolle": cert.to_json()}, _rolle_exit(cert)
 

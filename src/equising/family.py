@@ -101,7 +101,6 @@ class Parametrization:
     # checks of one report center on one point and share it
     _last_center: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    _minors: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -167,16 +166,11 @@ class Parametrization:
 
     def plucker_minors(self) -> dict[tuple[int, int], Poly]:
         """2x2 Jacobian minors p[i, j] (1-based, i < j), the tangent-plane
-        Pluecker coordinates of the parametrized surface.  Built once per
-        family, so the Whitney and Zariski checks share them; each call
-        returns a new dict."""
-        if self._minors is None:
-            rows = self.jacobian()
-            n = len(rows)
-            object.__setattr__(self, "_minors", {
-                (i + 1, j + 1): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-                for i in range(n) for j in range(i + 1, n)})
-        return dict(self._minors)
+        Pluecker coordinates of the parametrized surface."""
+        rows = self.jacobian()
+        n = len(rows)
+        return {(i + 1, j + 1): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
+                for i in range(n) for j in range(i + 1, n)}
 
     def is_equimultiple(self) -> tuple[bool, int, int]:
         """Compare the fiber multiplicity at a = 0 with the generic one.
@@ -208,11 +202,19 @@ def family_from_strings(
 ) -> Parametrization:
     fam = Parametrization(tuple(parse_poly(s, AT) for s in entries), tuple(ambient), name)
     for label, e in zip(fam.ambient, fam.entries):
-        if any(abs(n) >= _COEFF_BOUND for val in e.terms.values()
-               for n in (*val.num.values(), *val.den.values())):
-            raise CoefficientSizeError(
-                f"entry {label} has a coefficient of more than {MAX_COEFF_DIGITS} digits")
+        check_coefficient_size(e, f"entry {label}")
     return fam
+
+
+def check_coefficient_size(p: Poly, what: str) -> None:
+    """Refuse ``p``, naming it ``what``, with a CoefficientSizeError when a
+    coefficient's numerator or denominator has more than MAX_COEFF_DIGITS
+    decimal digits.  Every coefficient read from outside the program
+    passes here."""
+    if any(abs(n) >= _COEFF_BOUND for val in p.terms.values()
+           for n in (*val.num.values(), *val.den.values())):
+        raise CoefficientSizeError(
+            f"{what} has a coefficient of more than {MAX_COEFF_DIGITS} digits")
 
 
 def load_family(path: str | Path) -> Parametrization:
@@ -268,7 +270,10 @@ def load_equations(path: str | Path, family: Parametrization) -> list[Poly]:
         raise FamilyValidationError(
             f"{path.name}: unknown ambient variables {extra}"
         )
-    return [parse_poly(s, variables) for s in _strings(data, "equations", path)]
+    equations = [parse_poly(s, variables) for s in _strings(data, "equations", path)]
+    for k, eq in enumerate(equations, start=1):
+        check_coefficient_size(eq, f"{path.name}: equation {k}")
+    return equations
 
 
 def verify_implicit_equations(

@@ -174,7 +174,7 @@ class WhitneyJoint:
 
 def _witness_json(w: ArcWitness) -> dict:
     segs = [{"theta": str(th), "c": "generic" if c is None else str(c)}
-            for th, c in w.arc.segments()]
+            for th, c in w.arc.segments]
     return {
         "arc": w.description,
         "a0": str(w.arc.a0),
@@ -229,10 +229,7 @@ def arc_leading_vector(
     Entries are polynomials in (a, t); the result is None when every entry
     vanishes identically along the arc.
     """
-    return _leading([substitute_arc(p, arc) for p in polys])
-
-
-def _leading(subs: Sequence[Poly]) -> tuple[float, list[Scalar]] | None:
+    subs = [substitute_arc(p, arc) for p in polys]
     nu = min((p.min_deg("s") for p in subs), default=INFINITY)
     if nu == INFINITY:
         return None
@@ -256,8 +253,8 @@ def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar,
              support: frozenset[tuple[int, int]] | None = None) -> list[Scalar]:
     """Joint theta-weighted initial forms of (a, t) polynomials at (c, 1):
     each entry sums val*c**i over its terms in ``support``, by default
-    ``_support(polys, theta)``.  This is what ``_leading`` reads off the
-    substituted polynomials, without building them."""
+    ``_support(polys, theta)``.  This is what ``arc_leading_vector`` reads
+    off the substituted polynomials, without building them."""
     support = _support(polys, theta) if support is None else support
     cpow = [_ONE, csym]
     out = []
@@ -278,7 +275,7 @@ def _regime_lead(polys: Sequence[Poly], theta: Fraction | None, csym: Scalar,
     """Leading coefficients along a = c*t**theta, or along a == 0 when
     theta is None; None when every polynomial vanishes along the arc."""
     if theta is None:
-        led = arc_leading_vector(polys, Arc(theta=None))
+        led = arc_leading_vector(polys, Arc())
         return None if led is None else led[1]
     # c is a fresh symbol, so distinct terms (i, j) carry distinct powers of
     # c and cannot cancel: the initial forms vanish only on an empty support
@@ -413,35 +410,10 @@ def _regime_plan(
     return plan + [(bounds[-1] + 1, "sector"), (None, "vertical")]
 
 
-def _arc_description(
-    prefix: Sequence[tuple[Fraction, Scalar]],
-    final: tuple[Fraction, Scalar | None] | None,
-    a0_label: str,
-) -> str:
+def _arc_description(arc: Arc, a0_label: str) -> str:
     parts = [a0_label] if a0_label != "0" else []
-    for th, c in prefix:
-        parts.append(f"({c})*t^({th})")
-    if final is not None:
-        th, c = final
-        cs = "c" if c is None else f"({c})"
-        parts.append(f"{cs}*t^({th})")
+    parts += [("c" if c is None else f"({c})") + f"*t^({th})" for th, c in arc.segments]
     return "a = " + (" + ".join(parts) if parts else "0")
-
-
-def _build_arc(
-    prefix: Sequence[tuple[Fraction, Scalar]],
-    final: tuple[Fraction, Scalar | None] | None,
-    a0: Scalar,
-) -> Arc:
-    segs: list[tuple[Fraction, Scalar | None]] = [*prefix, *([final] if final else [])]
-    if not segs:
-        return Arc(theta=None, a0=a0)
-    node: Arc | None = None
-    for idx in range(len(segs) - 1, -1, -1):
-        th_abs, c = segs[idx]
-        node = Arc(theta=th_abs - (segs[idx - 1][0] if idx else 0), c=c,
-                   a0=a0 if idx == 0 else _ZERO, refinement=node)
-    return node
 
 
 def _sweep(
@@ -452,17 +424,17 @@ def _sweep(
     w_min: Fraction,
     depth_left: int,
     t_scale: int,
-    prefix: list[tuple[Fraction, Scalar]],
-    a0: Scalar,
+    prefix: Arc,
     a0_label: str,
 ) -> list[tuple[_SweepState, list[RegimeRecord]]]:
     """Sweep every condition in ``modes`` ("a", "b") at once; one
-    (state, records) pair per condition, in the order of ``modes``."""
+    (state, records) pair per condition, in the order of ``modes``.
+    ``prefix`` is the arc already fixed above this level."""
     out = [(_SweepState(), []) for _ in modes]
     keys = sorted(omega)
     om_polys = [omega[k] for k in keys]
     crits = sorted(th for th in critical_exponents(vec + om_polys) if th > w_min)
-    cname = f"c{len(prefix) + 1}"
+    cname = f"c{len(prefix.segments) + 1}"
     csym = Scalar.symbol(cname)
     # (leads, tests) per pair of one-vertex supports: one evaluation serves
     # every finite regime whose weight selects that pair
@@ -509,14 +481,14 @@ def _sweep(
                 if state.witness is not None:   # only the first witness is kept
                     state.refute(None)
                     continue
-                final = c_pick = None
+                arc, c_pick = prefix, None
                 if th is not None:
                     c_pick = _pick_witness(val, vec_lead if mode == "b" else None,
                                            om_lead_list, cname)
-                    final = (th_abs, c_pick)
+                    arc = Arc((*prefix.segments, (th_abs, c_pick)), prefix.a0)
                 state.refute(ArcWitness(
-                    arc=_build_arc(prefix, final, a0),
-                    description=_arc_description(prefix, final, a0_label),
+                    arc=arc,
+                    description=_arc_description(arc, a0_label),
                     wedge_index=ijk,
                     value=str(val if c_pick is None else val.subs(cname, c_pick)),
                     coefficient=("exact" if th is None else
@@ -551,8 +523,8 @@ def _sweep(
                     dim, sub_modes,
                     w_min=Fraction(p), depth_left=depth_left - 1,
                     t_scale=t_scale * q,
-                    prefix=prefix + [(th_abs, c0)],
-                    a0=a0, a0_label=a0_label,
+                    prefix=Arc((*prefix.segments, (th_abs, c0)), prefix.a0),
+                    a0_label=a0_label,
                 )
                 subs[key] = dict(zip(sub_modes, results))
 
@@ -659,7 +631,7 @@ def whitney_check(family: Parametrization, basepoint=0,
         swept = _sweep(
             secant_vector(fam), fam.plucker_minors(), fam.dim, "ab",
             w_min=Fraction(0), depth_left=max_depth, t_scale=1,
-            prefix=[], a0=a0, a0_label=label,
+            prefix=Arc(a0=a0), a0_label=label,
         )
         part_a, part_b = (WhitneyResult(state.verdict, mode, label, state.witness,
                                         tuple(records), tuple(state.reasons))

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim, parse_poly
-from .family import FamilyValidationError, Parametrization
+from .family import FamilyValidationError, Parametrization, check_coefficient_size
 
 __all__ = [
     "ConstantMapError",
@@ -40,7 +40,6 @@ __all__ = [
     "rolle_witness",
     "rolle_for_map",
     "rolle_for_curve",
-    "hurwitz_count",
     "load_curve",
 ]
 
@@ -100,14 +99,20 @@ def _render(c: Sequence[Fraction]) -> str:
 class RolleCertificate:
     """Exact root-count bookkeeping plus a proof of separation.
 
-    ``witness_needed`` is the comparison derivative_degree > shared_degree,
-    which is equivalent to distinct_roots >= 2.  When a witness is needed,
-    ``separation_ok`` states that gcd(witness, map) = 1, decided over the
-    rationals: no root of the witness lies on the zero fiber.  The
-    approximate fields illustrate one such root (the one with the smallest
-    derivative residual) and its ``fiber_distance`` to the nearest zero of
-    the map; they stay None, like ``separation_ok``, when no witness is
-    needed.
+    ``derivative_degree`` and ``shared_degree`` are both sides of the degree
+    count that forces a free critical point, reported together as
+    ``hurwitz_count``: the derivative of a degree d map has degree d - 1,
+    while the roots of the map itself can only account for degree d - n of
+    it (multiplicity m costs m - 1).  ``witness_needed`` is the strict
+    inequality derivative_degree > shared_degree, which holds exactly when
+    distinct_roots >= 2.  When a witness is needed, ``separation_ok``
+    states that gcd(witness, map) = 1, decided over the rationals: no root
+    of the witness lies on the zero fiber.  The approximate fields
+    illustrate one such root (the one with the smallest derivative
+    residual) and its ``fiber_distance`` to the nearest zero of the map;
+    they stay None when no witness is needed, or when a coefficient lies
+    outside the float range, and ``separation_ok`` stays None only in the
+    first case.
     """
 
     map_poly: str
@@ -131,31 +136,20 @@ class RolleCertificate:
             "distinct_roots": self.distinct_roots,
             "derivative_degree": self.derivative_degree,
             "shared_degree": self.shared_degree,
-            "hurwitz_count": list(hurwitz_count(self)),
+            "hurwitz_count": [self.derivative_degree, self.shared_degree],
             "witness_poly": self.witness_poly,
             "witness_degree": self.witness_degree,
             "witness_needed": self.witness_needed,
         }
-        if self.approx_critical_point is not None:
-            z = self.approx_critical_point
-            out["approx_critical_point"] = {"re": z.real, "im": z.imag}
-            out["derivative_residual"] = self.derivative_residual
-            out["value_at_point"] = self.value_at_point
-            out["fiber_distance"] = self.fiber_distance
+        if self.witness_needed:
+            if self.approx_critical_point is not None:
+                z = self.approx_critical_point
+                out["approx_critical_point"] = {"re": z.real, "im": z.imag}
+                out["derivative_residual"] = self.derivative_residual
+                out["value_at_point"] = self.value_at_point
+                out["fiber_distance"] = self.fiber_distance
             out["separation_ok"] = self.separation_ok
         return out
-
-
-def hurwitz_count(cert: RolleCertificate) -> tuple[int, int]:
-    """Both sides of the degree count that forces a free critical point.
-
-    The derivative of a degree d map has degree d - 1, while the roots of
-    the map itself can only account for degree d - n of it (multiplicity
-    m costs m - 1).  Returns that pair; the strict inequality lhs > rhs
-    holds exactly when the map has at least two distinct roots, which is
-    when a witness critical point must exist.
-    """
-    return cert.derivative_degree, cert.shared_degree
 
 
 def rolle_witness(coeffs: Sequence[Fraction | int]) -> RolleCertificate:
@@ -185,16 +179,20 @@ def rolle_witness(coeffs: Sequence[Fraction | int]) -> RolleCertificate:
 
     squarefree, sq_rem = dense_divmod(p, shared)
     assert not sq_rem, "gcd(p, p') must divide p"
-    pf, dpf = [float(x) for x in p], [float(x) for x in dp]
-    z = min(_roots(witness), key=lambda r: abs(_horner(dpf, r)))
-    return RolleCertificate(
-        **base,
-        approx_critical_point=z,
-        derivative_residual=abs(_horner(dpf, z)),
-        value_at_point=abs(_horner(pf, z)),
-        fiber_distance=min(abs(z - w) for w in _roots(squarefree)),
-        separation_ok=len(dense_gcd(witness, p)) == 1,
-    )
+    separation_ok = len(dense_gcd(witness, p)) == 1
+    try:
+        pf, dpf = [float(x) for x in p], [float(x) for x in dp]
+        z = min(_roots(witness), key=lambda r: abs(_horner(dpf, r)))
+        approx = dict(
+            approx_critical_point=z,
+            derivative_residual=abs(_horner(dpf, z)),
+            value_at_point=abs(_horner(pf, z)),
+            fiber_distance=min(abs(z - w) for w in _roots(squarefree)),
+        )
+    except OverflowError:
+        # a coefficient outside the float range: no illustration, the same proof
+        approx = {}
+    return RolleCertificate(**base, **approx, separation_ok=separation_ok)
 
 
 def _rational_coeff_list(p: Poly) -> list[Fraction]:
@@ -233,17 +231,10 @@ def rolle_for_curve(entries: Sequence[Poly],
         raise FamilyValidationError(
             f"functional needs {len(entries)} coefficients, "
             f"got {len(functional)}")
-    total: list[Fraction] = []
+    total = Poly.zero(("t",))
     for c, entry in zip(functional, entries):
-        f = Fraction(c)
-        if not f:
-            continue
-        dense = _rational_coeff_list(entry)
-        if len(dense) > len(total):
-            total.extend([Fraction(0)] * (len(dense) - len(total)))
-        for i, x in enumerate(dense):
-            total[i] += f * x
-    return rolle_witness(total)
+        total = total + entry * Fraction(c)
+    return rolle_witness(_rational_coeff_list(total))
 
 
 def load_curve(path) -> tuple[str, list[Poly]]:
@@ -258,5 +249,7 @@ def load_curve(path) -> tuple[str, list[Poly]]:
         raise FamilyValidationError(f"{path}: 'entries' must be a nonempty list of "
                                     "expression strings")
     polys = [parse_poly(e, ("t",)) for e in entries]
+    for k, p in enumerate(polys, start=1):
+        check_coefficient_size(p, f"{path}: entry {k}")
     name = raw.get("name") or Path(path).stem
     return name, polys

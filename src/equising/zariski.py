@@ -5,14 +5,14 @@ surface by a pair of generic linear forms and ask whether the critical
 locus of the projection (off the singular axis) is empty near the base
 point; with symbolic coefficients standing for a generic projection this
 reduces to checking that the Jacobian determinant is, up to its power of
-t, a unit at the origin.  That Jacobian is read from the 2x2 Jacobian
-(Pluecker) minors of the parametrization, the input the Whitney sweep
-also reads, so no projection is formed.  Second, ask that the fiber
-multiplicity be constant through the base point.  The multiplicities are
-those of the parametrization, read from the entries' supports; they are
-the image curves' only where each fiber is parametrized one to one, which
-is assumed and not checked.  Both parts are decided exactly, so the
-combined verdict is always Verified or Refuted.
+t, a unit at the origin.  Second, ask that the fiber multiplicity be
+constant through the base point.  The multiplicities are those of the
+parametrization; they are the image curves' only where each fiber is
+parametrized one to one, which is assumed and not checked.  Both parts
+are read off the entries' supports, so no projection is formed, and the
+first holds exactly when the family is equimultiple: for these families
+the polar leg repeats the multiplicity leg.  Both parts are decided
+exactly, so the combined verdict is always Verified or Refuted.
 
 For these surface germs the combined test is equivalent to Whitney
 regularity of the pair (smooth part, axis); :func:`equivalence_crosscheck`
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Scalar, fresh_symbols, t_order
+from .algebra import Scalar, fresh_symbols
 from .family import Parametrization, resolve_basepoint
 from .limits import Verdict, WhitneyJoint, whitney_check
 
@@ -107,23 +107,23 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
 
     Projecting by x = sum l_i e_i and y = sum m_i e_i, with fresh symbols
     l and m, gives the Jacobian sum_{i<j} (l_i m_j - l_j m_i) p_ij over the
-    Pluecker minors p_ij.  Those Pluecker combinations are linearly
-    independent over the family's coefficients, so no two minors cancel:
-    the Jacobian's power of t is the least one among the minors, and its
-    cofactor at the origin is the same combination of the minors'
-    a^0 t^k coefficients.  Some minor, p_1j = d f_j / dt, is nonzero for
-    every validated family.
+    Pluecker minors p_ij, and no two minors cancel.  The minor
+    p_1j = d f_j / dt has t-order ord f_j - 1 and every other one at least
+    ord f_i + ord f_j - 1, so the Jacobian's power of t is m - 1 for the
+    generic multiplicity m, and its cofactor at the origin is
+    sum_j (l_1 m_j - l_j m_1) * m * c_j over the entries' a-free terms
+    c_j * t^m.  The locus is therefore empty exactly when the family is
+    equimultiple.
     """
     fam, _, _ = family.centered(basepoint)
     ls = fresh_symbols(fam.dim)
     ms = fresh_symbols(fam.dim)
-    minors = fam.plucker_minors()
-    k = int(min(t_order(p) for p in minors.values()))
+    m = fam.is_equimultiple()[2]
     unit = Scalar.from_fraction(0)
-    for (i, j), p in minors.items():
-        c = p.terms.get((0, k))
+    for j, entry in enumerate(fam.entries[1:], start=1):
+        c = entry.terms.get((0, m))
         if c is not None:
-            unit = unit + (ls[i - 1] * ms[j - 1] - ls[j - 1] * ms[i - 1]) * c
+            unit = unit + (ls[0] * ms[j] - ls[j] * ms[0]) * (c * m)
     empty = not unit.is_zero()
     note = ("critical locus confined to the axis"
             if empty else
@@ -131,7 +131,7 @@ def polar_is_empty(family: Parametrization, basepoint=0) -> PolarResult:
             "meets every neighborhood off the axis")
     return PolarResult(
         empty=empty,
-        vanishing_order=k,
+        vanishing_order=m - 1,
         unit_at_origin=str(unit),
         cofactor_note=note,
     )

@@ -121,7 +121,7 @@ def arc_point(arc: Arc, s: Fraction,
     denominators are cleared the same way the symbolic substitution does,
     so s plays the role of the cleared parameter.
     """
-    segs = arc.segments()
+    segs = arc.segments
     q = 1
     for e, _ in segs:
         q = _lcm(q, e.denominator)
@@ -174,9 +174,9 @@ def regime_arcs(result) -> list[Arc]:
     arcs = []
     for reg in result.regimes:
         if reg.theta == "inf":
-            arcs.append(Arc(None))
+            arcs.append(Arc())
         else:
-            arcs.append(Arc(Fraction(reg.theta)))
+            arcs.append(Arc(((Fraction(reg.theta), None),)))
     return arcs
 
 
@@ -185,7 +185,7 @@ def exponent_pairs(family: Parametrization) -> set[tuple[int, int]]:
     scalar-independent comparison of kept coordinate sets."""
     out = set()
     for e in family.entries:
-        assert e.is_monomial(), f"non-monomial entry {e}"
+        assert len(e.terms) == 1, f"non-monomial entry {e}"
         out.add(e.support()[0])
     return out
 

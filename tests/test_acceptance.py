@@ -114,13 +114,13 @@ def test_criterion_2_jump_family_refuted():
     res = whitney_check(fam, 0)
     assert res.verdict is Verdict.REFUTED
     w = res.witness
-    assert w.arc.theta == 1
+    assert [th for th, _ in w.arc.segments] == [1]
     assert w.wedge_index == (1, 2, 4)
 
     # along arcs a = c t the limit line is (0,1,0,c) and the tangent
     # planes converge to span{(1,0,0,0), (0,3,0,2c)}; pin c twice to fix
     # the symbolic form
-    arc = Arc(w.arc.theta)
+    arc = Arc(((w.arc.segments[0][0], None),))
     row_a, row_t = jacobian_rows(fam)
     for cv in (Fraction(1), Fraction(2)):
         line = leading_direction(secant_vector(fam), arc, cv)
@@ -199,8 +199,8 @@ def test_criterion_4_modifications_of_jump_family():
     # (a, a t^2, t^3, t^4) the limit line (0,1,1,0) misses the plane
     # span{(1,0,0,0), (0,2,3,0)}
     w = res_bl.witness
-    assert w.arc.theta == 1
-    arc = Arc(w.arc.theta)
+    assert [th for th, _ in w.arc.segments] == [1]
+    arc = Arc(((w.arc.segments[0][0], None),))
     row_a, row_t = jacobian_rows(bl.family)
     for cv in (Fraction(1), Fraction(2)):
         line = leading_direction(secant_vector(bl.family), arc, cv)

@@ -485,6 +485,49 @@ class TestHugeCoefficients:
             assert cli.main([command, str(family), "--basepoint=-2"]) == 0
         assert cli.main(["full-report", str(family), "--basepoint=1/2"]) == 2
 
+    @pytest.mark.parametrize("path, what", [
+        ("curve", "entry 2"),
+        ("rho", "--rho"),
+        ("full-report-rho", "--rho"),
+        ("equations", "equation 1"),
+        ("functional", "the functional"),
+    ])
+    def test_every_outside_coefficient_is_capped(self, tmp_path, capsys, path, what):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"entries": ["t^2", "t^3 + 9^9999*t^4"]}))
+        equations = tmp_path / "eqs.json"
+        equations.write_text(json.dumps({"equations": ["y - 9^9999*z"]}))
+        family = str(corpus_path("family-345.json"))
+        argv = {
+            "curve": ["rolle", str(curve), "--functional=-1,1"],
+            "rho": ["rolle", family, "--rho", "y - 9^9999*z"],
+            "full-report-rho": ["full-report", family, "--rho", "y - 9^9999*z"],
+            "equations": ["verify-equations", family, "--equations", str(equations)],
+            "functional": ["rolle", str(corpus_path("cusp-curve.json")),
+                           "--functional=-1,1" + "0" * MAX_COEFF_DIGITS],
+        }[path]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{what} has a coefficient of more than {MAX_COEFF_DIGITS} digits\n"
+                in captured.err)
+        assert "Traceback" not in captured.err
+
+    def test_coefficient_outside_float_range_keeps_the_exact_proof(self, tmp_path):
+        # 401 digits is under the cap but past the float range: the
+        # illustration is left out and the exact separation still reported
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(
+            {"entries": ["a", "t^2", "t^3 + 1" + "0" * 400 + "*t^4"]}))
+        for command, want_code in (("rolle", 0), ("full-report", 2)):
+            out = tmp_path / f"{command}.json"
+            code = cli.main([command, str(family), "--rho", "y - z", "--out", str(out)])
+            assert code == want_code
+            cert = json.loads(out.read_text())["rolle"]
+            assert cert["witness_needed"] is True
+            assert cert["separation_ok"] is True
+            assert "approx_critical_point" not in cert
+
 
 class TestImport:
     def test_cli_imports_without_numpy(self):

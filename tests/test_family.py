@@ -139,11 +139,9 @@ class TestGeometry:
             fam = load_family(corpus_path("family-352.json"))
             equivalence_crosscheck(fam, basepoint)
             assert len(calls) == 1, basepoint
-        calls.clear()
         minors = fam.plucker_minors()
         minors[(1, 2)] = Poly.zero(("a", "t"))
         assert fam.plucker_minors()[(1, 2)] == fam.entries[1].diff("t")
-        assert calls == [fam]
 
     def test_plucker_quadric_identity_fuzz(self):
         # decomposable 2-forms satisfy the Grassmann quadric identically

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level definition is used in the package or exported.
+"""Source hygiene: every name a module imports is used in that module,
+every module-level definition is used in the package or exported, and
+every method is called somewhere in the package.
 
 An ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
 is read anywhere in the module, appears in a quoted annotation, or is
@@ -8,6 +9,7 @@ are directives, not names, and are skipped.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,46 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = [f"{module}:{name}" for module, name in defined
               if name not in referenced and name not in equising.__all__]
     assert not unused, f"defined but never used nor exported: {unused}"
+
+
+# methods no module calls, kept as oracles that the tests check the
+# library against: name -> reason
+ORACLE_METHODS = {
+    "Poly.eval_scalar": "exact point evaluation behind conftest.numeric_direction",
+    "Scalar.symbols": "symbol names that conftest.leading_direction pins",
+}
+
+
+def _reference_counts(node: ast.AST) -> Counter:
+    """How often each name is read or taken as an attribute under ``node``."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_methods(paths) -> list[str]:
+    """``Class.method`` for every non-dunder method or property of a class
+    in ``paths`` whose name is referenced nowhere in them outside its own
+    body."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    total = sum((_reference_counts(tree) for tree in trees), Counter())
+    out = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                        and total[fn.name] == _reference_counts(fn)[fn.name]):
+                    out.append(f"{cls.name}.{fn.name}")
+    return out
+
+
+def test_every_method_is_used_in_the_package():
+    """A method or property is referenced by name somewhere in the package
+    outside its own body, or is a listed test oracle."""
+    unused = unreferenced_methods(MODULES)
+    assert sorted(set(unused) - set(ORACLE_METHODS)) == []
+    assert sorted(set(ORACLE_METHODS) - set(unused)) == [], \
+        "an oracle gained a caller in the package: drop it from ORACLE_METHODS"

@@ -12,7 +12,6 @@ from equising import (
     family_from_strings,
     load_family,
     parse_poly,
-    substitute_arc,
     wedge3,
     whitney_check,
 )
@@ -23,11 +22,11 @@ from equising.limits import (
     _c_gcd_many,
     _extract_roots,
     _initial,
-    _leading,
     _regime_lead,
     _regime_plan,
     _support,
     _sweep,
+    arc_leading_vector,
     critical_exponents,
     secant_vector,
 )
@@ -86,7 +85,7 @@ class TestInitialForms:
     def check(self, polys, theta):
         c = Scalar.symbol("c1")
         got = _initial(polys, theta, c)
-        led = _leading([substitute_arc(p, Arc(theta=theta, c=c)) for p in polys])
+        led = arc_leading_vector(polys, Arc(((theta, c),)))
         if led is None:
             assert all(v.is_zero() for v in got)
             return
@@ -192,7 +191,7 @@ class TestRefutedFamily:
         assert res.part_b.verdict is Verdict.REFUTED
         w = res.witness
         assert w is not None
-        assert w.arc.theta_str() == "1"
+        assert [str(th) for th, _ in w.arc.segments] == ["1"]
         assert w.wedge_index == (1, 2, 4)
         assert w.coefficient == "1"
         assert w.value == "1"
@@ -218,7 +217,7 @@ class TestRefinement:
         assert res.verdict is Verdict.REFUTED
         assert res.part_a.verdict is Verdict.VERIFIED
         w = res.witness
-        segs = [(str(e), str(c)) for e, c in w.arc.segments()]
+        segs = [(str(e), str(c)) for e, c in w.arc.segments]
         assert segs == [("1", "-1"), ("2", "1")]
         assert w.description == "a = (-1)*t^(1) + (1)*t^(2)"
         assert w.wedge_index == (1, 2, 3)
@@ -292,7 +291,7 @@ class TestNumericalOracle:
             vec = secant_vector(fam)
             for arc in regime_arcs(whitney_check(fam).part_b):
                 dev = direction_deviation(vec, arc)
-                assert dev < 1e-6, (name, arc.theta_str(), dev)
+                assert dev < 1e-6, (name, arc.segments, dev)
 
     def test_tangent_plane_directions_agree(self):
         for name in self.CORPUS:
@@ -300,7 +299,7 @@ class TestNumericalOracle:
             minors = list(fam.plucker_minors().values())
             for arc in regime_arcs(whitney_check(fam).part_b):
                 dev = direction_deviation(minors, arc)
-                assert dev < 1e-6, (name, arc.theta_str(), dev)
+                assert dev < 1e-6, (name, arc.segments, dev)
 
     def test_witness_arc_direction_agrees(self):
         fam = load_family(corpus_path("tangent-arc.json"))
@@ -358,7 +357,7 @@ class TestJointSweep:
         ((state, records),) = _sweep(
             secant_vector(centered), centered.plucker_minors(), centered.dim, mode,
             w_min=Fraction(0), depth_left=max_depth, t_scale=1,
-            prefix=[], a0=a0, a0_label=label)
+            prefix=Arc(a0=a0), a0_label=label)
         return WhitneyResult(state.verdict, mode, label, state.witness,
                              tuple(records), tuple(state.reasons))
 

@@ -9,7 +9,6 @@ import pytest
 
 from equising import (
     ConstantMapError,
-    hurwitz_count,
     load_curve,
     load_family,
     parse_poly,
@@ -87,17 +86,17 @@ class TestExactBookkeeping:
 
     def test_hurwitz_counts(self):
         crt = rolle_witness([0, 0, -1, 1])        # t^3 - t^2
-        assert hurwitz_count(crt) == (2, 1)
+        assert crt.to_json()["hurwitz_count"] == [2, 1]
         crt = rolle_witness([0, 0, 0, 0, 0, 1])   # t^5
-        assert hurwitz_count(crt) == (4, 4)
+        assert crt.to_json()["hurwitz_count"] == [4, 4]
         crt = rolle_witness([0, -1, 0, 1])        # t(t-1)(t+1)
-        assert hurwitz_count(crt) == (2, 0)
+        assert crt.to_json()["hurwitz_count"] == [2, 0]
 
     def test_count_inequality_is_the_witness_trigger(self):
         for coeffs, n in [([0, 0, 0, 1], 1), ([0, 2, -3, 1], 3),
                           ([1, 0, -2, 0, 1], 2)]:
             cert = rolle_witness(coeffs)
-            lhs, rhs = hurwitz_count(cert)
+            lhs, rhs = cert.derivative_degree, cert.shared_degree
             assert cert.distinct_roots == n
             assert cert.witness_needed == (lhs > rhs) == (n >= 2)
 
