@@ -360,8 +360,8 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
         return out
 
     def __eq__(self, other):
@@ -602,13 +602,16 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return Poly(self.vars, {tuple(x * n for x in e): c ** n})
         out = Poly.const(self.vars, 1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
         return out
 
     def __eq__(self, other):
@@ -1222,8 +1225,9 @@ def wedge3(v: Sequence, omega: Mapping[tuple[int, int], object], dim: int) -> di
         # v_i*om(j,k) - v_j*om(i,k) + v_k*om(i,j) without the products that
         # have a zero Scalar factor: adding a zero Scalar leaves a Scalar's
         # stored form unchanged, so the coordinate prints the same
-        prods = [x * y for x, y in ((v[i - 1], om(j, k)), (v[j - 1], -om(i, k)),
-                                    (v[k - 1], om(i, j)))
+        prods = [x * (-y if neg else y)
+                 for x, y, neg in ((v[i - 1], om(j, k), False), (v[j - 1], om(i, k), True),
+                                   (v[k - 1], om(i, j), False))
                  if not (vanishes(x) or vanishes(y))]
         out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
     return out

@@ -54,7 +54,7 @@ class DegenerateFiberError(FamilyValidationError):
 
 class CoefficientSizeError(FamilyValidationError):
     """An input coefficient's numerator or denominator has more than
-    MAX_COEFF_DIGITS decimal digits."""
+    MAX_COEFF_DIGITS decimal digits (MAX_CENTERED_DIGITS once recentered)."""
 
 
 # reports print input coefficients and products of up to three of them
@@ -62,6 +62,7 @@ class CoefficientSizeError(FamilyValidationError):
 # an int of more than 4,300 digits
 MAX_COEFF_DIGITS = 1000
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
+MAX_CENTERED_DIGITS = 4300 // 3  # once recentered, where products of three still print
 
 
 def resolve_basepoint(basepoint) -> tuple[Scalar, str]:
@@ -142,6 +143,9 @@ class Parametrization:
         shifted = Poly.var(AT, "a") + Poly.const(AT, a_value)
         t_var = Poly.var(AT, "t")
         new = [self.entries[0]] + [e.compose([shifted, t_var]) for e in self.entries[1:]]
+        for name, e in zip(self.ambient[1:], new[1:]):
+            check_coefficient_size(e, f"entry {name} recentered on the base point",
+                                   MAX_CENTERED_DIGITS)
         return Parametrization(tuple(new), self.ambient, self.name)
 
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
@@ -206,15 +210,16 @@ def family_from_strings(
     return fam
 
 
-def check_coefficient_size(p: Poly, what: str) -> None:
+def check_coefficient_size(p: Poly, what: str, digits: int = MAX_COEFF_DIGITS) -> None:
     """Refuse ``p``, naming it ``what``, with a CoefficientSizeError when a
-    coefficient's numerator or denominator has more than MAX_COEFF_DIGITS
-    decimal digits.  Every coefficient read from outside the program
-    passes here."""
-    if any(abs(n) >= _COEFF_BOUND for val in p.terms.values()
+    coefficient's numerator or denominator has more than ``digits`` decimal
+    digits.  Every coefficient read from outside the program passes here,
+    and every family recentered off the origin."""
+    bound = _COEFF_BOUND if digits == MAX_COEFF_DIGITS else 10 ** digits
+    if any(abs(n) >= bound for val in p.terms.values()
            for n in (*val.num.values(), *val.den.values())):
         raise CoefficientSizeError(
-            f"{what} has a coefficient of more than {MAX_COEFF_DIGITS} digits")
+            f"{what} has a coefficient of more than {digits} digits")
 
 
 def load_family(path: str | Path) -> Parametrization:

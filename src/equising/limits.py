@@ -19,15 +19,17 @@ regime reduces to exact linear algebra over the coefficient field.  That
 vector is read from theta-weighted initial forms, the Newton-polygon
 reading of the regime: along a = c*t**(p/q) the term a**i*t**j has weight
 i*p + j*q, and each leading coefficient is the sum of val*c**i over the
-terms of least weight; finite exponents never substitute the arc.  Only
-finitely many exponents (where two support monomials trade dominance) can
-change the outcome; between them one midpoint test covers the whole open
-sector, irrational exponents included.  Where the least weight selects a
-single term on each side (the secants and the minors), every leading
-coefficient is val*c**i at each exponent up to the next true breakpoint
-of the Newton polygon, so those regimes share one evaluation.  When every
-leading coefficient cancels at special values of c the test is rerun
-along refined arcs rooted at those values, to a configurable depth.
+terms of least weight; finite exponents never substitute the arc.  Each
+sweep level reads the polygon once, from the staircase of the secants'
+and of the minors' pooled support points.  Only finitely many exponents
+(where two support monomials trade dominance) can change the outcome;
+between them one midpoint test covers the whole open sector, irrational
+exponents included.  Where the least weight selects a single term on
+each side (the secants and the minors), every leading coefficient is
+val*c**i at each exponent up to the next true breakpoint of the Newton
+polygon, so those regimes share one evaluation.  When every leading
+coefficient cancels at special values of c the test is rerun along
+refined arcs rooted at those values, to a configurable depth.
 
 Verdicts are exact: Verified and Refuted are proofs, and anything the
 sweep cannot settle inside the rational/symbolic coefficient field is
@@ -200,25 +202,19 @@ def secant_vector(family: Parametrization) -> list[Poly]:
     return [zero] + list(family.entries[1:])
 
 
-def critical_exponents(polys: Iterable[Poly]) -> set[Fraction]:
-    """Exponents where two support monomials of the pooled system can trade
-    dominance along arcs a = c*t**theta.
+def critical_exponents(points: set[tuple[int, int]]) -> set[Fraction]:
+    """Exponents where two pooled support points (i, j) can trade dominance
+    along arcs a = c*t**theta, read once per sweep level: one Fraction per
+    distinct positive ratio (j2 - j1)/(i1 - i2), reduced as integers first.
 
     A superset of the true breakpoints is harmless: extra cut points only
     split sectors whose leading structure does not actually change, and
     the sweep evaluates such a run of regimes once.
     """
-    points: set[tuple[int, int]] = set()
-    for p in polys:
-        points.update((e[0], e[1]) for e in p.terms)
-    crits: set[Fraction] = set()
-    for (i1, j1) in points:
-        for (i2, j2) in points:
-            if i1 > i2:
-                th = Fraction(j2 - j1, i1 - i2)
-                if th > 0:
-                    crits.add(th)
-    return crits
+    steps = {(j2 - j1, i1 - i2) for i1, j1 in points for i2, j2 in points
+             if i1 > i2 and j2 > j1}
+    ratios = {(n // g, d // g) for n, d in steps for g in (math.gcd(n, d),)}
+    return {Fraction(n, d) for n, d in ratios}
 
 
 def arc_leading_vector(
@@ -237,25 +233,31 @@ def arc_leading_vector(
     return nu, [p.coeff_of("s", k).constant_value() for p in subs]
 
 
-def _support(polys: Sequence[Poly], theta: Fraction) -> frozenset[tuple[int, int]]:
-    """Exponents (i, j) of least weight i*p + j*q among all entries' terms.
+def _staircase(points: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The points (i, j) no other point (i' <= i, j' <= j) dominates, by
+    increasing i: for p, q > 0 only these can weigh least in i*p + j*q."""
+    stair: list[tuple[int, int]] = []
+    for i, j in sorted(points):
+        if not stair or j < stair[-1][1]:
+            stair.append((i, j))
+    return tuple(stair)
 
-    Along a = c*t**theta, theta = p/q, the term val*a**i*t**j has order
-    (i*p + j*q)/q, so these are the terms that lead along the arc.
-    """
+
+def _support(stair: Sequence[tuple[int, int]], theta: Fraction) -> frozenset[tuple[int, int]]:
+    """Exponents (i, j) of least weight i*p + j*q, read from the staircase
+    of a level's pooled terms.  Along a = c*t**theta, theta = p/q > 0, the
+    term val*a**i*t**j has order (i*p + j*q)/q: these terms lead."""
     p, q = theta.numerator, theta.denominator
-    points = {ij for poly in polys for ij in poly.terms}
-    w = min((i * p + j * q for i, j in points), default=None)
-    return frozenset((i, j) for i, j in points if i * p + j * q == w)
+    w = min((i * p + j * q for i, j in stair), default=None)
+    return frozenset((i, j) for i, j in stair if i * p + j * q == w)
 
 
-def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar,
-             support: frozenset[tuple[int, int]] | None = None) -> list[Scalar]:
+def _initial(polys: Sequence[Poly], csym: Scalar,
+             support: frozenset[tuple[int, int]]) -> list[Scalar]:
     """Joint theta-weighted initial forms of (a, t) polynomials at (c, 1):
-    each entry sums val*c**i over its terms in ``support``, by default
-    ``_support(polys, theta)``.  This is what ``arc_leading_vector`` reads
-    off the substituted polynomials, without building them."""
-    support = _support(polys, theta) if support is None else support
+    each entry sums val*c**i over its terms in ``support``, the terms of
+    least weight at theta.  This is what ``arc_leading_vector`` reads off
+    the substituted polynomials, without building them."""
     cpow = [_ONE, csym]
     out = []
     for poly in polys:
@@ -270,17 +272,16 @@ def _initial(polys: Sequence[Poly], theta: Fraction, csym: Scalar,
 
 
 def _regime_lead(polys: Sequence[Poly], theta: Fraction | None, csym: Scalar,
-                 support: frozenset[tuple[int, int]] | None = None
-                 ) -> list[Scalar] | None:
-    """Leading coefficients along a = c*t**theta, or along a == 0 when
-    theta is None; None when every polynomial vanishes along the arc."""
+                 support: frozenset[tuple[int, int]] | None) -> list[Scalar] | None:
+    """Leading coefficients along a = c*t**theta, from the terms in
+    ``support``, or along a == 0 when theta is None; None when every
+    polynomial vanishes along the arc."""
     if theta is None:
         led = arc_leading_vector(polys, Arc())
         return None if led is None else led[1]
     # c is a fresh symbol, so distinct terms (i, j) carry distinct powers of
     # c and cannot cancel: the initial forms vanish only on an empty support
-    support = _support(polys, theta) if support is None else support
-    return _initial(polys, theta, csym, support) if support else None
+    return _initial(polys, csym, support) if support else None
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,11 @@ def _sweep(
     out = [(_SweepState(), []) for _ in modes]
     keys = sorted(omega)
     om_polys = [omega[k] for k in keys]
-    crits = sorted(th for th in critical_exponents(vec + om_polys) if th > w_min)
+    # the Newton polygon of this level: every point counts for the exponents
+    vec_pts = {ij for v in vec for ij in v.terms}
+    om_pts = {ij for o in om_polys for ij in o.terms}
+    crits = sorted(th for th in critical_exponents(vec_pts | om_pts) if th > w_min)
+    vec_stair, om_stair = _staircase(vec_pts), _staircase(om_pts)
     cname = f"c{len(prefix.segments) + 1}"
     csym = Scalar.symbol(cname)
     # (leads, tests) per pair of one-vertex supports: one evaluation serves
@@ -445,7 +450,7 @@ def _sweep(
         label = "inf" if th_abs is None else str(th_abs)
         sv = so = vertices = None
         if th is not None:
-            sv, so = _support(vec, th), _support(om_polys, th)
+            sv, so = _support(vec_stair, th), _support(om_stair, th)
             # one vertex (i, j) on each side makes every lead val*c**i, the
             # same at each exponent between two true breakpoints, and leaves
             # no nonzero root to refine

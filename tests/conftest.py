@@ -190,6 +190,39 @@ def exponent_pairs(family: Parametrization) -> set[tuple[int, int]]:
     return out
 
 
+# -- the Newton polygon and powers the slow way ---------------------------------
+# (the library's former code, kept as oracles for the fast paths that
+# replaced it)
+
+def critical_exponents_all_pairs(polys) -> set[Fraction]:
+    """One Fraction per ordered pair of the polys' pooled support points."""
+    points = {ij for p in polys for ij in p.terms}
+    crits = set()
+    for (i1, j1) in points:
+        for (i2, j2) in points:
+            if i1 > i2:
+                th = Fraction(j2 - j1, i1 - i2)
+                if th > 0:
+                    crits.add(th)
+    return crits
+
+
+def support_all_terms(polys, theta: Fraction) -> frozenset[tuple[int, int]]:
+    """Exponents (i, j) of least weight i*p + j*q over every term."""
+    p, q = theta.numerator, theta.denominator
+    points = {ij for poly in polys for ij in poly.terms}
+    w = min((i * p + j * q for i, j in points), default=None)
+    return frozenset((i, j) for i, j in points if i * p + j * q == w)
+
+
+def power_by_multiplication(base: Poly, n: int) -> Poly:
+    """base**n as n products, starting from the constant 1."""
+    out = Poly.const(base.vars, 1)
+    for _ in range(n):
+        out = out * base
+    return out
+
+
 # -- independent dense Fraction-coefficient univariate helpers ----------------
 # (test-side reimplementations so certificate claims are checked against
 # arithmetic the library does not share)

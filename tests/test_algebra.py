@@ -32,7 +32,7 @@ from equising.algebra import (
     fresh_symbol,
     symbol_run,
 )
-from conftest import CORPUS
+from conftest import CORPUS, power_by_multiplication
 
 AT = ("a", "t")
 
@@ -421,6 +421,19 @@ class TestPoly:
         assert p.compose([a_var, t_var]) == p
         v = p.eval_scalar([Fraction(2), Fraction(3)])
         assert v.as_fraction() == 4 * 3 + 81 - 4
+
+    def test_power_matches_repeated_multiplication(self):
+        # a single-term base is raised term-wise, any other by squaring
+        g1, g2 = Scalar.symbol("g1"), Scalar.symbol("g2")
+        bases = [P("7"), P("-3/4"), P("a"), P("t"), P("-2/3*a^2*t^3"),
+                 Poly.monomial(AT, (0, 2), g1),
+                 Poly.monomial(AT, (1, 1), (g1 + 1) / (2 * g2)),
+                 Poly.zero(AT), P("a - 2*t"), P("1/2*a*t + t^2 - 3")]
+        for base in bases:
+            for n in range(10):
+                got, want = base ** n, power_by_multiplication(base, n)
+                assert got == want, (base, n)
+                assert str(got) == str(want), (base, n)
 
 
 class TestDenseUnivariate:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import corpus_path
 from equising import Parametrization, cli
-from equising.family import MAX_COEFF_DIGITS
+from equising.family import MAX_CENTERED_DIGITS, MAX_COEFF_DIGITS
 
 GOLDEN_RUNS = {
     "family-345": (["--equations", str(corpus_path("family-345.eqs.json")),
@@ -484,6 +484,18 @@ class TestHugeCoefficients:
         for command in ("check-zariski", "check-whitney", "strong"):
             assert cli.main([command, str(family), "--basepoint=-2"]) == 0
         assert cli.main(["full-report", str(family), "--basepoint=1/2"]) == 2
+        assert cli.main(["full-report", str(family), "--basepoint=-2"]) == 2
+
+    def test_recentering_past_the_print_limit_is_refused(self, tmp_path, capsys):
+        # a^5 at a 1,000-digit base point has about 5,000 digits, past what
+        # the interpreter prints
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2", "a^5*t^3"]}))
+        assert cli.main(["full-report", str(family), "--basepoint", "1" + "0" * 999]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: entry z recentered on the base point has a "
+                                f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
 
     @pytest.mark.parametrize("path, what", [
         ("curve", "entry 2"),

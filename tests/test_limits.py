@@ -24,6 +24,7 @@ from equising.limits import (
     _initial,
     _regime_lead,
     _regime_plan,
+    _staircase,
     _support,
     _sweep,
     arc_leading_vector,
@@ -32,10 +33,12 @@ from equising.limits import (
 )
 from conftest import (
     corpus_path,
+    critical_exponents_all_pairs,
     direction_deviation,
     random_binomial_family,
     random_monomial_family,
     regime_arcs,
+    support_all_terms,
 )
 
 AT = ("a", "t")
@@ -45,19 +48,24 @@ def P(text):
     return parse_poly(text, AT)
 
 
+def points(*polys):
+    """The pooled support points (i, j) of the polys' terms."""
+    return {ij for p in polys for ij in p.terms}
+
+
 class TestCriticalExponents:
     def test_single_entry_ratio(self):
-        assert critical_exponents([P("a*t^2 + t^3")]) == {Fraction(1)}
+        assert critical_exponents(points(P("a*t^2 + t^3"))) == {Fraction(1)}
 
     def test_pooled_across_entries(self):
-        assert critical_exponents([P("t^3"), P("a^2*t")]) == {Fraction(1)}
+        assert critical_exponents(points(P("t^3"), P("a^2*t"))) == {Fraction(1)}
 
     def test_only_positive_ratios_count(self):
-        assert critical_exponents([P("a*t^2 + t")]) == set()
-        assert critical_exponents([P("t^2 + t^5")]) == set()
+        assert critical_exponents(points(P("a*t^2 + t"))) == set()
+        assert critical_exponents(points(P("t^2 + t^5"))) == set()
 
     def test_fractional(self):
-        assert critical_exponents([P("a^2*t + t^4")]) == {Fraction(3, 2)}
+        assert critical_exponents(points(P("a^2*t + t^4"))) == {Fraction(3, 2)}
 
 
 def random_coefficient(rng, symbolic):
@@ -84,7 +92,7 @@ class TestInitialForms:
 
     def check(self, polys, theta):
         c = Scalar.symbol("c1")
-        got = _initial(polys, theta, c)
+        got = _initial(polys, c, _support(_staircase(points(*polys)), theta))
         led = arc_leading_vector(polys, Arc(((theta, c),)))
         if led is None:
             assert all(v.is_zero() for v in got)
@@ -115,7 +123,7 @@ class TestInitialForms:
 
     def test_all_zero(self):
         assert all(v.is_zero() for v in
-                   _initial([Poly.zero(AT)] * 3, Fraction(1, 2), Scalar.symbol("c1")))
+                   _initial([Poly.zero(AT)] * 3, Scalar.symbol("c1"), frozenset()))
 
 
 class TestWedgeZeroSkip:
@@ -427,10 +435,12 @@ class TestSharedRegimes:
         """(status, roots) of one regime from its own leads, before the
         refinement depth is taken into account."""
         csym = Scalar.symbol("c1")
-        vec_lead = _regime_lead(vec, theta, csym)
+        sv, so = ((None, None) if theta is None else
+                  (support_all_terms(vec, theta), support_all_terms(om_polys, theta)))
+        vec_lead = _regime_lead(vec, theta, csym, sv)
         if vec_lead is None:
             return "vacuous", []
-        om_lead = _regime_lead(om_polys, theta, csym)
+        om_lead = _regime_lead(om_polys, theta, csym, so)
         if om_lead is None:
             return "degenerate", []
         zero, one = Scalar.from_fraction(0), Scalar.from_fraction(1)
@@ -450,7 +460,7 @@ class TestSharedRegimes:
     def check_sweep(self, records, vec, keys, om_polys, mode, dim, w_min, depth, t_scale):
         """Compare the leading records of a sweep, refinements included, with
         each regime evaluated alone; (records used, regimes compared)."""
-        crits = sorted(th for th in critical_exponents(vec + om_polys) if th > w_min)
+        crits = sorted(th for th in critical_exponents_all_pairs(vec + om_polys) if th > w_min)
         plan = _regime_plan(crits, w_min)
         assert [r.theta for r in records[:len(plan)]] == \
             ["inf" if th is None else str(th / t_scale) for th, _ in plan]
@@ -487,7 +497,8 @@ class TestSharedRegimes:
                 seen = set()
                 for rec in res.part_a.regimes[:-1]:
                     theta = Fraction(rec.theta)
-                    sv, so = _support(vec, theta), _support(om_polys, theta)
+                    sv = support_all_terms(vec, theta)
+                    so = support_all_terms(om_polys, theta)
                     if len(sv) == len(so) == 1:
                         shared += (sv, so) in seen
                         seen.add((sv, so))
@@ -499,14 +510,17 @@ class TestSharedRegimes:
         for fam in shared_regime_families():
             for basepoint in SHARED_BASEPOINTS:
                 _, _, vec, _, om_polys = self.centered_system(fam, basepoint)
-                crits = sorted(critical_exponents(vec + om_polys))
+                crits = sorted(critical_exponents_all_pairs(vec + om_polys))
                 by_vertices = {}
                 for theta, _ in _regime_plan(crits, Fraction(0))[:-1]:
-                    sv, so = _support(vec, theta), _support(om_polys, theta)
+                    sv = support_all_terms(vec, theta)
+                    so = support_all_terms(om_polys, theta)
                     if len(sv) == len(so) == 1:
                         by_vertices.setdefault((sv, so), []).append(theta)
                 for thetas in by_vertices.values():
-                    leads = [(_regime_lead(vec, th, csym), _regime_lead(om_polys, th, csym))
+                    leads = [(_regime_lead(vec, th, csym, support_all_terms(vec, th)),
+                              _regime_lead(om_polys, th, csym,
+                                           support_all_terms(om_polys, th)))
                              for th in thetas]
                     for lead in leads[1:]:
                         assert lead == leads[0]
@@ -514,3 +528,84 @@ class TestSharedRegimes:
                             [list(map(str, v)) for v in leads[0]]
                     groups += len(thetas) > 1
         assert groups > 80
+
+
+class TestNewtonPolygonOncePerLevel:
+    """Each sweep level reads its pooled support points once: the critical
+    exponents from integer pairs, the supports from each side's staircase.
+    Both must equal the all-terms readings they replace, at every level a
+    sweep reaches, refined levels' composed polynomials included."""
+
+    # leading terms cancel at rational c, so these sweeps refine, some of
+    # them to the last level
+    REFINING = [
+        ["a", "a*t - t^2 - t^3", "t^4"],
+        ["a", "t^2*(a - t - t^2)", "t^3*(a - t - t^2)"],
+        ["a", "(a - t - t^2 - t^3)*t^2", "(a - t - t^2 - t^3)*t^3"],
+        ["a", "t*(a^2 - t^3)", "t^2*(a^2 - t^3)"],
+        ["a", "t*(a - t)*(a - 2*t)", "t^2*(a - t)*(a - 2*t)"],
+        ["a", "t^2 - a^2*t", "t^3*(a - t^2 - t^3)"],
+        ["a", "t^4 - a^2*t", "a*t^3 - a^3*t^3", "t^5 - a^2*t^4"],
+        ["a", "a*t^4 - a^3*t", "a*t^6 + t^6", "a^3*t^2 - a^3*t^6"],
+    ]
+
+    @classmethod
+    def swept_levels(cls, monkeypatch):
+        """(secants, minors, w_min) of every sweep level of the seeded
+        families at the four base points."""
+        levels = []
+        sweep = limits._sweep
+
+        def spy(vec, omega, dim, modes, *, w_min, **kw):
+            levels.append((vec, [omega[k] for k in sorted(omega)], w_min))
+            return sweep(vec, omega, dim, modes, w_min=w_min, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(limits, "_sweep", spy)
+            for fam in shared_regime_families() + [
+                    family_from_strings(e) for e in cls.REFINING]:
+                for basepoint in SHARED_BASEPOINTS:
+                    whitney_check(fam, basepoint)
+        assert len(levels) > 200 and sum(w_min > 0 for *_, w_min in levels) > 25
+        return levels
+
+    @staticmethod
+    def support_mismatches(levels, staircase):
+        """(mismatches, comparisons) of the staircase supports against the
+        all-terms ones, for each side at every exponent of each plan."""
+        bad = compared = 0
+        for vec, om_polys, w_min in levels:
+            crits = sorted(th for th in critical_exponents_all_pairs(vec + om_polys)
+                           if th > w_min)
+            for theta, _ in _regime_plan(crits, w_min)[:-1]:
+                for polys in (vec, om_polys):
+                    got = _support(staircase(points(*polys)), theta)
+                    bad += got != support_all_terms(polys, theta)
+                    compared += 1
+        return bad, compared
+
+    def test_critical_exponents_equal_all_pairs(self, monkeypatch):
+        for vec, om_polys, _ in self.swept_levels(monkeypatch):
+            assert critical_exponents(points(*vec, *om_polys)) == \
+                critical_exponents_all_pairs(vec + om_polys)
+        rng = random.Random(909)
+        for _ in range(200):
+            polys = [random_poly(rng, False, terms=8) for _ in range(rng.randint(1, 4))]
+            assert critical_exponents(points(*polys)) == critical_exponents_all_pairs(polys)
+
+    def test_staircase_support_equals_all_terms(self, monkeypatch):
+        bad, compared = self.support_mismatches(self.swept_levels(monkeypatch), _staircase)
+        assert bad == 0 and compared > 12000
+        rng = random.Random(910)
+        for _ in range(200):
+            polys = [random_poly(rng, False, terms=8) for _ in range(rng.randint(1, 4))]
+            stair = _staircase(points(*polys))
+            for theta in TestInitialForms.THETAS:
+                assert _support(stair, theta) == support_all_terms(polys, theta)
+
+    def test_lowest_j_only_staircase_is_caught(self, monkeypatch):
+        def lowest_j(pts):
+            return _staircase(pts)[-1:]
+
+        bad, _ = self.support_mismatches(self.swept_levels(monkeypatch), lowest_j)
+        assert bad > 1000
