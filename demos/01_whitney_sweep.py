@@ -44,8 +44,8 @@ print("witness arc:", w.description)
 print("offending wedge coordinate:", w.wedge_index, "with value", w.value)
 
 ###############################################################################
-# The discriminant-side criterion sees the same jump, through polar
-# curves and multiplicity counts instead of arcs.
+# The discriminant-side criterion sees the same jump through the
+# multiplicity count instead of arcs (its polar leg is the same condition).
 cross = equivalence_crosscheck(jump)
 z = cross.zariski
 print("\ndiscriminant criterion:", z.verdict.value)

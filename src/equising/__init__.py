@@ -22,10 +22,8 @@ from .algebra import (
     Scalar,
     SeriesT,
     fresh_symbol,
-    fresh_symbols,
     parse_poly,
     series_reversion,
-    substitute_arc,
     t_order,
     wedge3,
 )
@@ -76,7 +74,6 @@ from .rolle import (
 )
 from .zariski import (
     CrosscheckResult,
-    PolarResult,
     ZariskiResult,
     equivalence_crosscheck,
     zariski_check,
@@ -105,7 +102,6 @@ __all__ = [
     "Parametrization",
     "ParseError",
     "Poly",
-    "PolarResult",
     "PruneResult",
     "RegimeRecord",
     "RolleCertificate",
@@ -123,7 +119,6 @@ __all__ = [
     "equivalence_crosscheck",
     "family_from_strings",
     "fresh_symbol",
-    "fresh_symbols",
     "load_curve",
     "load_equations",
     "load_family",
@@ -133,7 +128,6 @@ __all__ = [
     "rolle_for_map",
     "series_reversion",
     "strong_equisingularity_check",
-    "substitute_arc",
     "t_order",
     "verify_implicit_equations",
     "wedge3",

@@ -37,7 +37,6 @@ __all__ = [
     "Arc",
     "ParseError",
     "fresh_symbol",
-    "fresh_symbols",
     "symbol_run",
     "parse_poly",
     "t_order",
@@ -84,10 +83,6 @@ def symbol_run() -> Iterator[None]:
         yield
     finally:
         _run_counter.reset(token)
-
-
-def fresh_symbols(n: int) -> tuple["Scalar", ...]:
-    return tuple(fresh_symbol() for _ in range(n))
 
 
 # ---------------------------------------------------------------------------

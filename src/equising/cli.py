@@ -48,7 +48,7 @@ from .projection import strong_equisingularity_check
 from .rolle import ConstantMapError, load_curve, rolle_for_curve, rolle_for_map
 from .zariski import equivalence_crosscheck, zariski_check
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXIT_DECISIVE = 0
 EXIT_ERROR = 1
@@ -73,6 +73,13 @@ def _parse_basepoint(text: str):
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"basepoint must be 'origin', 'generic', or a rational, got {text!r}")
+
+
+def _parse_depth(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"depth must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -284,7 +291,7 @@ def _add_common(sp, *, depth=False, basepoint=True, special=False):
             help="axis point to center on: origin, generic, or a rational")
     if depth:
         sp.add_argument(
-            "--depth", type=int, default=4, metavar="N",
+            "--depth", type=_parse_depth, default=4, metavar="N",
             help="maximum arc refinement depth (default 4)")
     if special:
         sp.add_argument(

@@ -21,15 +21,15 @@ reading of the regime: along a = c*t**(p/q) the term a**i*t**j has weight
 i*p + j*q, and each leading coefficient is the sum of val*c**i over the
 terms of least weight; finite exponents never substitute the arc.  Each
 sweep level reads the polygon once, from the staircase of the secants'
-and of the minors' pooled support points.  Only finitely many exponents
-(where two support monomials trade dominance) can change the outcome;
-between them one midpoint test covers the whole open sector, irrational
-exponents included.  Where the least weight selects a single term on
-each side (the secants and the minors), every leading coefficient is
-val*c**i at each exponent up to the next true breakpoint of the Newton
-polygon, so those regimes share one evaluation.  When every leading
-coefficient cancels at special values of c the test is rerun along
-refined arcs rooted at those values, to a configurable depth.
+and of the minors' support points.  The exponents where the outcome can
+change are its breakpoints: the slopes of the edges of the lower convex
+hull of either staircase, where two vertices weigh least together.
+Between two breakpoints the least weight selects a single vertex (i, j)
+on each side, so every leading coefficient is val*c**i throughout the
+open sector, irrational exponents included, and one record per sector,
+tested at its midpoint, is exact.  When every leading coefficient
+cancels at special values of c the test is rerun along refined arcs
+rooted at those values, to a configurable depth.
 
 Verdicts are exact: Verified and Refuted are proofs, and anything the
 sweep cannot settle inside the rational/symbolic coefficient field is
@@ -65,7 +65,6 @@ __all__ = [
     "WhitneyResult",
     "WhitneyJoint",
     "secant_vector",
-    "critical_exponents",
     "arc_leading_vector",
     "whitney_check",
 ]
@@ -202,21 +201,6 @@ def secant_vector(family: Parametrization) -> list[Poly]:
     return [zero] + list(family.entries[1:])
 
 
-def critical_exponents(points: set[tuple[int, int]]) -> set[Fraction]:
-    """Exponents where two pooled support points (i, j) can trade dominance
-    along arcs a = c*t**theta, read once per sweep level: one Fraction per
-    distinct positive ratio (j2 - j1)/(i1 - i2), reduced as integers first.
-
-    A superset of the true breakpoints is harmless: extra cut points only
-    split sectors whose leading structure does not actually change, and
-    the sweep evaluates such a run of regimes once.
-    """
-    steps = {(j2 - j1, i1 - i2) for i1, j1 in points for i2, j2 in points
-             if i1 > i2 and j2 > j1}
-    ratios = {(n // g, d // g) for n, d in steps for g in (math.gcd(n, d),)}
-    return {Fraction(n, d) for n, d in ratios}
-
-
 def arc_leading_vector(
     polys: Sequence[Poly], arc: Arc
 ) -> tuple[float, list[Scalar]] | None:
@@ -241,6 +225,21 @@ def _staircase(points: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
         if not stair or j < stair[-1][1]:
             stair.append((i, j))
     return tuple(stair)
+
+
+def _breakpoints(stair: Sequence[tuple[int, int]]) -> set[Fraction]:
+    """Slopes theta of the edges of the lower convex hull of a staircase
+    (sorted by increasing i, so one monotone chain finds the hull): the
+    exponents where two of its vertices weigh least together."""
+    hull: list[tuple[int, int]] = []
+    for i, j in stair:
+        while len(hull) > 1:
+            (i0, j0), (i1, j1) = hull[-2:]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break   # a convex turn: (i1, j1) stays a vertex
+            hull.pop()
+        hull.append((i, j))
+    return {Fraction(j1 - j2, i2 - i1) for (i1, j1), (i2, j2) in zip(hull, hull[1:])}
 
 
 def _support(stair: Sequence[tuple[int, int]], theta: Fraction) -> frozenset[tuple[int, int]]:
@@ -434,48 +433,34 @@ def _sweep(
     out = [(_SweepState(), []) for _ in modes]
     keys = sorted(omega)
     om_polys = [omega[k] for k in keys]
-    # the Newton polygon of this level: every point counts for the exponents
-    vec_pts = {ij for v in vec for ij in v.terms}
-    om_pts = {ij for o in om_polys for ij in o.terms}
-    crits = sorted(th for th in critical_exponents(vec_pts | om_pts) if th > w_min)
-    vec_stair, om_stair = _staircase(vec_pts), _staircase(om_pts)
+    # the Newton polygon of this level, one staircase per side
+    vec_stair = _staircase({ij for v in vec for ij in v.terms})
+    om_stair = _staircase({ij for o in om_polys for ij in o.terms})
+    crits = sorted(th for th in _breakpoints(vec_stair) | _breakpoints(om_stair)
+                   if th > w_min)
     cname = f"c{len(prefix.segments) + 1}"
     csym = Scalar.symbol(cname)
-    # (leads, tests) per pair of one-vertex supports: one evaluation serves
-    # every finite regime whose weight selects that pair
-    shared: dict[tuple, tuple] = {}
 
     for th, kind in _regime_plan(crits, w_min):
         th_abs = None if th is None else th / t_scale
         label = "inf" if th_abs is None else str(th_abs)
-        sv = so = vertices = None
-        if th is not None:
-            sv, so = _support(vec_stair, th), _support(om_stair, th)
-            # one vertex (i, j) on each side makes every lead val*c**i, the
-            # same at each exponent between two true breakpoints, and leaves
-            # no nonzero root to refine
-            if len(sv) == len(so) == 1:
-                vertices = (sv, so)
-        if vertices in shared:
-            vec_lead, om_lead_list, tests = shared[vertices]
-        else:
-            vec_lead = _regime_lead(vec, th, csym, sv)
-            if vec_lead is None:
-                for _, records in out:
-                    records.append(RegimeRecord(label, kind, "vacuous",
-                                                "the arc stays inside the singular axis"))
-                continue
-            om_lead_list = _regime_lead(om_polys, th, csym, so)
-            if om_lead_list is None:
-                for state, records in out:
-                    records.append(RegimeRecord(label, kind, "degenerate",
-                                                "every tangent minor vanishes along the arc"))
-                    state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
-                continue
-            tests = _regime_tests(vec_lead, om_lead_list, keys, dim, modes,
-                                  cname, th is not None)
-            if vertices is not None:
-                shared[vertices] = vec_lead, om_lead_list, tests
+        sv, so = (None, None) if th is None else (_support(vec_stair, th),
+                                                  _support(om_stair, th))
+        vec_lead = _regime_lead(vec, th, csym, sv)
+        if vec_lead is None:
+            for _, records in out:
+                records.append(RegimeRecord(label, kind, "vacuous",
+                                            "the arc stays inside the singular axis"))
+            continue
+        om_lead_list = _regime_lead(om_polys, th, csym, so)
+        if om_lead_list is None:
+            for state, records in out:
+                records.append(RegimeRecord(label, kind, "degenerate",
+                                            "every tangent minor vanishes along the arc"))
+                state.inconclusive(f"no tangent planes along the arc family at exponent {label}")
+            continue
+        tests = _regime_tests(vec_lead, om_lead_list, keys, dim, modes,
+                              cname, th is not None)
         contained = []  # (mode, state, records, status, roots)
 
         for mode, (state, records), (ijk, val, roots, unresolved) in zip(modes, out, tests):
@@ -623,8 +608,10 @@ def whitney_check(family: Parametrization, basepoint=0,
     are equivalent to the classical secant condition for pairs (smooth
     part, axis), so the joint verdict is the conjunction.  One sweep
     decides both, at one base point (one generic symbol when ``basepoint``
-    is "generic").
+    is "generic").  A negative ``max_depth`` raises ValueError.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     fam, a0, label = family.centered(basepoint)
     if fam.dim < 3:
         rec = RegimeRecord(

@@ -21,10 +21,10 @@ from equising import (
     Parametrization,
     Poly,
     family_from_strings,
-    fresh_symbols,
+    fresh_symbol,
     t_order,
 )
-from equising.limits import arc_leading_vector
+from equising.limits import _regime_plan, arc_leading_vector, secant_vector
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -73,11 +73,12 @@ def random_binomial_family(rng: random.Random) -> Parametrization:
 
 def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
     """Two generic linear combinations of the coordinates, drawing all the
-    l symbols first, then all the m: the reference for the polar test and
-    the support scans, which form no projection."""
+    l symbols first, then all the m: the oracle for the polar leg, which
+    the Zariski test reads as equimultiplicity, and the reference for the
+    support scans, which form no projection."""
     variables = entries[0].vars if entries else ("t",)
-    ls = fresh_symbols(len(entries))
-    ms = fresh_symbols(len(entries))
+    ls = tuple(fresh_symbol() for _ in entries)
+    ms = tuple(fresh_symbol() for _ in entries)
     x = Poly.zero(variables)
     y = Poly.zero(variables)
     for c1, c2, e in zip(ls, ms, entries):
@@ -205,6 +206,15 @@ def critical_exponents_all_pairs(polys) -> set[Fraction]:
                 if th > 0:
                     crits.add(th)
     return crits
+
+
+def all_pairs_plan_arcs(family: Parametrization) -> list[Arc]:
+    """The top-level arcs that report version 1 swept at the origin: each
+    all-pairs exponent of the secants and minors, the sectors' midpoints
+    between them and the vertical arc."""
+    polys = secant_vector(family) + list(family.plucker_minors().values())
+    plan = _regime_plan(sorted(critical_exponents_all_pairs(polys)), Fraction(0))
+    return [Arc() if th is None else Arc(((th, None),)) for th, _ in plan]
 
 
 def support_all_terms(polys, theta: Fraction) -> frozenset[tuple[int, int]]:

@@ -32,6 +32,7 @@ from equising import (
 from equising.limits import secant_vector
 from equising.modifications import prune_redundant
 from conftest import (
+    all_pairs_plan_arcs,
     corpus_path,
     direction_deviation,
     exponent_pairs,
@@ -80,12 +81,15 @@ def test_criterion_1_regular_family():
     assert res.verdict is Verdict.VERIFIED
 
     # the same secant limit and the same tangent-plane limit in every
-    # swept regime: direction e2 and the plane spanned by e1, e2
+    # swept regime, and at every exponent where two support points of the
+    # secants or minors trade dominance: direction e2 and the plane
+    # spanned by e1, e2
     secant = secant_vector(fam)
     minor_items = sorted(fam.plucker_minors().items())
     minor_polys = [p for _, p in minor_items]
     plane_expected = [1 if key == (1, 2) else 0 for key, _ in minor_items]
-    arcs = regime_arcs(res.part_a) + regime_arcs(res.part_b)
+    arcs = (regime_arcs(res.part_a) + regime_arcs(res.part_b)
+            + all_pairs_plan_arcs(fam))
     assert len(arcs) >= 8
     for arc in arcs:
         assert proportional(leading_direction(secant, arc), [0, 1, 0, 0])
@@ -345,13 +349,14 @@ def test_criterion_7_property_suites():
     run_random_rolle_suite(random.Random(77005), 200, 1e-8, 1e-4)
 
     # the numerical arc-limit oracle agrees with the symbolic limits on
-    # every regime of every corpus family
+    # every regime of every corpus family, and at every exponent where two
+    # support points trade dominance
     regime_count = 0
     for name in CORPUS:
         fam = load(name)
         secant = secant_vector(fam)
         minors = [p for _, p in sorted(fam.plucker_minors().items())]
-        for arc in regime_arcs(whitney_check(fam).part_b):
+        for arc in regime_arcs(whitney_check(fam).part_b) + all_pairs_plan_arcs(fam):
             assert direction_deviation(secant, arc) < 1e-6
             assert direction_deviation(minors, arc) < 1e-6
             regime_count += 1

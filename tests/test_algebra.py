@@ -17,7 +17,6 @@ from equising import (
     SeriesT,
     parse_poly,
     series_reversion,
-    substitute_arc,
     t_order,
     wedge3,
 )
@@ -30,6 +29,7 @@ from equising.algebra import (
     dense_divmod,
     dense_gcd,
     fresh_symbol,
+    substitute_arc,
     symbol_run,
 )
 from conftest import CORPUS, power_by_multiplication

@@ -56,8 +56,8 @@ class TestReports:
     @pytest.mark.parametrize("basepoint", sorted(OFF_ORIGIN_GOLDENS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
     def test_off_origin_full_report_matches_golden(self, name, basepoint):
-        # pins the generic symbols' numbering: the base point label, the
-        # projection symbols in unit_at_origin and every later draw
+        # pins the generic symbols' numbering: the base point label and
+        # every later draw
         extra, _ = GOLDEN_RUNS[name]
         proc = run_cli("full-report", corpus_path(f"{name}.json"), *extra,
                        "--basepoint", basepoint)
@@ -91,7 +91,7 @@ class TestReports:
         proc = run_cli("check-whitney", corpus_path("family-345.json"))
         parsed = json.loads(proc.stdout)
         assert proc.stdout == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
-        assert parsed["report_version"] == 1
+        assert parsed["report_version"] == 2
         assert parsed["command"] == "check-whitney"
         assert parsed["input"] == "family-345.json"
         assert parsed["family"]["ambient"] == ["x", "y", "z", "w"]
@@ -100,7 +100,7 @@ class TestReports:
         proc = run_cli("check-zariski", corpus_path("family-345.json"),
                        "--format", "text")
         lines = proc.stdout.splitlines()
-        assert lines[0] == "report_version: 1"
+        assert lines[0] == "report_version: 2"
         assert lines[1] == "command: check-zariski"
         assert "verdict: Verified" in proc.stdout
         assert "{" not in proc.stdout
@@ -300,6 +300,24 @@ class TestErrors:
         proc = run_cli("check-whitney", corpus_path("family-345.json"),
                        "--basepoint", "oops")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["check-whitney", "crosscheck", "full-report"])
+    @pytest.mark.parametrize("depth", ["-1", "x"])
+    def test_depth_must_be_a_nonnegative_integer(self, tmp_path, command, depth):
+        # a negative depth never counted down to 0: the sweep refined forever
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(
+            {"entries": ["a", "t^2*(a - a*t - t)", "t^3*(a - a*t - t)"]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "equising.cli", command, str(family),
+             "--depth", depth], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            f"equising {command}: error: argument --depth: depth must be a "
+            f"nonnegative integer, got '{depth}'"]
+        assert cli.main(["check-whitney", str(family), "--depth", "4",
+                         "--out", str(tmp_path / "out.json")]) == 0
 
     def test_rolle_flag_conflicts(self):
         proc = run_cli("rolle", corpus_path("family-345.json"))

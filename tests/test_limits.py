@@ -1,7 +1,11 @@
 """Arc sweeps for the two regularity conditions."""
 
 import random
+import time
+from bisect import bisect_left
 from fractions import Fraction
+
+import pytest
 
 from equising import (
     Arc,
@@ -9,6 +13,7 @@ from equising import (
     Poly,
     Scalar,
     Verdict,
+    equivalence_crosscheck,
     family_from_strings,
     load_family,
     parse_poly,
@@ -19,6 +24,7 @@ from equising import limits
 from equising.family import resolve_basepoint
 from equising.limits import (
     WhitneyResult,
+    _breakpoints,
     _c_gcd_many,
     _extract_roots,
     _initial,
@@ -28,7 +34,6 @@ from equising.limits import (
     _support,
     _sweep,
     arc_leading_vector,
-    critical_exponents,
     secant_vector,
 )
 from conftest import (
@@ -53,19 +58,45 @@ def points(*polys):
     return {ij for p in polys for ij in p.terms}
 
 
+def breakpoints(*polys):
+    """The library's breakpoints of the polys' pooled Newton polygon."""
+    return _breakpoints(_staircase(points(*polys)))
+
+
+def true_breakpoints(polys, w_min=0):
+    """The all-pairs exponents above ``w_min`` at which more than one
+    point of the polys weighs least."""
+    return {th for th in critical_exponents_all_pairs(polys)
+            if th > w_min and len(support_all_terms(polys, th)) > 1}
+
+
 class TestCriticalExponents:
+    """The critical exponents of one side are the breakpoints of its
+    Newton polygon: the slopes of its staircase's lower hull edges."""
+
     def test_single_entry_ratio(self):
-        assert critical_exponents(points(P("a*t^2 + t^3"))) == {Fraction(1)}
+        assert breakpoints(P("a*t^2 + t^3")) == {Fraction(1)}
 
     def test_pooled_across_entries(self):
-        assert critical_exponents(points(P("t^3"), P("a^2*t"))) == {Fraction(1)}
+        assert breakpoints(P("t^3"), P("a^2*t")) == {Fraction(1)}
 
     def test_only_positive_ratios_count(self):
-        assert critical_exponents(points(P("a*t^2 + t"))) == set()
-        assert critical_exponents(points(P("t^2 + t^5"))) == set()
+        assert breakpoints(P("a*t^2 + t")) == set()
+        assert breakpoints(P("t^2 + t^5")) == set()
 
     def test_fractional(self):
-        assert critical_exponents(points(P("a^2*t + t^4"))) == {Fraction(3, 2)}
+        assert breakpoints(P("a^2*t + t^4")) == {Fraction(3, 2)}
+
+    def test_dominated_exponent_is_no_breakpoint(self):
+        # (1, 2) lies above the hull edge from (0, 3) to (2, 0): it never
+        # weighs least, so the ratios it forms are no breakpoints
+        poly = P("t^3 + a*t^2 + a^2")
+        assert critical_exponents_all_pairs([poly]) == \
+            {Fraction(1), Fraction(3, 2), Fraction(2)}
+        assert breakpoints(poly) == true_breakpoints([poly]) == {Fraction(3, 2)}
+
+    def test_collinear_points_make_one_edge(self):
+        assert breakpoints(P("t^4 + a*t^2 + a^2")) == {Fraction(2)}
 
 
 def random_coefficient(rng, symbolic):
@@ -174,12 +205,12 @@ class TestVerifiedFamily:
         assert res.witness is None
         for part in (res.part_a, res.part_b):
             assert part.verdict is Verdict.VERIFIED
-            assert [r.theta for r in part.regimes] == \
-                ["1", "2", "5/2", "3", "7/2", "4", "5", "inf"]
+            # each side's staircase is one point, t^3 for the secants and
+            # t^2 for the minors: no breakpoint, so one sector covers every
+            # finite exponent
+            assert [(r.theta, r.kind) for r in part.regimes] == \
+                [("1", "sector"), ("inf", "vertical")]
             assert {r.status for r in part.regimes} == {"contained"}
-            assert part.regimes[-1].kind == "vertical"
-            assert {r.kind for r in part.regimes[:-1]} == \
-                {"sector", "critical"}
 
     def test_small_dimension_is_trivially_regular(self):
         fam = family_from_strings(["a", "t^2"])
@@ -219,6 +250,17 @@ class TestRefutedFamily:
 
 
 class TestRefinement:
+    def test_negative_depth_is_refused(self):
+        # a negative depth never counted down to 0, so this sweep refined
+        # without end
+        fam = family_from_strings(["a", "t^2*(a - a*t - t)", "t^3*(a - a*t - t)"])
+        start = time.perf_counter()
+        for check in (whitney_check, equivalence_crosscheck):
+            with pytest.raises(ValueError, match="max_depth"):
+                check(fam, max_depth=-1)
+        assert whitney_check(fam, max_depth=4).verdict is not Verdict.INCONCLUSIVE
+        assert time.perf_counter() - start < 1.0
+
     def test_two_segment_witness(self):
         fam = load_family(corpus_path("tangent-arc.json"))
         res = whitney_check(fam)
@@ -418,9 +460,10 @@ SHARED_BASEPOINTS = (0, Fraction(1, 2), "generic", Fraction(-2))
 
 
 class TestSharedRegimes:
-    """Finite regimes whose weight selects one vertex of each support share
-    one evaluation in the sweep; every regime, refinements included, must
-    get the status it gets evaluated alone at its own exponent."""
+    """One record per breakpoint and per open sector between breakpoints:
+    every exponent of the all-pairs plan that report version 1 swept,
+    refined levels included, must get, evaluated alone, the status of the
+    record whose sector or breakpoint contains it."""
 
     @staticmethod
     def centered_system(fam, basepoint):
@@ -459,50 +502,81 @@ class TestSharedRegimes:
 
     def check_sweep(self, records, vec, keys, om_polys, mode, dim, w_min, depth, t_scale):
         """Compare the leading records of a sweep, refinements included, with
-        each regime evaluated alone; (records used, regimes compared)."""
-        crits = sorted(th for th in critical_exponents_all_pairs(vec + om_polys) if th > w_min)
+        each all-pairs regime evaluated alone; (records used, regimes
+        compared, regimes compared at refined levels)."""
+        crits = sorted(true_breakpoints(vec, w_min) | true_breakpoints(om_polys, w_min))
         plan = _regime_plan(crits, w_min)
         assert [r.theta for r in records[:len(plan)]] == \
             ["inf" if th is None else str(th / t_scale) for th, _ in plan]
-        compared = len(plan)
-        for rec, (theta, _) in zip(records, plan):
+        all_pairs = sorted(th for th in critical_exponents_all_pairs(vec + om_polys)
+                           if th > w_min)
+        v1_plan = _regime_plan(all_pairs, w_min)
+        hit, refine = set(), {}
+        for theta, _ in v1_plan:
+            if theta is None:
+                index = len(plan) - 1
+            else:
+                # plan = sector, crits[0], sector, crits[1], ..., sector, vertical
+                k = bisect_left(crits, theta)
+                index = 2 * k + (k < len(crits) and crits[k] == theta)
+            rec = records[index]
             status, roots = self.status_alone(vec, keys, om_polys, theta, mode, dim)
             assert rec.status == ("unresolved" if roots and not depth else status), \
-                (rec.theta, depth)
+                (rec.theta, theta, depth)
+            hit.add(index)
+            if roots:
+                assert rec.kind == "critical" and rec.theta == str(theta / t_scale)
+                refine[index] = theta, roots
+        assert hit == set(range(len(plan)))
+        compared, refined = len(v1_plan), 0
+        for index, rec in enumerate(records[:len(plan)]):
             rest = rec.refinements
+            theta, roots = refine.get(index, (None, []))
             for c0 in (roots if depth else []):
                 p, q = theta.numerator, theta.denominator
                 arc = [Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a"),
                        Poly.monomial(AT, (0, q))]
-                used, n = self.check_sweep(
+                used, n, _ = self.check_sweep(
                     rest, [v.compose(arc) for v in vec], keys,
                     [o.compose(arc) for o in om_polys], mode, dim, Fraction(p),
                     depth - 1, t_scale * q)
-                rest, compared = rest[used:], compared + n
+                rest, compared, refined = rest[used:], compared + n, refined + n
             assert not rest
-        return len(plan), compared
+        return len(plan), compared, refined
 
     def test_each_regime_matches_its_own_evaluation(self):
-        compared = shared = refined = 0
+        compared = refined = 0
         for fam in shared_regime_families():
             for basepoint in SHARED_BASEPOINTS:
                 a0, centered, vec, keys, om_polys = self.centered_system(fam, basepoint)
                 res = whitney_check(fam, a0)
                 for part, mode in ((res.part_a, "a"), (res.part_b, "b")):
-                    used, n = self.check_sweep(part.regimes, vec, keys, om_polys, mode,
-                                               centered.dim, Fraction(0), 4, 1)
+                    used, n, n_refined = self.check_sweep(
+                        part.regimes, vec, keys, om_polys, mode, centered.dim,
+                        Fraction(0), 4, 1)
                     assert used == len(part.regimes), (fam.entry_strings(), basepoint)
                     compared += n
-                    refined += n - used
-                seen = set()
-                for rec in res.part_a.regimes[:-1]:
-                    theta = Fraction(rec.theta)
-                    sv = support_all_terms(vec, theta)
-                    so = support_all_terms(om_polys, theta)
-                    if len(sv) == len(so) == 1:
-                        shared += (sv, so) in seen
-                        seen.add((sv, so))
-        assert compared > 6000 and refined > 30 and shared > 2500
+                    refined += n_refined
+        assert compared > 6000 and refined > 30
+
+    def test_records_sit_on_breakpoints_and_sectors(self, monkeypatch):
+        """Every finite critical record has more than one point of least
+        weight on some side, and every finite sector record one on each."""
+        critical = sector = 0
+        for vec, om_polys, _, t_scale, swept in \
+                TestNewtonPolygonOncePerLevel.swept_levels(monkeypatch):
+            for _, records in swept:
+                for rec in records[:-1]:
+                    theta = Fraction(rec.theta) * t_scale
+                    sizes = (len(support_all_terms(vec, theta)),
+                             len(support_all_terms(om_polys, theta)))
+                    if rec.kind == "critical":
+                        assert max(sizes) > 1, (rec.theta, sizes)
+                        critical += 1
+                    else:
+                        assert sizes == (1, 1), (rec.theta, sizes)
+                        sector += 1
+        assert critical > 80 and sector > 400
 
     def test_single_vertex_regimes_have_equal_leads(self):
         csym = Scalar.symbol("c1")
@@ -531,10 +605,11 @@ class TestSharedRegimes:
 
 
 class TestNewtonPolygonOncePerLevel:
-    """Each sweep level reads its pooled support points once: the critical
-    exponents from integer pairs, the supports from each side's staircase.
-    Both must equal the all-terms readings they replace, at every level a
-    sweep reaches, refined levels' composed polynomials included."""
+    """Each sweep level reads each side's support points once: the
+    breakpoints from the lower hull of its staircase, the supports from the
+    staircase.  Both must equal the all-terms readings they replace, at
+    every level a sweep reaches, refined levels' composed polynomials
+    included."""
 
     # leading terms cancel at rational c, so these sweeps refine, some of
     # them to the last level
@@ -551,14 +626,17 @@ class TestNewtonPolygonOncePerLevel:
 
     @classmethod
     def swept_levels(cls, monkeypatch):
-        """(secants, minors, w_min) of every sweep level of the seeded
-        families at the four base points."""
+        """(secants, minors, w_min, t_scale, swept) of every sweep level of
+        the seeded families at the four base points, where ``swept`` is the
+        level's (state, records) per condition."""
         levels = []
         sweep = limits._sweep
 
         def spy(vec, omega, dim, modes, *, w_min, **kw):
-            levels.append((vec, [omega[k] for k in sorted(omega)], w_min))
-            return sweep(vec, omega, dim, modes, w_min=w_min, **kw)
+            swept = sweep(vec, omega, dim, modes, w_min=w_min, **kw)
+            levels.append((vec, [omega[k] for k in sorted(omega)], w_min,
+                           kw["t_scale"], swept))
+            return swept
 
         with monkeypatch.context() as m:
             m.setattr(limits, "_sweep", spy)
@@ -566,7 +644,7 @@ class TestNewtonPolygonOncePerLevel:
                     family_from_strings(e) for e in cls.REFINING]:
                 for basepoint in SHARED_BASEPOINTS:
                     whitney_check(fam, basepoint)
-        assert len(levels) > 200 and sum(w_min > 0 for *_, w_min in levels) > 25
+        assert len(levels) > 200 and sum(w_min > 0 for _, _, w_min, *_ in levels) > 25
         return levels
 
     @staticmethod
@@ -574,7 +652,7 @@ class TestNewtonPolygonOncePerLevel:
         """(mismatches, comparisons) of the staircase supports against the
         all-terms ones, for each side at every exponent of each plan."""
         bad = compared = 0
-        for vec, om_polys, w_min in levels:
+        for vec, om_polys, w_min, *_ in levels:
             crits = sorted(th for th in critical_exponents_all_pairs(vec + om_polys)
                            if th > w_min)
             for theta, _ in _regime_plan(crits, w_min)[:-1]:
@@ -584,14 +662,34 @@ class TestNewtonPolygonOncePerLevel:
                     compared += 1
         return bad, compared
 
-    def test_critical_exponents_equal_all_pairs(self, monkeypatch):
-        for vec, om_polys, _ in self.swept_levels(monkeypatch):
-            assert critical_exponents(points(*vec, *om_polys)) == \
-                critical_exponents_all_pairs(vec + om_polys)
+    @classmethod
+    def breakpoint_mismatches(cls, monkeypatch, read):
+        """(mismatches, cases): the sides' pairs, at every swept level and
+        as 200 random point sets, at which ``read`` over the two sides'
+        staircases differs from the all-pairs exponents with more than one
+        point of least weight on either side."""
+        sides = [(vec, om_polys) for vec, om_polys, *_ in cls.swept_levels(monkeypatch)]
         rng = random.Random(909)
-        for _ in range(200):
-            polys = [random_poly(rng, False, terms=8) for _ in range(rng.randint(1, 4))]
-            assert critical_exponents(points(*polys)) == critical_exponents_all_pairs(polys)
+        sides += [([random_poly(rng, False, terms=8) for _ in range(rng.randint(1, 4))], [])
+                  for _ in range(200)]
+        bad = sum(read(_staircase(points(*vec))) | read(_staircase(points(*om_polys)))
+                  != true_breakpoints(vec) | true_breakpoints(om_polys)
+                  for vec, om_polys in sides)
+        return bad, len(sides)
+
+    def test_breakpoints_equal_multi_point_supports(self, monkeypatch):
+        bad, cases = self.breakpoint_mismatches(monkeypatch, _breakpoints)
+        assert bad == 0 and cases > 400
+
+    def test_staircase_slopes_are_caught(self, monkeypatch):
+        # a slope between every two neighbours on the staircase keeps the
+        # vertices that lie above the hull
+        def staircase_slopes(stair):
+            return {Fraction(j1 - j2, i2 - i1)
+                    for (i1, j1), (i2, j2) in zip(stair, stair[1:])}
+
+        bad, _ = self.breakpoint_mismatches(monkeypatch, staircase_slopes)
+        assert bad > 5
 
     def test_staircase_support_equals_all_terms(self, monkeypatch):
         bad, compared = self.support_mismatches(self.swept_levels(monkeypatch), _staircase)

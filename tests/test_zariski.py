@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 
 from equising import (
+    NoUnitChartError,
     Verdict,
+    blowup_singular_locus,
     equivalence_crosscheck,
     fresh_symbol,
     load_family,
+    nash_modification,
     t_order,
+    whitney_check,
     zariski_check,
 )
 from equising.algebra import symbol_run
-from equising.zariski import polar_is_empty
 from conftest import (
     corpus_path,
     fiber_multiplicity,
@@ -23,37 +26,13 @@ from conftest import (
     random_monomial_family,
 )
 
-
-class TestPolar:
-    def test_vanishing_orders_on_corpus(self):
-        expected = {
-            "family-345.json": (2, True),
-            "family-352.json": (1, False),
-            "family-467.json": (3, True),
-            "family-589.json": (4, True),
-            "tangent-arc.json": (0, False),
-        }
-        for name, (order, empty) in expected.items():
-            fam = load_family(corpus_path(name))
-            res = polar_is_empty(fam)
-            assert res.vanishing_order == order, name
-            assert res.empty is empty, name
-
-    def test_unit_coefficient_is_symbolically_nonzero(self):
-        fam = load_family(corpus_path("family-345.json"))
-        res = polar_is_empty(fam)
-        assert res.unit_at_origin != "0"
-        assert res.empty
-
-    def test_polar_away_from_origin(self):
-        fam = load_family(corpus_path("family-352.json"))
-        assert polar_is_empty(fam, Fraction(1, 2)).empty
-
+CORPUS = ("family-345", "family-352", "family-467", "family-589", "tangent-arc")
 
 
 def projection_polar(family, basepoint) -> dict:
-    """The polar fields from the Jacobian of the generic projection itself:
-    the reference for :func:`polar_is_empty`, which reads the minors."""
+    """The polar leg from the Jacobian of the generic projection itself:
+    its power of t, its cofactor at the base point, and whether that
+    cofactor is nonzero, which confines the critical locus to the axis."""
     fam, _, _ = family.centered(basepoint)
     x, y = generic_plane_projection(list(fam.entries))
     jac = x.diff("a") * y.diff("t") - y.diff("a") * x.diff("t")
@@ -63,45 +42,87 @@ def projection_polar(family, basepoint) -> dict:
             "unit_at_origin": str(unit)}
 
 
+def polar_leg_families():
+    """The corpus, the charts of its modifications and seeded fuzz."""
+    families = [load_family(corpus_path(f"{name}.json")) for name in CORPUS]
+    charts = []
+    for fam in families:
+        for build in (blowup_singular_locus, nash_modification):
+            try:
+                charts.append(build(fam).family)
+            except NoUnitChartError:
+                pass
+    # family-352 and tangent-arc have no unit chart
+    assert len(charts) == 6
+    families += charts
+    rng = random.Random(1212)
+    families += [random_monomial_family(rng) for _ in range(200)]
+    families += [random_binomial_family(rng) for _ in range(150)]
+    return families
+
+
+class TestPolar:
+    def test_vanishing_orders_on_corpus(self):
+        expected = {
+            "family-345": (2, True),
+            "family-352": (1, False),
+            "family-467": (3, True),
+            "family-589": (4, True),
+            "tangent-arc": (0, False),
+        }
+        for name, (order, empty) in expected.items():
+            fam = load_family(corpus_path(f"{name}.json"))
+            res = projection_polar(fam, 0)
+            assert res["vanishing_order"] == order, name
+            assert res["empty"] is empty, name
+            assert zariski_check(fam).equimultiple is empty, name
+
+    def test_unit_coefficient_is_symbolically_nonzero(self):
+        fam = load_family(corpus_path("family-345.json"))
+        res = projection_polar(fam, 0)
+        assert res["unit_at_origin"] != "0"
+        assert res["empty"]
+
+    def test_polar_away_from_origin(self):
+        fam = load_family(corpus_path("family-352.json"))
+        assert projection_polar(fam, Fraction(1, 2))["empty"]
+        assert zariski_check(fam, Fraction(1, 2)).equimultiple
+
+
 class TestPolarFromMinors:
-    """The polar test read from the Pluecker minors and the multiplicities
-    read from the supports, against the generic projection's Jacobian and
-    the fibers' t-orders."""
+    """The generic projection's critical locus stays inside the axis
+    exactly when the family is equimultiple (the proof reads the Pluecker
+    minors), so the Zariski test reads only the multiplicities, from the
+    supports: against the projection's Jacobian and the fibers' t-orders."""
 
     POINTS = (0, Fraction(1, 2), "generic")
 
     def test_matches_projection_and_fibers_fuzz(self):
-        rng = random.Random(1212)
-        families = [random_monomial_family(rng) for _ in range(200)]
-        families += [random_binomial_family(rng) for _ in range(150)]
         pairs = 0
-        for fam in families:
+        for fam in polar_leg_families():
             for point in self.POINTS:
                 with symbol_run():
-                    got = polar_is_empty(fam, point).to_json()
-                    after = fresh_symbol()
-                with symbol_run():
-                    want = projection_polar(fam, point)
-                    want_after = fresh_symbol()
-                assert got.pop("note")
-                assert got == want, (fam.entry_strings(), point)
-                # both draw the l symbols, then the m symbols
-                assert after == want_after
-
+                    polar = projection_polar(fam, point)
                 moved, _, _ = fam.centered(point)
                 with symbol_run():
                     equal, special, generic = moved.is_equimultiple()
                     # no symbol drawn
                     assert str(fresh_symbol()) == "g1"
+                assert polar["empty"] is equal, (fam.entry_strings(), point)
+                assert polar["vanishing_order"] == generic - 1
                 assert special == fiber_multiplicity(moved, 0)
                 assert generic == fiber_multiplicity(moved, fresh_symbol())
                 assert equal is (special == generic)
 
-                # the point (if generic), then 2 * dim projection symbols
+                # the point, if generic, is the only symbol drawn
                 with symbol_run():
-                    zariski_check(fam, point)
-                    drawn = (point == "generic") + 2 * fam.dim
+                    res = zariski_check(fam, point)
+                    drawn = point == "generic"
                     assert str(fresh_symbol()) == f"g{drawn + 1}"
+                assert res.equimultiple is equal
+                assert res.verdict is (Verdict.VERIFIED if equal else Verdict.REFUTED)
+                assert (res.multiplicity_special, res.multiplicity_generic) == \
+                    (special, generic)
                 pairs += 1
         assert pairs >= 1000
 
@@ -113,7 +134,7 @@ class TestPolarFromMinors:
             fam = random_binomial_family(rng)
             n = fam.dim
             with symbol_run():
-                res = polar_is_empty(fam)
+                res = projection_polar(fam, 0)
             # the l symbols are g1..gn, the m symbols g(n+1)..g(2n)
             g = sympy.symbols(f"g1:{2 * n + 1}")
             entries = [sympy.sympify(e.replace("^", "**"))
@@ -123,11 +144,12 @@ class TestPolarFromMinors:
             jac = sympy.Poly(sympy.expand(x.diff(a) * y.diff(t)
                                           - y.diff(a) * x.diff(t)), t)
             k = min(m[0] for m in jac.monoms())
-            assert res.vanishing_order == k, fam.entry_strings()
+            assert res["vanishing_order"] == k, fam.entry_strings()
             unit = jac.coeff_monomial(t ** k).subs(a, 0)
-            printed = sympy.sympify(res.unit_at_origin.replace("^", "**"))
+            printed = sympy.sympify(res["unit_at_origin"].replace("^", "**"))
             assert sympy.expand(unit - printed) == 0, fam.entry_strings()
-            assert res.empty is (unit != 0)
+            assert res["empty"] is (unit != 0)
+            assert res["empty"] is zariski_check(fam).equimultiple
 
 
 class TestZariski:
@@ -149,12 +171,12 @@ class TestZariski:
         assert res.verdict is Verdict.REFUTED
         assert not res.equimultiple
         assert (res.multiplicity_special, res.multiplicity_generic) == (3, 2)
-        assert not res.polar.empty
 
     def test_fails_on_either_leg(self):
         # the polar cofactor vanishes and the multiplicity drops
         res = zariski_check(load_family(corpus_path("tangent-arc.json")))
         assert res.verdict is Verdict.REFUTED
+        assert not res.equimultiple
         assert (res.multiplicity_special, res.multiplicity_generic) == (2, 1)
 
 
@@ -185,11 +207,11 @@ class TestCrosscheck:
         rng = random.Random(707)
         for _ in range(40):
             fam = random_monomial_family(rng)
-            if not polar_is_empty(fam).empty:
-                assert whitney_is_not_verified(fam), fam.entry_strings()
+            if not projection_polar(fam, 0)["empty"]:
+                assert whitney_check(fam).verdict is not Verdict.VERIFIED, \
+                    fam.entry_strings()
 
-
-def whitney_is_not_verified(fam) -> bool:
-    from equising import whitney_check
-
-    return whitney_check(fam).verdict is not Verdict.VERIFIED
+    def test_negative_depth_is_refused(self):
+        fam = load_family(corpus_path("tangent-arc.json"))
+        with pytest.raises(ValueError, match="max_depth"):
+            equivalence_crosscheck(fam, max_depth=-1)
