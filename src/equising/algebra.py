@@ -1087,6 +1087,8 @@ class SeriesT:
             inv = _S1 / c0
             unit = SeriesT(tuple([c * inv for c in self.coeffs]), self.order)
             return unit.root(m) * scale
+        if not any(self.coeffs[1:]):
+            return self  # the unit series is its own root
         # binomial series around 1: (1+z)^(1/m) with z of positive valuation
         n = self.order
         z = self - SeriesT.from_coeffs([1], n)

@@ -36,7 +36,7 @@ from .family import (
     load_family,
     verify_implicit_equations,
 )
-from .limits import Verdict, whitney_check
+from .limits import MAX_DEPTH, Verdict, whitney_check
 from .modifications import (
     NonPolynomialChartError,
     NoUnitChartError,
@@ -79,7 +79,12 @@ def _parse_depth(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"depth must be a nonnegative integer, got {text!r}")
-    return int(text)
+    # compared by length first: a long string of digits is not converted
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_DEPTH)) or int(digits) > MAX_DEPTH:
+        raise argparse.ArgumentTypeError(
+            f"depth must be at most {MAX_DEPTH}, got {text!r}")
+    return int(digits)
 
 
 def _parse_rational(text: str) -> Fraction:

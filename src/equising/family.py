@@ -7,7 +7,7 @@ a parametrized curve through the origin of the fiber, and every entry past
 the first vanishes identically on the parameter axis.
 
 The checkers in the sibling modules consume this container: they need
-fibers, the Jacobian, its 2x2 minors, and fiber multiplicities.
+fibers, the Jacobian, its 2x2 minors, and the entries' supports.
 """
 
 from __future__ import annotations
@@ -133,10 +133,31 @@ class Parametrization:
         return len(self.entries)
 
     def fiber(self, a_value: Scalar | Fraction | int) -> list[Poly]:
-        """All N entries specialized at one parameter value, univariate in t."""
-        a_const = Poly.const(("t",), a_value)
-        t_var = Poly.var(("t",), "t")
-        return [e.compose([a_const, t_var]) for e in self.entries]
+        """All N entries specialized at one parameter value, univariate in t.
+
+        Each term c*a^i*t^j adds c*v^i to the coefficient of t^j, in the
+        order of the entry's terms, and a coefficient that sums to zero is
+        dropped, as ``Poly.__add__`` drops it; v^i is formed once per i in
+        a call.  So every coefficient, and the order of the t-powers, is
+        that of composing the entry with (v, t).
+        """
+        v = a_value if isinstance(a_value, Scalar) else Scalar.from_fraction(a_value)
+        powers: dict[int, Scalar] = {}
+        out = []
+        for e in self.entries:
+            terms: dict[tuple[int], Scalar] = {}
+            for (i, j), c in e.terms.items():
+                if i:
+                    if i not in powers:
+                        powers[i] = v ** i
+                    c = c * powers[i]
+                s = terms[(j,)] + c if (j,) in terms else c
+                if s.num:
+                    terms[(j,)] = s
+                else:
+                    terms.pop((j,), None)
+            out.append(Poly(("t",), terms))
+        return out
 
     def recenter(self, a_value: Scalar | Fraction | int) -> "Parametrization":
         """Translate the parameter so the fiber of interest sits at a = 0."""

@@ -81,6 +81,10 @@ class Verdict(str, Enum):
 
 _RANK = {Verdict.VERIFIED: 0, Verdict.INCONCLUSIVE: 1, Verdict.REFUTED: 2}
 
+# a family whose leads keep cancelling refines once per level, and the
+# sweep's time grows with the square of the depth past about 16
+MAX_DEPTH = 64
+
 
 def _merge(v1: Verdict, v2: Verdict) -> Verdict:
     return v1 if _RANK[v1] >= _RANK[v2] else v2
@@ -608,10 +612,13 @@ def whitney_check(family: Parametrization, basepoint=0,
     are equivalent to the classical secant condition for pairs (smooth
     part, axis), so the joint verdict is the conjunction.  One sweep
     decides both, at one base point (one generic symbol when ``basepoint``
-    is "generic").  A negative ``max_depth`` raises ValueError.
+    is "generic").  A ``max_depth`` below 0 or above MAX_DEPTH raises
+    ValueError.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if max_depth > MAX_DEPTH:
+        raise ValueError(f"max_depth must be at most {MAX_DEPTH}, got {max_depth}")
     fam, a0, label = family.centered(basepoint)
     if fam.dim < 3:
         rec = RegimeRecord(

@@ -92,10 +92,8 @@ def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
                   floor_gcd: int) -> tuple[list[int], int]:
     """Reparametrize so x is a constant times s^m, then scan the union of
     the other coordinates' supports."""
-    xm = x.coeff_of("t", m).constant_value()
-    u_coeffs = [
-        x.coeff_of("t", m + e).constant_value() / xm for e in range(order)
-    ]
+    xm = x.terms[(m,)]
+    u_coeffs = [c / xm for c in SeriesT.from_poly(x, m + order).coeffs[m:]]
     w = series_reversion(SeriesT.from_coeffs(u_coeffs, order).root(m))
     t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
     ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]

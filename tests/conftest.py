@@ -20,8 +20,11 @@ from equising import (
     FamilyValidationError,
     Parametrization,
     Poly,
+    Scalar,
+    SeriesT,
     family_from_strings,
     fresh_symbol,
+    series_reversion,
     t_order,
 )
 from equising.limits import _regime_plan, arc_leading_vector, secant_vector
@@ -191,7 +194,7 @@ def exponent_pairs(family: Parametrization) -> set[tuple[int, int]]:
     return out
 
 
-# -- the Newton polygon and powers the slow way ---------------------------------
+# -- the Newton polygon, powers, fibers and roots the slow way ------------------
 # (the library's former code, kept as oracles for the fast paths that
 # replaced it)
 
@@ -231,6 +234,51 @@ def power_by_multiplication(base: Poly, n: int) -> Poly:
     for _ in range(n):
         out = out * base
     return out
+
+
+def fiber_by_compose(family: Parametrization, a_value) -> list[Poly]:
+    """Every entry composed with (a_value, t): the fiber before it was
+    built by summing terms."""
+    a_const = Poly.const(("t",), a_value)
+    t_var = Poly.var(("t",), "t")
+    return [e.compose([a_const, t_var]) for e in family.entries]
+
+
+def binomial_root(u: SeriesT, m: int) -> SeriesT:
+    """u^(1/m) for u = 1 + z, z of positive valuation, summed term by term
+    from the binomial series, with no shortcut for z = 0."""
+    n = u.order
+    z = u - SeriesT.from_coeffs([1], n)
+    out = SeriesT.from_coeffs([1], n)
+    zk = SeriesT.from_coeffs([1], n)
+    binom = Fraction(1)
+    for k in range(1, n):
+        binom = binom * (Fraction(1, m) - (k - 1)) / k
+        zk = zk * z
+        if zk.valuation() >= n:
+            break
+        out = out + zk * Scalar.from_fraction(binom)
+    return out
+
+
+def support_scan_by_coeff_of(x: Poly, others: list[Poly], m: int, order: int,
+                             floor_gcd: int) -> tuple[list[int], int]:
+    """``projection._support_scan`` reading x's coefficients through
+    ``Poly.coeff_of`` and taking the root by :func:`binomial_root`."""
+    xm = x.coeff_of("t", m).constant_value()
+    u_coeffs = [x.coeff_of("t", m + e).constant_value() / xm for e in range(order)]
+    w = series_reversion(binomial_root(SeriesT.from_coeffs(u_coeffs, order), m))
+    t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
+    ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]
+    d = m
+    betas: list[int] = []
+    for j in range(1, order):
+        if d == floor_gcd or d == 1:
+            break
+        if j % d and any(not y.coeffs[j].is_zero() for y in ys):
+            betas.append(j)
+            d = gcd(d, j)
+    return betas, d
 
 
 # -- independent dense Fraction-coefficient univariate helpers ----------------

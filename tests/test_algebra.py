@@ -32,7 +32,7 @@ from equising.algebra import (
     substitute_arc,
     symbol_run,
 )
-from conftest import CORPUS, power_by_multiplication
+from conftest import CORPUS, binomial_root, power_by_multiplication
 
 AT = ("a", "t")
 
@@ -567,6 +567,21 @@ class TestSeries:
         assert [c.as_fraction() for c in v.coeffs] == \
             [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
         assert (v * v - u).valuation() == INFINITY
+
+    def test_root_of_unit_series_is_the_binomial_loop(self):
+        # 1 + 0*s + ... is its own root; the shortcut must give the loop's
+        # coefficients, and series with a nonzero tail still take the loop
+        for n in range(1, 41):
+            u = SeriesT.from_coeffs([1], n)
+            for m in range(2, 8):
+                assert u.root(m) is u
+                assert _items(u.root(m)) == _items(binomial_root(u, m)), (n, m)
+        g = Scalar.symbol("g1")
+        for cs in ([1, 1], [1, 0, 0, Fraction(-2, 3)], [1, g], [1, 0, g, 5]):
+            for n in (4, 9):
+                u = SeriesT.from_coeffs(cs, n)
+                for m in (2, 3, 7):
+                    assert _items(u.root(m)) == _items(binomial_root(u, m)), (cs, n, m)
 
     def test_root_rescales_rational_constant(self):
         u = SeriesT.from_coeffs([4, 4], 5)

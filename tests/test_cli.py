@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from conftest import corpus_path
 from equising import Parametrization, cli
 from equising.family import MAX_CENTERED_DIGITS, MAX_COEFF_DIGITS
+from equising.limits import MAX_DEPTH
 
 GOLDEN_RUNS = {
     "family-345": (["--equations", str(corpus_path("family-345.eqs.json")),
@@ -318,6 +320,35 @@ class TestErrors:
             f"nonnegative integer, got '{depth}'"]
         assert cli.main(["check-whitney", str(family), "--depth", "4",
                          "--out", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("command", ["check-whitney", "crosscheck", "full-report"])
+    @pytest.mark.parametrize("depth", ["65", "9" * 5000], ids=["65", "5000-digits"])
+    def test_depth_past_the_cap_is_refused(self, tmp_path, command, depth):
+        # uncapped, this family's sweep grew with the square of the depth
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(
+            {"entries": ["a", "t^2*(a - a*t - t)", "t^3*(a - a*t - t)"]}))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "equising.cli", command, str(family),
+             "--depth", depth], capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            f"equising {command}: error: argument --depth: depth must be at "
+            f"most {MAX_DEPTH}, got '{depth}'"]
+
+    def test_depth_at_the_cap_finishes(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(
+            {"entries": ["a", "t^2*(a - a*t - t)", "t^3*(a - a*t - t)"]}))
+        start = time.perf_counter()
+        code = cli.main(["check-whitney", str(family), "--depth", str(MAX_DEPTH),
+                         "--out", str(tmp_path / "out.json")])
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert (code, report["whitney"]["verdict"]) == (0, "Refuted")
+        assert time.perf_counter() - start < 10.0
 
     def test_rolle_flag_conflicts(self):
         proc = run_cli("rolle", corpus_path("family-345.json"))

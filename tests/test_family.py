@@ -10,15 +10,18 @@ from equising import (
     AxisVanishingError,
     DegenerateFiberError,
     FamilyValidationError,
+    NoUnitChartError,
     ParameterEntryError,
     Parametrization,
     Poly,
     Scalar,
+    blowup_singular_locus,
     equivalence_crosscheck,
     family_from_strings,
     fresh_symbol,
     load_equations,
     load_family,
+    nash_modification,
     parse_poly,
     strong_equisingularity_check,
     verify_implicit_equations,
@@ -26,6 +29,7 @@ from equising import (
 from equising.family import MAX_COEFF_DIGITS, CoefficientSizeError, resolve_basepoint
 from conftest import (
     corpus_path,
+    fiber_by_compose,
     fiber_multiplicity,
     random_binomial_family,
     random_monomial_family,
@@ -79,6 +83,58 @@ class TestGeometry:
         assert fib[0].grammar_str() == "2"
         assert fib[1].grammar_str() == "t^3"
         assert fib[2].grammar_str() == "2*t^5"
+
+    @staticmethod
+    def layout(polys):
+        """Each t-power with its coefficient's stored dicts, in key order."""
+        return [[(e, list(c.num.items()), list(c.den.items()))
+                 for e, c in p.terms.items()] for p in polys]
+
+    def fiber_families(self):
+        """The corpus, its blow-up and Nash charts, and seeded families of
+        the three fuzz shapes (crosscheck, binomial, strong)."""
+        out = []
+        for name in ("family-345", "family-352", "family-467",
+                     "family-589", "tangent-arc"):
+            fam = load_family(corpus_path(f"{name}.json"))
+            out.append(fam)
+            for build in (blowup_singular_locus, nash_modification):
+                try:
+                    out.append(build(fam).family)
+                except NoUnitChartError:
+                    pass
+        assert len(out) == 11
+        rng = random.Random(2026)
+        for _ in range(40):
+            out.append(random_monomial_family(rng))
+            out.append(random_binomial_family(rng))
+            out.append(random_monomial_family(rng, max_extra=3))
+        return out
+
+    def test_fiber_matches_composition(self):
+        for fam in self.fiber_families():
+            for value in (0, Fraction(1, 2), Fraction(-2), fresh_symbol()):
+                got, ref = fam.fiber(value), fiber_by_compose(fam, value)
+                assert got == ref, (fam.entry_strings(), value)
+                assert [str(p) for p in got] == [str(p) for p in ref]
+                assert [list(p.terms.items()) for p in got] == \
+                    [list(p.terms.items()) for p in ref]
+                assert self.layout(got) == self.layout(ref), (fam.entry_strings(), value)
+
+    @pytest.mark.parametrize("entry, value, terms", [
+        # t^2 cancels at a = 1
+        ("t^2 - a*t^2 + t^3", 1, [(3, 1)]),
+        # ... and comes back after t^3: it is placed after t^3
+        ("t^2 - a*t^2 + t^3 + a^2*t^2", 1, [(3, 1), (2, 1)]),
+        # a*t^3 is zero at a = 0: t^3 is first met at its a-free term
+        ("a*t^3 + t^2 + t^3", 0, [(2, 1), (3, 1)]),
+    ])
+    def test_cancelled_coefficients_are_dropped(self, entry, value, terms):
+        fam = family_from_strings(["a", entry])
+        fib = fam.fiber(value)[1]
+        assert [(j, c.as_fraction()) for (j,), c in fib.terms.items()] == terms
+        ref = fiber_by_compose(fam, value)[1]
+        assert list(fib.terms.items()) == list(ref.terms.items())
 
     def test_recenter_shifts_parameter(self):
         fam = family_from_strings(["a", "t^3", "a*t^5"])

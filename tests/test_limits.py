@@ -275,6 +275,14 @@ class TestRefinement:
         critical = [r for r in res.part_b.regimes if r.theta == "1"]
         assert critical and critical[0].refinements
 
+    def test_depth_past_the_cap_is_refused(self):
+        fam = family_from_strings(["a", "t^2*(a - a*t - t)", "t^3*(a - a*t - t)"])
+        start = time.perf_counter()
+        for check in (whitney_check, equivalence_crosscheck):
+            with pytest.raises(ValueError, match=f"at most {limits.MAX_DEPTH}"):
+                check(fam, max_depth=limits.MAX_DEPTH + 1)
+        assert time.perf_counter() - start < 1.0
+
     def test_depth_budget_reports_exhaustion(self):
         fam = load_family(corpus_path("tangent-arc.json"))
         res = whitney_check(fam, max_depth=0)

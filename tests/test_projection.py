@@ -23,6 +23,7 @@ from equising import (
     parse_poly,
     strong_equisingularity_check,
 )
+from equising import projection
 from equising.algebra import symbol_run
 from conftest import (
     corpus_path,
@@ -30,6 +31,7 @@ from conftest import (
     monomial_char_exponents,
     random_binomial_family,
     random_monomial_family,
+    support_scan_by_coeff_of,
 )
 
 T = ("t",)
@@ -165,6 +167,24 @@ class TestMonomialOracle:
                     monomial_char_exponents(orders), (fam.entry_strings(), value)
                 assert seq.confirmed
         assert shared > 0
+
+
+class TestAgainstCoeffOfScan:
+    def test_seeded_families_match_the_former_scan(self, monkeypatch):
+        # the former scan read each coefficient through Poly.coeff_of and
+        # took the binomial root of a unit series term by term
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(60):
+            for fam in (random_binomial_family(rng),
+                        random_monomial_family(rng, max_extra=3)):
+                for value in (0, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                          rng.randint(1, 9)), fresh_symbol()):
+                    cases.append(fam.fiber(value)[1:])
+        got = [char_exponents(*fiber) for fiber in cases]
+        monkeypatch.setattr(projection, "_support_scan", support_scan_by_coeff_of)
+        ref = [char_exponents(*fiber) for fiber in cases]
+        assert got == ref
 
 
 class TestStrongCheck:
