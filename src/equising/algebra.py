@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
@@ -106,6 +106,13 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 and len(m2) == 1:
+        (n1, e1), = m1
+        (n2, e2), = m2
+        if n1 == n2:
+            # a quotient's exponents can cancel: c^2 * c^-2 is the monomial ()
+            return ((n1, e1 + e2),) if e1 + e2 else _ONE_M
+        return m1 + m2 if n1 < n2 else m2 + m1
     d = dict(m1)
     for name, e in m2:
         d[name] = d.get(name, 0) + e
@@ -138,6 +145,11 @@ def _sp_add(p: SPoly, q: SPoly) -> SPoly:
 
 
 def _sp_mul(p: SPoly, q: SPoly) -> SPoly:
+    # a unit factor leaves the other operand's terms, in its order
+    if q is _D1 or q == _D1:
+        return dict(p)
+    if p is _D1 or p == _D1:
+        return dict(q)
     r: SPoly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -219,9 +231,10 @@ class Scalar:
     Every Scalar whose normalized denominator is 1, zero included, holds
     the one shared dict ``_D1`` as ``den``, so a unit denominator is
     tested with ``is``.  When both operands hold it, ``+``, ``*`` and
-    ``==`` work on the numerators alone: the general path would leave the
-    same dict, in the same key order.  ``_D1`` must never be mutated, and
-    no Scalar's ``num`` or ``den`` either.
+    ``==`` work on the numerators alone, and a product with 1 is the
+    other factor itself: the general path would leave the same dicts, in
+    the same key order.  ``_D1`` must never be mutated, and no Scalar's
+    ``num`` or ``den`` either.
     """
 
     __slots__ = ("num", "den")
@@ -303,7 +316,7 @@ class Scalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        o = Scalar._coerce(other)
+        o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self.den is _D1 and o.den is _D1:
@@ -326,10 +339,15 @@ class Scalar:
         return -(self - other)
 
     def __mul__(self, other):
-        o = Scalar._coerce(other)
+        o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self.den is _D1 and o.den is _D1:
+            # a unit factor: the general path would copy the other one
+            if o.num == _D1:
+                return self
+            if self.num == _D1:
+                return o
             return Scalar(_sp_mul(self.num, o.num), _D1)
         return Scalar(_sp_mul(self.num, o.num), _sp_mul(self.den, o.den))
 
@@ -382,14 +400,16 @@ class Scalar:
         v = Scalar._coerce(value)
 
         def sub_poly(p: SPoly) -> Scalar:
-            acc = Scalar.from_fraction(0)
+            acc = _S0
             for m, c in p.items():
-                term = Scalar.from_fraction(c)
+                term = Scalar(_sp_const(c))
                 for sym, e in m:
                     term = term * (v if sym == name else Scalar.symbol(sym)) ** e
                 acc = acc + term
             return acc
 
+        if self.den is _D1:
+            return sub_poly(self.num)
         return sub_poly(self.num) / sub_poly(self.den)
 
     def coeffs_in(self, name: str) -> list["Scalar"]:
@@ -404,10 +424,11 @@ class Scalar:
         for m, c in self.num.items():
             d = dict(m)
             e = d.pop(name, 0)
-            rest = tuple(sorted(d.items()))
-            buckets.setdefault(e, {})
-            buckets[e] = _sp_add(buckets[e], {rest: c})
+            # distinct monomials with one exponent of name differ in the rest
+            buckets.setdefault(e, {})[tuple(sorted(d.items()))] = c
         deg = max(buckets, default=0)
+        if self.den is _D1:
+            return [Scalar(buckets.get(k, {})) for k in range(deg + 1)]
         den = Scalar(dict(self.den))
         return [Scalar(buckets.get(k, {})) / den for k in range(deg + 1)]
 
@@ -506,6 +527,16 @@ class Poly:
                     clean[tuple(e)] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Scalar]) -> "Poly":
+        """A Poly holding ``terms`` as given: only for kernel results, whose
+        exponent tuples already match ``variables`` and whose coefficients
+        are nonzero Scalars."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
+
     # -- constructors --
 
     @classmethod
@@ -542,32 +573,51 @@ class Poly:
 
     # -- arithmetic --
 
-    def __add__(self, other):
+    def _operand(self, other) -> "Poly | None":
+        """other as a Poly over self's variables; None for a foreign type."""
         if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.const(self.vars, other)
+            return Poly.const(self.vars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            return None
         self._check(other)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, _S0) + c
-            if s.is_zero():
-                terms.pop(e, None)
+            if e in terms:
+                s = terms[e] + c
+                if s.num:
+                    terms[e] = s
+                else:
+                    del terms[e]
             else:
-                terms[e] = s
-        return Poly(self.vars, terms)
+                terms[e] = c
+        return Poly._of(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in terms:
+                s = terms[e] - c
+                if s.num:
+                    terms[e] = s
+                else:
+                    del terms[e]
+            else:
+                terms[e] = -c
+        return Poly._of(self.vars, terms)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -575,22 +625,27 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = _as_scalar(other)
-            if c.is_zero():
-                return Poly(self.vars)
-            return Poly(self.vars, {e: co * c for e, co in self.terms.items()})
+            if not c.num:
+                return Poly._of(self.vars, {})
+            return Poly._of(self.vars, {e: co * c for e, co in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         terms: dict[tuple[int, ...], Scalar] = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, _S0) + c1 * c2
-                if s.is_zero():
-                    terms.pop(e, None)
+            for e2, c2 in right:
+                e = tuple([x + y for x, y in zip(e1, e2)])
+                if e in terms:
+                    s = terms[e] + c1 * c2
+                    if s.num:
+                        terms[e] = s
+                    else:
+                        del terms[e]
                 else:
-                    terms[e] = s
-        return Poly(self.vars, terms)
+                    # a product of nonzero Scalars is nonzero
+                    terms[e] = c1 * c2
+        return Poly._of(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -599,7 +654,9 @@ class Poly:
             raise ValueError("negative exponent")
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return Poly(self.vars, {tuple(x * n for x in e): c ** n})
+            if not (c.den is _D1 and c.num == _D1):
+                c = c ** n
+            return Poly._of(self.vars, {tuple([x * n for x in e]): c})
         out = Poly.const(self.vars, 1)
         base = self
         while n:
@@ -630,7 +687,7 @@ class Poly:
             ne = list(e)
             ne[i] -= 1
             terms[tuple(ne)] = c * e[i]
-        return Poly(self.vars, terms)
+        return Poly._of(self.vars, terms)
 
     def min_deg(self, name: str) -> float:
         """Lowest exponent of a variable; +inf for the zero polynomial."""
@@ -656,8 +713,8 @@ class Poly:
         terms: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             if e[i] == k:
-                terms[tuple(x for j, x in enumerate(e) if j != i)] = c
-        return Poly(rest, terms)
+                terms[e[:i] + e[i + 1:]] = c
+        return Poly._of(rest, terms)
 
     def compose(self, values: Sequence["Poly | Scalar | int | Fraction"]) -> "Poly":
         """Substitute values[i] for vars[i].  Values must share one variable
@@ -674,16 +731,17 @@ class Poly:
         if len(polys) != len(self.vars):
             raise ValueError("need one value per variable")
         # powers[i][k] = polys[i]^k, each the previous power times polys[i]
+        one = (0,) * len(target)
         powers: list[list[Poly]] = []
         for i, p in enumerate(polys):
-            pw = [Poly.const(target, 1)]
+            pw = [Poly._of(target, {one: _S1})]
             for _ in range(max((e[i] for e in self.terms), default=0)):
                 pw.append(pw[-1] * p)
             powers.append(pw)
 
-        out = Poly(target)
+        out = Poly._of(target, {})
         for e, c in self.terms.items():
-            term = Poly.const(target, c)
+            term = Poly._of(target, {one: c})
             for i, exp in enumerate(e):
                 if exp:
                     term = term * powers[i][exp]
@@ -787,6 +845,53 @@ class Poly:
 # coefficient must be written as part of a rational, e.g. "-1*t^2".
 
 
+# Caps on one power or product, checked before it is formed: the degree
+# of the result, the bits of its largest coefficient, estimated as the sum
+# of the operands' (n times the base's for a power), and the term products
+# it takes, each weighted by the 64-bit words of the two coefficients it
+# multiplies.  A product takes len(f)*len(g) term products; a power, those
+# of the products its square-and-multiply loop takes.
+_MAX_DEGREE = 10_000
+_MAX_TERM_PRODUCTS = 100_000
+_MAX_BITS = 1 << 16
+
+
+def _extent(p: Poly) -> tuple[int, int]:
+    """Total degree of p and the bit length of its largest numerator or
+    denominator coefficient."""
+    deg = bits = 0
+    for e, c in p.terms.items():
+        d = sum(e)
+        if d > deg:
+            deg = d
+        for part in (c.num, c.den):
+            for n in part.values():
+                b = n.bit_length()
+                if b > bits:
+                    bits = b
+    return deg, bits
+
+
+def _words(bits: int) -> int:
+    return 1 + bits // 64
+
+
+def _power_products(k: int, n: int) -> int:
+    """Term products ``Poly.__pow__`` takes for b^n, b a sum of k terms:
+    its square-and-multiply loop on the exponents, with b^m bounded by
+    C(m+k-1, k-1) terms, the number of ways to pick m of b's terms."""
+    total, out, base = 0, 0, 1
+    while n:
+        if n & 1:
+            total += comb(out + k - 1, k - 1) * comb(base + k - 1, k - 1)
+            out += base
+        n >>= 1
+        if n:
+            total += comb(base + k - 1, k - 1) ** 2
+            base *= 2
+    return total
+
+
 class _Parser:
     """Recursive descent over one text, one method per rule.  Methods
     rather than nested closures, so a parse leaves no reference cycle."""
@@ -811,6 +916,13 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
 
+    def number(self, start: int) -> int:
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            self.pos = start
+            self.error("number too long")
+
     def read_nat(self) -> int:
         if self.peek() == "-":
             self.error("negative exponent")
@@ -818,7 +930,7 @@ class _Parser:
         self.digits()
         if self.pos == start:
             self.error("expected a natural number")
-        return int(self.text[start:self.pos])
+        return self.number(start)
 
     def read_int(self) -> int:
         self.skip_ws()
@@ -830,9 +942,21 @@ class _Parser:
         if self.pos == digits:
             self.pos = start
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        return self.number(start)
 
-    def base(self) -> Poly:
+    def check_caps(self, at: int, op: str, degree: int, bits: int, products: int):
+        """Refuse, at offset ``at``, a power or product over one of the caps."""
+        for value, cap, what in ((degree, _MAX_DEGREE, "degree"),
+                                 (bits, _MAX_BITS, "coefficient bits"),
+                                 (products, _MAX_TERM_PRODUCTS, "term products")):
+            if value > cap:
+                self.pos = at
+                self.error(f"{op} exceeds the cap of {cap} {what}")
+
+    def base(self) -> tuple[Poly, int, int]:
+        """A base with its degree and the bit length of its largest
+        coefficient: read off a number or a variable, scanned for a
+        parenthesized sum."""
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -840,7 +964,7 @@ class _Parser:
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
-            return inner
+            return (inner, *_extent(inner))
         if ch.isdigit() or ch == "-":
             n = self.read_int()
             if self.peek() == "/":
@@ -848,8 +972,9 @@ class _Parser:
                 d = self.read_nat()
                 if d == 0:
                     self.error("zero denominator")
-                return Poly.const(self.variables, Fraction(n, d))
-            return Poly.const(self.variables, n)
+                return (Poly.const(self.variables, Fraction(n, d)), 0,
+                        max(n.bit_length(), d.bit_length()))
+            return Poly.const(self.variables, n), 0, n.bit_length()
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (self.text[self.pos].isalnum()
@@ -859,21 +984,33 @@ class _Parser:
             if name not in self.variables:
                 self.pos = start
                 self.error(f"unknown variable {name!r}")
-            return Poly.var(self.variables, name)
+            return Poly.var(self.variables, name), 1, 1
         self.error("expected a number, variable or '('")
 
-    def factor(self) -> Poly:
-        b = self.base()
-        if self.peek() == "^":
-            self.pos += 1
-            return b ** self.read_nat()
-        return b
+    def factor(self) -> tuple[Poly, int, int]:
+        """A factor with its degree and coefficient bits, as ``base``."""
+        b, deg, bits = self.base()
+        if self.peek() != "^":
+            return b, deg, bits
+        at = self.pos
+        self.pos += 1
+        n = self.read_nat()
+        k = len(b.terms)
+        # a sum has positive degree, so past the degree check n is small
+        products = (_power_products(k, n) * _words(bits * n) ** 2
+                    if k > 1 and deg * n <= _MAX_DEGREE else 0)
+        self.check_caps(at, "power", deg * n, bits * n, products)
+        return b ** n, deg * n, bits * n
 
     def term(self) -> Poly:
-        f = self.factor()
+        f, deg, bits = self.factor()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
-            f = f * self.factor()
+            g, dg, bg = self.factor()
+            self.check_caps(at, "product", deg + dg, bits + bg,
+                            len(f.terms) * len(g.terms) * _words(bits) * _words(bg))
+            f, deg, bits = f * g, deg + dg, bits + bg
         return f
 
     def expr(self) -> Poly:
@@ -1211,20 +1348,26 @@ def wedge3(v: Sequence, omega: Mapping[tuple[int, int], object], dim: int) -> di
         if not (1 <= i < j <= dim):
             raise ValueError(f"bad 2-form index ({i},{j})")
 
-    def om(i: int, j: int):
-        return omega.get((i, j), _S0)
-
-    def vanishes(x) -> bool:
-        return isinstance(x, Scalar) and not x.num
-
+    # the zero flags of v and omega, read once: a product with a zero
+    # Scalar factor is left out, and adding a zero Scalar leaves a Scalar's
+    # stored form unchanged, so each coordinate prints the same
+    live_v = [not (isinstance(x, Scalar) and not x.num) for x in v]
+    live_om = {ij: y for ij, y in omega.items() if not (isinstance(y, Scalar) and not y.num)}
     out: dict[tuple[int, int, int], object] = {}
     for i, j, k in itertools.combinations(range(1, dim + 1), 3):
-        # v_i*om(j,k) - v_j*om(i,k) + v_k*om(i,j) without the products that
-        # have a zero Scalar factor: adding a zero Scalar leaves a Scalar's
-        # stored form unchanged, so the coordinate prints the same
-        prods = [x * (-y if neg else y)
-                 for x, y, neg in ((v[i - 1], om(j, k), False), (v[j - 1], om(i, k), True),
-                                   (v[k - 1], om(i, j), False))
-                 if not (vanishes(x) or vanishes(y))]
-        out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
+        # v_i*om(j,k) - v_j*om(i,k) + v_k*om(i,j)
+        acc = None
+        if live_v[i - 1] and (j, k) in live_om:
+            acc = v[i - 1] * live_om[(j, k)]
+        if live_v[j - 1] and (i, k) in live_om:
+            p = v[j - 1] * -live_om[(i, k)]
+            acc = p if acc is None else acc + p
+        if live_v[k - 1] and (i, j) in live_om:
+            p = v[k - 1] * live_om[(i, j)]
+            acc = p if acc is None else acc + p
+        if acc is None:
+            # every product has a zero factor: of Scalars, the zero Scalar
+            x, y = v[i - 1], omega.get((j, k), _S0)
+            acc = _S0 if isinstance(x, Scalar) and isinstance(y, Scalar) else x * y
+        out[(i, j, k)] = acc
     return out

@@ -156,7 +156,7 @@ class Parametrization:
                     terms[(j,)] = s
                 else:
                     terms.pop((j,), None)
-            out.append(Poly(("t",), terms))
+            out.append(Poly._of(("t",), terms))
         return out
 
     def recenter(self, a_value: Scalar | Fraction | int) -> "Parametrization":

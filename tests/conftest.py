@@ -9,6 +9,7 @@ routes is asserted within a float tolerance.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -374,3 +375,161 @@ def run_random_rolle_suite(rng: random.Random, count: int,
             * max(1.0, abs(z)) ** (degree - 1)
         assert cert.derivative_residual < deriv_tol * dscale
         assert cert.fiber_distance > value_tol * max(1.0, abs(z))
+
+
+# -- the exact-arithmetic kernels before their fast paths ---------------------
+# (validating Poly constructors, sums seeded with a zero Scalar, products
+# taken even by a unit, and wedge coordinates through per-entry closures;
+# the library's former code, kept as oracles for the kernels that replaced
+# it)
+
+_ZERO = Scalar.from_fraction(0)
+
+
+def mono_mul_by_dict(m1, m2):
+    """Product of two symbol monomials, through a dict of exponents."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for name, e in m2:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted((k, v) for k, v in d.items() if v))
+
+
+def sp_mul_by_loop(p, q):
+    """Product of two int polynomials in symbols, every pair of terms."""
+    r = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono_mul_by_dict(m1, m2)
+            s = r.get(m, 0) + c1 * c2
+            if s:
+                r[m] = s
+            else:
+                r.pop(m, None)
+    return r
+
+
+def scalar_mul_by_loop(x: Scalar, y: Scalar) -> Scalar:
+    """``Scalar.__mul__`` through :func:`sp_mul_by_loop`, a unit factor
+    too."""
+    if x.den == y.den == {(): 1}:
+        return Scalar(sp_mul_by_loop(x.num, y.num))
+    return Scalar(sp_mul_by_loop(x.num, y.num), sp_mul_by_loop(x.den, y.den))
+
+
+def _accumulate(terms, e, c):
+    s = terms.get(e, _ZERO) + c
+    if s.is_zero():
+        terms.pop(e, None)
+    else:
+        terms[e] = s
+
+
+def poly_add_validating(p: Poly, q: Poly) -> Poly:
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        _accumulate(terms, e, c)
+    return Poly(p.vars, terms)
+
+
+def poly_neg_validating(p: Poly) -> Poly:
+    return Poly(p.vars, {e: -c for e, c in p.terms.items()})
+
+
+def poly_sub_validating(p: Poly, q: Poly) -> Poly:
+    return poly_add_validating(p, poly_neg_validating(q))
+
+
+def poly_mul_validating(p: Poly, q: Poly) -> Poly:
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return Poly(p.vars, terms)
+
+
+def poly_pow_validating(p: Poly, n: int) -> Poly:
+    if len(p.terms) == 1:
+        (e, c), = p.terms.items()
+        return Poly(p.vars, {tuple(x * n for x in e): c ** n})
+    out = Poly.const(p.vars, 1)
+    base = p
+    while n:
+        if n & 1:
+            out = poly_mul_validating(out, base)
+        n >>= 1
+        base = poly_mul_validating(base, base) if n else base
+    return out
+
+
+def poly_diff_validating(p: Poly, name: str) -> Poly:
+    i = p.vars.index(name)
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            terms[tuple(ne)] = c * e[i]
+    return Poly(p.vars, terms)
+
+
+def poly_coeff_of_validating(p: Poly, name: str, k: int) -> Poly:
+    i = p.vars.index(name)
+    rest = tuple(v for v in p.vars if v != name)
+    return Poly(rest, {tuple(x for j, x in enumerate(e) if j != i): c
+                       for e, c in p.terms.items() if e[i] == k})
+
+
+def poly_compose_validating(p: Poly, values) -> Poly:
+    """``Poly.compose`` through the validating operations above."""
+    target = next(v.vars for v in values if isinstance(v, Poly))
+    polys = [v if isinstance(v, Poly) else Poly.const(target, v) for v in values]
+    powers = []
+    for i, q in enumerate(polys):
+        pw = [Poly.const(target, 1)]
+        for _ in range(max((e[i] for e in p.terms), default=0)):
+            pw.append(poly_mul_validating(pw[-1], q))
+        powers.append(pw)
+    out = Poly(target)
+    for e, c in p.terms.items():
+        term = Poly.const(target, c)
+        for i, exp in enumerate(e):
+            if exp:
+                term = poly_mul_validating(term, powers[i][exp])
+        out = poly_add_validating(out, term)
+    return out
+
+
+def coeffs_in_dividing(x: Scalar, name: str) -> list[Scalar]:
+    """``Scalar.coeffs_in`` dividing every coefficient by the denominator,
+    a unit one too."""
+    buckets = {}
+    for m, c in x.num.items():
+        d = dict(m)
+        e = d.pop(name, 0)
+        rest = tuple(sorted(d.items()))
+        bucket = buckets.setdefault(e, {})
+        bucket[rest] = bucket.get(rest, 0) + c
+    den = Scalar(dict(x.den))
+    return [Scalar(buckets.get(k, {})) / den for k in range(max(buckets, default=0) + 1)]
+
+
+def wedge3_by_closures(v, omega, dim):
+    """``wedge3`` testing each entry for a zero Scalar where it is used."""
+    def om(i, j):
+        return omega.get((i, j), _ZERO)
+
+    def vanishes(x):
+        return isinstance(x, Scalar) and not x.num
+
+    out = {}
+    for i, j, k in itertools.combinations(range(1, dim + 1), 3):
+        prods = [x * (-y if neg else y)
+                 for x, y, neg in ((v[i - 1], om(j, k), False), (v[j - 1], om(i, k), True),
+                                   (v[k - 1], om(i, j), False))
+                 if not (vanishes(x) or vanishes(y))]
+        out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
+    return out

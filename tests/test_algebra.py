@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -379,6 +380,78 @@ class TestParsePrint:
         finally:
             gc.enable()
 
+
+
+class TestParseCaps:
+    """One power or product over a cap is refused before it is formed:
+    degree, coefficient bits, or the term products it would take."""
+
+    def test_power_of_a_sum_is_refused_at_once(self):
+        # 13 bytes; forming it took 8.7 s before the caps
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term products") as info:
+            P("(t+a+1)^100")
+        assert time.perf_counter() - start < 2.0
+        assert info.value.offset == 7
+
+    @pytest.mark.parametrize("text, cap", [
+        pytest.param("t^10001", "degree", id="power-degree"),
+        pytest.param("a^5000*t^5001", "degree", id="product-degree"),
+        pytest.param("2^70000", "coefficient bits", id="power-bits"),
+        pytest.param("7^21000*7^2400", "coefficient bits", id="product-bits"),
+        # two coefficients of at most 30,000 bits: one product of 469 by 469 words
+        pytest.param("3^15000*3^15000", "term products", id="product-words"),
+        pytest.param("(a + t)^300", "term products", id="power-products"),
+        pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")*("
+                     + " + ".join(f"a^{k}" for k in range(300)) + ")", "term products",
+                     id="product-products"),
+    ])
+    def test_each_cap(self, text, cap):
+        with pytest.raises(ParseError, match=cap):
+            P(text)
+
+    @pytest.mark.parametrize("text", [
+        "t^2001", "a^2000*t + t^2", "9^9999*t", "1/9^9999*t", "(a + t)^100",
+        pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")^1", id="400-terms^1"),
+        "(t + a + 1)^13", "t^10000", "a^5000*t^5000",
+    ])
+    def test_under_the_caps(self, text):
+        P(text)
+
+    def test_number_past_the_conversion_limit(self):
+        for text in ("9" * 5000, "t^" + "9" * 5000, "1/" + "7" * 5000):
+            with pytest.raises(ParseError, match="number too long"):
+                P(text)
+
+    def test_accepted_input_finishes_or_is_refused(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from(["a", "t"]),
+            st.integers(-10 ** 40, 10 ** 40).map(str),
+            st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda q: f"{q[0]}/{q[1]}"),
+        )
+
+        def grow(inner):
+            return st.one_of(
+                st.tuples(inner, st.sampled_from(["+", "-"]), inner)
+                .map(lambda x: f"({x[0]} {x[1]} {x[2]})"),
+                st.tuples(inner, inner).map(lambda x: f"{x[0]}*{x[1]}"),
+                st.tuples(inner, st.integers(0, 10 ** 6) | st.integers(0, 40))
+                .map(lambda x: f"({x[0]})^{x[1]}"),
+            )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.recursive(leaves, grow, max_leaves=12))
+        def finishes_or_refused(text):
+            start = time.perf_counter()
+            try:
+                P(text)
+            except ParseError as exc:
+                assert "exceeds the cap" in str(exc), (text, exc)
+            assert time.perf_counter() - start < 2.0, text
+
+        finishes_or_refused()
 
 class TestPoly:
     def test_ring_identities_random(self):

@@ -32,6 +32,7 @@ GOLDEN_RUNS = {
 # --basepoint value -> golden file suffix.  Off the origin every report
 # exits 2: a modification is skipped or its factorization is undecided.
 OFF_ORIGIN_GOLDENS = {"generic": "generic", "1/2": "half"}
+OFF_ORIGIN_CODE = 2
 
 
 def run_cli(*argv):
@@ -63,7 +64,7 @@ class TestReports:
         extra, _ = GOLDEN_RUNS[name]
         proc = run_cli("full-report", corpus_path(f"{name}.json"), *extra,
                        "--basepoint", basepoint)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == OFF_ORIGIN_CODE, proc.stderr
         suffix = OFF_ORIGIN_GOLDENS[basepoint]
         golden = corpus_path(f"golden/{name}.full.{suffix}.json").read_text()
         assert proc.stdout == golden
@@ -302,6 +303,21 @@ class TestErrors:
         proc = run_cli("check-whitney", corpus_path("family-345.json"),
                        "--basepoint", "oops")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("entry, message", [
+        # forming it took 8.7 s before the parser's caps
+        ("(t+a+1)^100", "power exceeds the cap of 100000 term products (offset 7)"),
+        ("t^2 + " + "9" * 5000 + "*t^3", "number too long (offset 6)"),
+    ], ids=["power-of-a-sum", "5000-digits"])
+    def test_parser_cap_is_one_error_line(self, tmp_path, capsys, entry, message):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2", entry]}))
+        start = time.perf_counter()
+        assert cli.main(["full-report", str(family)]) == 1
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["check-whitney", "crosscheck", "full-report"])
     @pytest.mark.parametrize("depth", ["-1", "x"])

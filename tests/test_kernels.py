@@ -1,0 +1,289 @@
+"""The exact-arithmetic kernels against the code their fast paths replaced.
+
+``Poly`` results are built without validation, sums start from the first
+term instead of a zero Scalar, a product by a unit is the other factor
+(or its copy), and ``wedge3`` reads its zero flags once.  Each must give what the former
+kernel (kept in ``conftest``) gives: equal values, the same printed text,
+the same ``terms`` key order and the same ``num``/``den`` dict order in
+every coefficient, with no zero coefficient and no exponent tuple of the
+wrong length.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from equising import Poly, Scalar, wedge3
+from equising.algebra import _D1, _mono_mul, _sp_mul
+from conftest import (
+    coeffs_in_dividing,
+    mono_mul_by_dict,
+    poly_add_validating,
+    poly_coeff_of_validating,
+    poly_compose_validating,
+    poly_diff_validating,
+    poly_mul_validating,
+    poly_neg_validating,
+    poly_pow_validating,
+    poly_sub_validating,
+    scalar_mul_by_loop,
+    sp_mul_by_loop,
+    wedge3_by_closures,
+)
+
+AT = ("a", "t")
+SYMBOLS = ("g1", "g2")
+
+
+def random_sym_poly(rng, terms=3):
+    """A Scalar with a unit denominator: an int polynomial in g1, g2."""
+    out = Scalar.from_fraction(0)
+    for _ in range(rng.randint(1, terms)):
+        term = Scalar.from_fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+        for name in SYMBOLS:
+            term = term * Scalar.symbol(name) ** rng.randint(0, 2)
+        out = out + term
+    return out
+
+
+def random_scalar(rng):
+    """A rational, a polynomial in the symbols, or a ratio of two; zero
+    now and then."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Scalar.from_fraction(0)
+    if kind < 0.4:
+        return Scalar.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    num = random_sym_poly(rng)
+    if kind < 0.7:
+        return num
+    den = random_sym_poly(rng)
+    return num / den if den else num
+
+
+def random_poly(rng, variables=AT, terms=4, max_exp=3):
+    return Poly(variables, {tuple(rng.randint(0, max_exp) for _ in variables): random_scalar(rng)
+                            for _ in range(rng.randint(0, terms))})
+
+
+def layout(x: Scalar):
+    return list(x.num.items()), list(x.den.items())
+
+
+def assert_same_scalar(got: Scalar, want: Scalar):
+    assert isinstance(got, Scalar)
+    assert got == want
+    assert str(got) == str(want)
+    assert layout(got) == layout(want)
+
+
+def assert_same_poly(got: Poly, want: Poly):
+    assert got.vars == want.vars
+    assert got == want
+    assert str(got) == str(want)
+    assert list(got.terms) == list(want.terms)
+    for e, c in got.terms.items():
+        assert len(e) == len(got.vars)
+        assert isinstance(c, Scalar) and c.num, f"zero coefficient at {e}"
+        assert layout(c) == layout(want.terms[e])
+
+
+class TestPolyArithmetic:
+    def test_ring_operations(self):
+        rng = random.Random(1801)
+        for _ in range(300):
+            p, q = random_poly(rng), random_poly(rng)
+            assert_same_poly(p + q, poly_add_validating(p, q))
+            assert_same_poly(p - q, poly_sub_validating(p, q))
+            assert_same_poly(-p, poly_neg_validating(p))
+            assert_same_poly(p * q, poly_mul_validating(p, q))
+            # p - p and p + (-p) cancel every term
+            assert_same_poly(p - p, poly_sub_validating(p, p))
+            assert (p - p).terms == {}
+
+    def test_scalar_operands(self):
+        rng = random.Random(1802)
+        for _ in range(200):
+            p = random_poly(rng)
+            for c in (random_scalar(rng), rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3)):
+                const = Poly.const(AT, c)
+                assert_same_poly(p + c, poly_add_validating(p, const))
+                assert_same_poly(c + p, poly_add_validating(p, const))
+                assert_same_poly(p - c, poly_sub_validating(p, const))
+                assert_same_poly(c - p, poly_neg_validating(poly_sub_validating(p, const)))
+                want = Poly(AT, {e: co * Scalar._coerce(c) for e, co in p.terms.items()})
+                assert_same_poly(p * c, want)
+                assert_same_poly(c * p, want)
+
+    def test_powers(self):
+        rng = random.Random(1803)
+        for _ in range(150):
+            p = random_poly(rng, terms=rng.choice((1, 1, 2, 3)))
+            for n in range(5):
+                assert_same_poly(p ** n, poly_pow_validating(p, n))
+        for text in ("t", "a", "1"):
+            base = Poly.const(AT, 1) if text == "1" else Poly.var(AT, text)
+            assert_same_poly(base ** 7, poly_pow_validating(base, 7))
+
+    def test_diff_and_coeff_of(self):
+        rng = random.Random(1804)
+        for _ in range(200):
+            p = random_poly(rng)
+            for name in AT:
+                assert_same_poly(p.diff(name), poly_diff_validating(p, name))
+                for k in range(4):
+                    assert_same_poly(p.coeff_of(name, k), poly_coeff_of_validating(p, name, k))
+
+    def test_compose(self):
+        rng = random.Random(1805)
+        s = ("s",)
+        for _ in range(100):
+            p = random_poly(rng)
+            values = [random_poly(rng, s, terms=2), random_poly(rng, s, terms=2)]
+            if rng.random() < 0.3:
+                values[0] = random_scalar(rng)
+            assert_same_poly(p.compose(values), poly_compose_validating(p, values))
+
+    def test_three_variables(self):
+        rng = random.Random(1806)
+        xyz = ("x", "y", "z")
+        for _ in range(100):
+            p, q = random_poly(rng, xyz), random_poly(rng, xyz)
+            assert_same_poly(p * q - p, poly_sub_validating(poly_mul_validating(p, q), p))
+            assert_same_poly(p.coeff_of("y", 1), poly_coeff_of_validating(p, "y", 1))
+
+
+class TestScalarKernels:
+    def test_sp_mul_matches_the_loop(self):
+        rng = random.Random(1807)
+        units = [_D1, {(): 1}]
+        for _ in range(300):
+            p = random_scalar(rng).num
+            q = rng.choice(units) if rng.random() < 0.3 else random_scalar(rng).num
+            for a, b in ((p, q), (q, p)):
+                got = _sp_mul(a, b)
+                assert list(got.items()) == list(sp_mul_by_loop(a, b).items())
+                assert all(got.values())
+                # a new dict, never an operand, so no result aliases _D1
+                assert got is not a and got is not b
+
+    def test_scalar_products_match_the_loop(self):
+        rng = random.Random(1813)
+        one = Scalar.from_fraction(1)
+        for _ in range(300):
+            x = random_scalar(rng)
+            y = one if rng.random() < 0.3 else random_scalar(rng)
+            for a, b in ((x, y), (y, x)):
+                assert_same_scalar(a * b, scalar_mul_by_loop(a, b))
+            assert_same_scalar(x * 1, scalar_mul_by_loop(x, one))
+            assert_same_scalar(Fraction(1) * x, scalar_mul_by_loop(one, x))
+
+    def test_mono_mul_matches_the_dict_path(self):
+        rng = random.Random(1808)
+
+        def mono():
+            names = sorted(rng.sample(SYMBOLS + ("c1",), rng.randint(0, 2)))
+            return tuple((n, rng.choice((-2, -1, 1, 2, 3))) for n in names)
+
+        for _ in range(500):
+            m1, m2 = mono(), mono()
+            assert _mono_mul(m1, m2) == mono_mul_by_dict(m1, m2)
+        assert _mono_mul((("c", 2),), (("c", -2),)) == ()
+
+    def test_equal_scalars_hash_alike_when_lead_monomials_cancel(self):
+        # the lex-leading monomials of num and den are c^2 and c^2 (or
+        # c^2*d and c^2*d), so the hash's monomial ratio must be ()
+        c, d = Scalar.symbol("c"), Scalar.symbol("d")
+        x = (c ** 2 + 1) / (c ** 2 + 2)
+        y = ((c ** 2 + 1) * (d + 1)) / ((c ** 2 + 2) * (d + 1))
+        assert x == y and layout(x) != layout(y)
+        assert hash(x) == hash(y)
+        one = (c ** 2 + 1) / (c ** 2 + 1)
+        assert one == 1 and hash(one) == hash(Scalar.from_fraction(1)) == hash(1)
+
+    def test_coeffs_in_matches_division(self):
+        rng = random.Random(1809)
+        for _ in range(300):
+            num = random_sym_poly(rng, terms=4)
+            den = random_sym_poly(rng) if rng.random() < 0.5 else Scalar.from_fraction(1)
+            if not den:
+                continue
+            # keep g1 out of the denominator
+            den = den.subs("g1", rng.randint(1, 3))
+            x = num / den
+            got, want = x.coeffs_in("g1"), coeffs_in_dividing(x, "g1")
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_scalar(g, w)
+
+
+class TestWedge:
+    def test_matches_closures_on_scalars(self):
+        rng = random.Random(1810)
+        for _ in range(300):
+            dim = rng.randint(3, 5)
+
+            def entry():
+                return Scalar.from_fraction(0) if rng.random() < 0.5 else random_scalar(rng)
+
+            v = [entry() for _ in range(dim)]
+            om = {(i, j): entry() for i in range(1, dim + 1)
+                  for j in range(i + 1, dim + 1) if rng.random() < 0.7}
+            got, want = wedge3(v, om, dim), wedge3_by_closures(v, om, dim)
+            assert list(got) == list(want)
+            for key in got:
+                assert_same_scalar(got[key], want[key])
+
+    def test_matches_closures_on_ints_and_polys(self):
+        rng = random.Random(1811)
+        zero = Scalar.from_fraction(0)
+        for _ in range(100):
+            dim = rng.randint(3, 4)
+            ints = [rng.randint(-2, 2) for _ in range(dim)]
+            assert wedge3(ints, {(1, 2): 3, (2, 3): 0}, dim) == \
+                wedge3_by_closures(ints, {(1, 2): 3, (2, 3): 0}, dim)
+            v = [zero if rng.random() < 0.3 else random_poly(rng, terms=2) for _ in range(dim)]
+            om = {(i, j): random_poly(rng, terms=2) for i in range(1, dim + 1)
+                  for j in range(i + 1, dim + 1) if rng.random() < 0.6}
+            got, want = wedge3(v, om, dim), wedge3_by_closures(v, om, dim)
+            assert list(got) == list(want)
+            for key in got:
+                assert type(got[key]) is type(want[key])
+                if isinstance(want[key], Poly):
+                    assert_same_poly(got[key], want[key])
+                else:
+                    assert_same_scalar(got[key], want[key])
+
+
+class TestAgainstSympy:
+    """The same operations in an independent computer algebra system."""
+
+    def test_ring_operations_and_calculus(self):
+        sympy = pytest.importorskip("sympy")
+        a, t = sympy.symbols("a t")
+
+        def sp_to_sympy(sp):
+            return sum((c * sympy.Mul(*[sympy.Symbol(n) ** e for n, e in m])
+                        for m, c in sp.items()), sympy.Integer(0))
+
+        def to_sympy(x):
+            if isinstance(x, Poly):
+                return sum((to_sympy(c) * a ** e[0] * t ** e[1] for e, c in x.terms.items()),
+                           sympy.Integer(0))
+            return sp_to_sympy(x.num) / sp_to_sympy(x.den)
+
+        def same(p, expr):
+            return sympy.expand(sympy.numer(sympy.together(to_sympy(p) - expr))) == 0
+
+        rng = random.Random(1812)
+        for _ in range(40):
+            p, q = random_poly(rng, terms=3, max_exp=2), random_poly(rng, terms=3, max_exp=2)
+            sp, sq = to_sympy(p), to_sympy(q)
+            assert same(p + q, sp + sq)
+            assert same(p - q, sp - sq)
+            assert same(p * q, sp * sq)
+            assert same(p ** 2, sp ** 2)
+            assert same(p.diff("t"), sympy.diff(sp, t))
+            swapped = p.compose([Poly.var(AT, "t"), Poly.var(AT, "a")])
+            assert same(swapped, sp.subs({a: t, t: a}, simultaneous=True))
