@@ -205,11 +205,13 @@ def _strip_common(num: SPoly, den: SPoly) -> tuple[SPoly, SPoly]:
 class ParseError(ValueError):
     """Syntax or vocabulary error in a polynomial expression.
 
-    Carries the byte offset of the offending token in ``offset``.
+    Carries the byte offset of the offending token in ``offset``, and the
+    message without it in ``message``.
     """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -359,6 +361,8 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        if o.den is _D1 and o.num == _D1:
+            return self  # as in __mul__: the general path would copy it
         return Scalar(_sp_mul(self.num, o.den), _sp_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
@@ -1246,8 +1250,11 @@ class SeriesT:
         n = min(self.order, inner.order)
         if n and not inner.coeffs[0].is_zero():
             raise ValueError("composition needs inner valuation >= 1")
-        out = [self.coeffs[0]] + [_S0] * (n - 1) if n else []
         right = inner._terms(n)
+        if right == [(1, _S1)]:
+            # inner is s: the loop would rebuild self's coefficients
+            return self if n == self.order else SeriesT(self.coeffs[:n], n)
+        out = [self.coeffs[0]] + [_S0] * (n - 1) if n else []
         gk = [(0, _S1)]
         # powers past the outer series' last nonzero coefficient add nothing
         last = next((k for k in range(n - 1, 0, -1) if self.coeffs[k].num), 0)
@@ -1302,16 +1309,18 @@ def series_reversion(v: SeriesT) -> SeriesT:
     precision (R. P. Brent and H. T. Kung, J. ACM 25, 1978): with t exact
     modulo s^c, one step taken on operands truncated at s^k, k = min(n, 2c),
     makes it exact modulo s^k.  When v is 1 up to its order, s(t) = t is
-    its own reversion and no step is taken.
+    its own reversion: nothing is set up and no step is taken.
     """
     n = v.order
     if n == 0 or not (v.coeffs[0] == _S1):
         raise ValueError("reversion needs unit constant term")
+    if not any(v.coeffs[1:]):
+        return SeriesT.from_coeffs([_S1], n - 1)
     # series s(t) = t * v(t) as coefficients in t, degree shifted by one
     s_of_t = SeriesT.from_coeffs([_S0] + list(v.coeffs[: n - 1]), n)
     ds = _series_derivative(s_of_t)
     t = SeriesT.from_coeffs([0, 1], n)
-    correct = 2 if any(v.coeffs[1:]) else n
+    correct = 2
     while correct < n:
         k = min(n, 2 * correct)
         t = SeriesT.from_coeffs(t.coeffs, k)

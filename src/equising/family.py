@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import AT, Poly, Scalar, fresh_symbol, parse_poly
+from .algebra import AT, ParseError, Poly, Scalar, fresh_symbol, parse_poly
 
 __all__ = [
     "Parametrization",
@@ -225,10 +225,27 @@ def family_from_strings(
     ambient: Sequence[str] = (),
     name: str = "",
 ) -> Parametrization:
-    fam = Parametrization(tuple(parse_poly(s, AT) for s in entries), tuple(ambient), name)
+    # a parse error names its entry as check_coefficient_size does; an
+    # ambient of the wrong length is refused by Parametrization after parsing
+    labels = ambient if len(ambient) == len(entries) else _default_ambient(len(entries))
+    polys = _parse_named(entries, AT, [f"entry {label}" for label in labels])
+    fam = Parametrization(tuple(polys), tuple(ambient), name)
     for label, e in zip(fam.ambient, fam.entries):
         check_coefficient_size(e, f"entry {label}")
     return fam
+
+
+def _parse_named(texts: Sequence[str], variables: Sequence[str],
+                 names: Sequence[str]) -> list[Poly]:
+    """Parse each text; a ParseError is raised again with the text's name
+    in front of its message."""
+    out = []
+    for text, what in zip(texts, names):
+        try:
+            out.append(parse_poly(text, variables))
+        except ParseError as exc:
+            raise ParseError(f"{what}: {exc.message}", exc.offset) from None
+    return out
 
 
 def check_coefficient_size(p: Poly, what: str, digits: int = MAX_COEFF_DIGITS) -> None:
@@ -296,7 +313,9 @@ def load_equations(path: str | Path, family: Parametrization) -> list[Poly]:
         raise FamilyValidationError(
             f"{path.name}: unknown ambient variables {extra}"
         )
-    equations = [parse_poly(s, variables) for s in _strings(data, "equations", path)]
+    texts = _strings(data, "equations", path)
+    equations = _parse_named(
+        texts, variables, [f"{path.name}: equation {k}" for k in range(1, len(texts) + 1)])
     for k, eq in enumerate(equations, start=1):
         check_coefficient_size(eq, f"{path.name}: equation {k}")
     return equations

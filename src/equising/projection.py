@@ -22,9 +22,12 @@ gcd drops.  The arithmetic stays over Q, or Q(a) at the generic fiber.
 The scan works with truncated series, so it certifies its own
 completeness: the gcd of all support exponents of the coordinates is an
 a priori lower bound for the running gcd, and reaching it proves no
-further characteristic exponent exists.  If the bound is not reached
-within the truncation the order is doubled once; after that the sequence
-is returned with ``confirmed`` False rather than guessed.
+further characteristic exponent exists.  A sequence's ``truncation`` is
+the most the scan may read; the series are computed at a precision that
+starts at 2m and doubles up to it only while the scan has not stopped.
+If the bound is not reached within the truncation the truncation is
+doubled once; after that the sequence is returned with ``confirmed``
+False rather than guessed.
 
 Strong equisingularity of a family asks the sequence to be the same for
 the generic fiber and every special fiber of interest.
@@ -91,21 +94,31 @@ class CharSequence:
 def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
                   floor_gcd: int) -> tuple[list[int], int]:
     """Reparametrize so x is a constant times s^m, then scan the union of
-    the other coordinates' supports."""
+    the other coordinates' supports below s^order.
+
+    The series are computed at a working precision k that starts at 2m
+    and doubles up to ``order``.  Every coefficient below s^k is exact, so
+    a scan that stops below k reads what it would read at full order."""
     xm = x.terms[(m,)]
-    u_coeffs = [c / xm for c in SeriesT.from_poly(x, m + order).coeffs[m:]]
-    w = series_reversion(SeriesT.from_coeffs(u_coeffs, order).root(m))
-    t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
-    ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]
-    d = m
-    betas: list[int] = []
-    for j in range(1, order):
-        if d == floor_gcd or d == 1:
-            break
-        if j % d and any(not y.coeffs[j].is_zero() for y in ys):
-            betas.append(j)
-            d = _gcd(d, j)
-    return betas, d
+    x_coeffs = SeriesT.from_poly(x, m + order).coeffs[m:]
+    k = min(order, 2 * m)
+    while True:
+        # a zero coefficient is left as it is, not divided
+        u = SeriesT(tuple([c / xm if c.num else c for c in x_coeffs[:k]]), k)
+        w = series_reversion(u.root(m))
+        t_of_s = SeriesT((Scalar({}),) + w.coeffs, k)
+        ys = [SeriesT.from_poly(y, k).compose(t_of_s) for y in others]
+        d = m
+        betas: list[int] = []
+        for j in range(1, k):
+            if d == floor_gcd or d == 1:
+                break
+            if j % d and any(y.coeffs[j].num for y in ys):
+                betas.append(j)
+                d = _gcd(d, j)
+        if d == floor_gcd or d == 1 or k == order:
+            return betas, d
+        k = min(order, 2 * k)
 
 
 def char_exponents(*coords: Poly) -> CharSequence:

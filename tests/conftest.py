@@ -28,6 +28,7 @@ from equising import (
     series_reversion,
     t_order,
 )
+from equising.algebra import _mul_terms, _sp_mul
 from equising.limits import _regime_plan, arc_leading_vector, secant_vector
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -533,3 +534,75 @@ def wedge3_by_closures(v, omega, dim):
                  if not (vanishes(x) or vanishes(y))]
         out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
     return out
+
+
+# -- the strong check's series work before it skipped what it knows ----------
+# (compose with s through the power loop, the reversion's set-up built
+# before it checks for a unit series, every coefficient divided, a unit
+# divisor too, and every series computed to the full truncation order;
+# the library's former code, kept as oracles for the shortcuts)
+
+def scalar_div_general(x: Scalar, y: Scalar) -> Scalar:
+    """``x / y`` through the general path, a unit divisor too."""
+    if y.is_zero():
+        raise ZeroDivisionError("division by zero scalar")
+    return Scalar(_sp_mul(x.num, y.den), _sp_mul(x.den, y.num))
+
+
+def series_compose_by_loop(f: SeriesT, inner: SeriesT) -> SeriesT:
+    """``f(inner)`` summed over the powers of ``inner``, inner = s too."""
+    n = min(f.order, inner.order)
+    if n and not inner.coeffs[0].is_zero():
+        raise ValueError("composition needs inner valuation >= 1")
+    out = [f.coeffs[0]] + [_ZERO] * (n - 1) if n else []
+    right = inner._terms(n)
+    gk = [(0, Scalar.from_fraction(1))]
+    last = next((k for k in range(n - 1, 0, -1) if f.coeffs[k].num), 0)
+    for k in range(1, last + 1):
+        gk = _mul_terms(gk, right, n)
+        if not gk:
+            break
+        c = f.coeffs[k]
+        if c.num:
+            for j, g in gk:
+                out[j] = out[j] + g * c
+    return SeriesT(tuple(out), n)
+
+
+def series_reversion_with_setup(v: SeriesT) -> SeriesT:
+    """``series_reversion`` building s(t) and s'(t) before it checks for a
+    unit series, composing by :func:`series_compose_by_loop`."""
+    n = v.order
+    if n == 0 or not (v.coeffs[0] == 1):
+        raise ValueError("reversion needs unit constant term")
+    s_of_t = SeriesT.from_coeffs([_ZERO] + list(v.coeffs[: n - 1]), n)
+    ds = SeriesT(tuple([s_of_t.coeffs[k + 1] * (k + 1) for k in range(n - 1)] + [_ZERO]), n)
+    t = SeriesT.from_coeffs([0, 1], n)
+    correct = 2 if any(v.coeffs[1:]) else n
+    while correct < n:
+        k = min(n, 2 * correct)
+        t = SeriesT.from_coeffs(t.coeffs, k)
+        err = series_compose_by_loop(s_of_t, t) - SeriesT.from_coeffs([0, 1], k)
+        t = t - err * series_compose_by_loop(ds, t).inverse()
+        correct = k
+    return SeriesT(tuple(t.coeffs[1:]), n - 1)
+
+
+def support_scan_full_order(x: Poly, others: list[Poly], m: int, order: int,
+                            floor_gcd: int) -> tuple[list[int], int]:
+    """``projection._support_scan`` computing every series to ``order``,
+    dividing zeros and using the two oracles above."""
+    xm = x.terms[(m,)]
+    u_coeffs = [scalar_div_general(c, xm) for c in SeriesT.from_poly(x, m + order).coeffs[m:]]
+    w = series_reversion_with_setup(SeriesT.from_coeffs(u_coeffs, order).root(m))
+    t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
+    ys = [series_compose_by_loop(SeriesT.from_poly(y, order), t_of_s) for y in others]
+    d = m
+    betas: list[int] = []
+    for j in range(1, order):
+        if d == floor_gcd or d == 1:
+            break
+        if j % d and any(not y.coeffs[j].is_zero() for y in ys):
+            betas.append(j)
+            d = gcd(d, j)
+    return betas, d

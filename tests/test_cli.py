@@ -306,8 +306,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("entry, message", [
         # forming it took 8.7 s before the parser's caps
-        ("(t+a+1)^100", "power exceeds the cap of 100000 term products (offset 7)"),
-        ("t^2 + " + "9" * 5000 + "*t^3", "number too long (offset 6)"),
+        ("(t+a+1)^100", "entry z: power exceeds the cap of 100000 term products (offset 7)"),
+        ("t^2 + " + "9" * 5000 + "*t^3", "entry z: number too long (offset 6)"),
     ], ids=["power-of-a-sum", "5000-digits"])
     def test_parser_cap_is_one_error_line(self, tmp_path, capsys, entry, message):
         family = tmp_path / "family.json"

@@ -13,6 +13,7 @@ from equising import (
     NoUnitChartError,
     ParameterEntryError,
     Parametrization,
+    ParseError,
     Poly,
     Scalar,
     blowup_singular_locus,
@@ -283,6 +284,27 @@ class TestLoading:
         eqs.write_text(json.dumps({"vars": ["x", "q"], "equations": ["q"]}))
         with pytest.raises(FamilyValidationError, match="unknown ambient"):
             load_equations(eqs, fam)
+
+
+class TestParseErrorsNameTheirEntry:
+    def test_unknown_variable_in_the_third_entry(self):
+        with pytest.raises(ParseError) as info:
+            family_from_strings(["a", "t^2", "t^3 + q"])
+        assert str(info.value) == "entry z: unknown variable 'q' (offset 6)"
+        assert info.value.offset == 6
+
+    def test_named_ambient(self):
+        with pytest.raises(ParseError, match=r"^entry v: unknown variable 'q' \(offset 0\)$"):
+            family_from_strings(["a", "q", "t^3"], ambient=("u", "v", "w"))
+
+    def test_equations_file(self, tmp_path):
+        fam = load_family(corpus_path("family-345.json"))
+        eqs = tmp_path / "eqs.json"
+        eqs.write_text(json.dumps({"equations": ["y^3 - z^2", "y*(z + q)"]}))
+        with pytest.raises(ParseError) as info:
+            load_equations(eqs, fam)
+        assert str(info.value) == "eqs.json: equation 2: unknown variable 'q' (offset 7)"
+        assert info.value.offset == 7
 
 
 class TestImplicitEquations:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from equising import Poly, Scalar, wedge3
+from equising import Poly, Scalar, SeriesT, series_reversion, wedge3
 from equising.algebra import _D1, _mono_mul, _sp_mul
 from conftest import (
     coeffs_in_dividing,
@@ -27,7 +27,10 @@ from conftest import (
     poly_neg_validating,
     poly_pow_validating,
     poly_sub_validating,
+    scalar_div_general,
     scalar_mul_by_loop,
+    series_compose_by_loop,
+    series_reversion_with_setup,
     sp_mul_by_loop,
     wedge3_by_closures,
 )
@@ -216,6 +219,127 @@ class TestScalarKernels:
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert_same_scalar(g, w)
+
+
+def series_layout(f: SeriesT):
+    return [layout(c) for c in f.coeffs], f.order
+
+
+def assert_same_series(got: SeriesT, want: SeriesT):
+    assert got.order == want.order
+    assert all(x == y for x, y in zip(got.coeffs, want.coeffs))
+    assert str(got) == str(want)
+    assert series_layout(got) == series_layout(want)
+
+
+def random_series(rng, order, density=0.3, const=None):
+    """Coefficients in Q and in Q(g1, g2), zero where a draw misses."""
+    cs = [random_scalar(rng) if rng.random() < density else Scalar.from_fraction(0)
+          for _ in range(order)]
+    if order and const is not None:
+        cs[0] = Scalar.from_fraction(const)
+    return SeriesT(tuple(cs), order)
+
+
+class TestSeriesShortcuts:
+    """Compose with s, the reversion of a unit series and division by 1
+    against the code they replaced: the same values, text and
+    ``num``/``den`` dict order in every coefficient."""
+
+    def test_compose_matches_the_loop(self):
+        rng = random.Random(1901)
+        one, zero = Scalar.from_fraction(1), Scalar.from_fraction(0)
+        for n in range(0, 41):
+            for density in (0.15, 0.6):
+                f = random_series(rng, n, density)
+                # inner orders equal to, below and above the outer one
+                for order in (n, max(n - rng.randint(1, 3), 0), n + rng.randint(1, 3)):
+                    # a rational or c*g1: powers of a longer symbolic
+                    # coefficient grow fast, and those of a ratio without a gcd
+                    extra = rng.choice((Scalar.from_fraction(Fraction(rng.randint(1, 9), 2)),
+                                        Scalar.symbol("g1") * rng.randint(-5, 5) or one))
+                    # s, 2*s, s + s^3, s plus a term at the outer order (past
+                    # the truncation) or below it, -s and s^2
+                    for shape in ({1: one}, {1: Scalar.from_fraction(2)}, {1: one, 3: one},
+                                  {1: one, n: extra}, {1: one, rng.randint(2, 6): extra},
+                                  {1: Scalar.from_fraction(-1)}, {2: one}):
+                        inner = SeriesT(tuple([shape.get(e, zero) for e in range(order)]), order)
+                        assert_same_series(f.compose(inner), series_compose_by_loop(f, inner))
+                    if n <= 8:  # a dense symbolic composition grows fast
+                        inner = random_series(rng, order, density=0.4, const=0)
+                        assert_same_series(f.compose(inner), series_compose_by_loop(f, inner))
+
+    def test_compose_with_s_is_the_outer_series(self):
+        rng = random.Random(1902)
+        for n in range(2, 41):
+            f = random_series(rng, n)
+            s = SeriesT.from_coeffs([0, 1], n)
+            assert f.compose(s) is f
+            assert_same_series(f.compose(SeriesT.from_coeffs([0, 1], n - 1)),
+                               SeriesT(f.coeffs[:n - 1], n - 1))
+            with pytest.raises(ValueError):
+                f.compose(SeriesT.from_coeffs([1, 1], n))
+
+    def test_reversion_matches_the_setup(self):
+        rng = random.Random(1903)
+        for n in range(0, 41):
+            unit = SeriesT.from_coeffs([1], n)
+            if n == 0:
+                for v in (unit, SeriesT((), 0)):
+                    with pytest.raises(ValueError):
+                        series_reversion(v)
+                    with pytest.raises(ValueError):
+                        series_reversion_with_setup(v)
+                continue
+            inputs = [unit]
+            # non-unit v at odd orders: rational coefficients up to 39,
+            # symbolic ones up to 7 (they grow with every Newton step)
+            if n >= 2 and n % 2:
+                rational = [Scalar.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                            if rng.random() < 0.3 else Scalar.from_fraction(0)
+                            for _ in range(n)]
+                rational[0] = Scalar.from_fraction(1)
+                rational[rng.randrange(1, n)] = Scalar.from_fraction(rng.choice((-3, 2)))
+                inputs.append(SeriesT(tuple(rational), n))
+                if n <= 8:
+                    inputs.append(random_series(rng, n, density=0.4, const=1))
+            for v in inputs:
+                assert_same_series(series_reversion(v), series_reversion_with_setup(v))
+
+    def test_division_by_one_and_minus_one(self):
+        rng = random.Random(1904)
+        one, minus = Scalar.from_fraction(1), Scalar.from_fraction(-1)
+        for _ in range(300):
+            x = random_scalar(rng)
+            y = random_scalar(rng) or one
+            for divisor in (one, minus, y):
+                assert_same_scalar(x / divisor, scalar_div_general(x, divisor))
+            assert x / one is x
+            for divisor in (1, Fraction(1), -1):
+                assert_same_scalar(x / divisor, scalar_div_general(x, Scalar._coerce(divisor)))
+            with pytest.raises(ZeroDivisionError):
+                x / 0
+
+    def test_reversion_agrees_with_sympy(self):
+        ring_series = pytest.importorskip("sympy.polys.ring_series")
+        from sympy import QQ
+        from sympy.polys.rings import ring
+
+        R, x, y = ring("x,y", QQ)
+
+        def to_ring(f, var):
+            return sum((QQ(q.numerator, q.denominator) * var ** k
+                        for k, q in enumerate(c.as_fraction() for c in f.coeffs)), R.zero)
+
+        rng = random.Random(1905)
+        for n in range(2, 41, 5):
+            for density in (0.0, 0.2, 0.7):
+                cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density
+                      else 0 for _ in range(n)]
+                v = SeriesT.from_coeffs([1] + cs[1:], n)
+                w = series_reversion(v)
+                s_of_t = x * to_ring(SeriesT.from_coeffs(v.coeffs, n - 1), x)
+                assert y * to_ring(w, y) == ring_series.rs_series_reversion(s_of_t, x, n, y)
 
 
 class TestWedge:

@@ -4,11 +4,13 @@ comparison."""
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from equising import (
     DegenerateFiberError,
+    FamilyValidationError,
     NoUnitChartError,
     Poly,
     Scalar,
@@ -32,6 +34,7 @@ from conftest import (
     random_binomial_family,
     random_monomial_family,
     support_scan_by_coeff_of,
+    support_scan_full_order,
 )
 
 T = ("t",)
@@ -115,20 +118,26 @@ def shares_lowest_order(fiber) -> bool:
     return orders.count(min(orders)) > 1
 
 
+def corpus_and_chart_families() -> list:
+    """The five corpus families and the 6 blow-up and Nash charts built on
+    them."""
+    families = []
+    for name in ("family-345", "family-352", "family-467",
+                 "family-589", "tangent-arc"):
+        fam = load_family(corpus_path(f"{name}.json"))
+        families.append(fam)
+        for build in (blowup_singular_locus, nash_modification):
+            try:
+                families.append(build(fam).family)
+            except NoUnitChartError:
+                pass
+    assert len(families) == 11
+    return families
+
+
 class TestAgainstGenericProjection:
     def test_corpus_and_modifications(self):
-        families = []
-        for name in ("family-345", "family-352", "family-467",
-                     "family-589", "tangent-arc"):
-            fam = load_family(corpus_path(f"{name}.json"))
-            families.append(fam)
-            for build in (blowup_singular_locus, nash_modification):
-                try:
-                    families.append(build(fam).family)
-                except NoUnitChartError:
-                    pass
-        assert len(families) == 11
-        for fam in families:
+        for fam in corpus_and_chart_families():
             for value in (fresh_symbol(), 0, Fraction(1, 2), Fraction(-2, 3)):
                 fiber = fam.fiber(value)[1:]
                 assert char_exponents_at(fam, value).to_json() == \
@@ -169,22 +178,128 @@ class TestMonomialOracle:
         assert shared > 0
 
 
+def seeded_fibers() -> list[list[Poly]]:
+    """360 fibers: 60 seeded binomial and 60 monomial families, each at
+    a = 0, at a rational value and at the generic value."""
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(60):
+        for fam in (random_binomial_family(rng),
+                    random_monomial_family(rng, max_extra=3)):
+            for value in (0, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      rng.randint(1, 9)), fresh_symbol()):
+                cases.append(fam.fiber(value)[1:])
+    return cases
+
+
+def with_scan(scan, fibers) -> list[dict]:
+    """``char_exponents`` of each fiber, reports as JSON, with ``scan`` in
+    place of ``projection._support_scan``."""
+    with mock.patch.object(projection, "_support_scan", scan):
+        return [char_exponents(*fiber).to_json() for fiber in fibers]
+
+
+def transversal_coordinate(fiber) -> Poly:
+    """The coordinate ``char_exponents`` reparametrizes: the first one of
+    least t-order."""
+    coords = [c for c in fiber if not c.is_zero()]
+    m = min(c.min_deg("t") for c in coords)
+    return next(c for c in coords if c.min_deg("t") == m)
+
+
 class TestAgainstCoeffOfScan:
-    def test_seeded_families_match_the_former_scan(self, monkeypatch):
+    def test_seeded_families_match_the_former_scan(self):
         # the former scan read each coefficient through Poly.coeff_of and
         # took the binomial root of a unit series term by term
-        rng = random.Random(20261019)
+        cases = seeded_fibers()
+        assert with_scan(projection._support_scan, cases) == \
+            with_scan(support_scan_by_coeff_of, cases)
+
+
+class TestAgainstFullOrderScan:
+    """The scan at doubling precision, with compose by s as the identity,
+    the unit reversion without set-up and no division of zeros, against
+    the scan that computed every series to the full truncation order."""
+
+    def test_seeded_fibers(self):
+        cases = seeded_fibers()
+        assert with_scan(projection._support_scan, cases) == \
+            with_scan(support_scan_full_order, cases)
+
+    def test_non_monomial_transversal_coordinate(self):
+        # a transversal coordinate c*t^m plus a tail: u is not a unit
+        # series, so the root, the Newton steps and the general compose run
+        rng = random.Random(20261020)
+
+        def term(i, j):
+            return f"({rng.choice((-1, 1)) * rng.randint(1, 9)})*a^{i}*t^{j}"
+
         cases = []
-        for _ in range(60):
-            for fam in (random_binomial_family(rng),
-                        random_monomial_family(rng, max_extra=3)):
-                for value in (0, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                                          rng.randint(1, 9)), fresh_symbol()):
-                    cases.append(fam.fiber(value)[1:])
-        got = [char_exponents(*fiber) for fiber in cases]
-        monkeypatch.setattr(projection, "_support_scan", support_scan_by_coeff_of)
-        ref = [char_exponents(*fiber) for fiber in cases]
-        assert got == ref
+        while len(cases) < 200:
+            m = rng.randint(2, 4)
+            x = " + ".join([term(0, m)] + [term(rng.randint(0, 1), m + rng.randint(1, 4))
+                                           for _ in range(rng.randint(1, 2))])
+            others = [" + ".join(term(rng.randint(0, 2), rng.randint(m + 1, m + 5))
+                                 for _ in range(rng.randint(1, 2)))
+                      for _ in range(rng.randint(1, 2))]
+            fam = family_from_strings(["a", x, *others])
+            value = rng.choice((fresh_symbol(), Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+            fiber = fam.fiber(value)[1:]
+            if len(transversal_coordinate(fiber).terms) > 1:
+                cases.append(fiber)
+        assert with_scan(projection._support_scan, cases) == \
+            with_scan(support_scan_full_order, cases)
+
+    def test_corpus_families_and_their_charts(self):
+        cases = [fam.fiber(value)[1:] for fam in corpus_and_chart_families()
+                 for value in (fresh_symbol(), 0, Fraction(1, 2), Fraction(-2, 3))]
+        assert with_scan(projection._support_scan, cases) == \
+            with_scan(support_scan_full_order, cases)
+
+    def test_small_random_families(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        term = st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 2),
+                         st.integers(1, 6))
+        entry = st.lists(term, min_size=1, max_size=3)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.lists(entry, min_size=2, max_size=3),
+                          st.sampled_from(["generic", 0, Fraction(1, 2), Fraction(-3)]))
+        def check(entries, value):
+            texts = ["a"] + [" + ".join(f"({c})*a^{i}*t^{j}" for c, i, j in e) for e in entries]
+            try:
+                fam = family_from_strings(texts)
+            except FamilyValidationError:
+                hypothesis.reject()
+            fiber = fam.fiber(fresh_symbol() if value == "generic" else value)[1:]
+            hypothesis.assume(not all(c.is_zero() for c in fiber))
+            assert with_scan(projection._support_scan, [fiber]) == \
+                with_scan(support_scan_full_order, [fiber]), (texts, value)
+
+        check()
+
+
+class TestScanPrecision:
+    def test_long_entry_reads_only_what_the_scan_needs(self):
+        # each series was computed to 2*102+1 = 205: 58 s before the
+        # working precision doubled from 2m; the report is the one the
+        # full-order scan gave
+        family = family_from_strings(["a", "t^2*(a+t)^100", "t^3"])
+        start = time.perf_counter()
+        with symbol_run():
+            res = strong_equisingularity_check(family)
+        assert time.perf_counter() - start < 2.0
+        assert res.to_json() == {
+            "verdict": "Refuted",
+            "sequences": {
+                "generic": {"beta0": 2, "betas": [3], "final_gcd": 1, "confirmed": True,
+                            "truncation": 205, "display": "(2; 3)"},
+                "a = 0": {"beta0": 3, "betas": [], "final_gcd": 3, "confirmed": True,
+                          "truncation": 205, "display": "(3;)"},
+            },
+            "mismatch": ["generic", "a = 0"],
+        }
 
 
 class TestStrongCheck:
