@@ -706,10 +706,6 @@ class Poly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def constant_value(self) -> Scalar:
-        """The constant coefficient (the whole value for a constant poly)."""
-        return self.terms.get((0,) * len(self.vars), _S0)
-
     def coeff_of(self, name: str, k: int) -> "Poly":
         """Coefficient of name**k, as a polynomial in the other variables."""
         i = self.vars.index(name)
@@ -917,7 +913,7 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def digits(self):
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
 
     def number(self, start: int) -> int:
@@ -1094,7 +1090,7 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
     s = ("s",)
     if arc.a0.is_zero() and not segs:
         # the vertical arc a == 0 keeps the terms free of a, with t = s
-        return Poly(s, {(j,): val for (i, j), val in p.terms.items() if not i})
+        return Poly._of(s, {(j,): val for (i, j), val in p.terms.items() if not i})
     a_val = Poly.const(s, arc.a0)
     for k, (e, c) in enumerate(segs, start=1):
         coeff = Scalar.symbol(f"c{k}") if c is None else c

@@ -7,7 +7,7 @@ a parametrized curve through the origin of the fiber, and every entry past
 the first vanishes identically on the parameter axis.
 
 The checkers in the sibling modules consume this container: they need
-fibers, the Jacobian, its 2x2 minors, and the entries' supports.
+fibers, the tangent-plane minors, and the entries' supports.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def resolve_basepoint(basepoint) -> tuple[Scalar, str]:
         basepoint = fresh_symbol()
     a0 = (basepoint if isinstance(basepoint, Scalar)
           else Scalar.from_fraction(basepoint))
+    if not a0.num:
+        return a0, "0"
     return a0, str(a0) if a0.is_rational() else f"generic ({a0})"
 
 
@@ -118,10 +120,10 @@ class Parametrization:
         for e in self.entries:
             if e.vars != AT:
                 raise FamilyValidationError("entries must be polynomials in (a, t)")
-        if self.entries[0] != Poly.var(AT, "a"):
+        if self.entries[0].terms != {(1, 0): 1}:
             raise ParameterEntryError("first entry must be exactly the parameter a")
         for name, e in zip(ambient[1:], self.entries[1:]):
-            if not e.coeff_of("t", 0).is_zero():
+            if any(j == 0 for _, j in e.terms):
                 raise AxisVanishingError(
                     f"entry {name} does not vanish on the axis t = 0"
                 )
@@ -185,17 +187,31 @@ class Parametrization:
             object.__setattr__(self, "_last_center", last)
         return last[1], a0, label
 
-    def jacobian(self) -> list[tuple[Poly, Poly]]:
-        """Rows (d/da, d/dt) of each entry."""
-        return [(e.diff("a"), e.diff("t")) for e in self.entries]
-
     def plucker_minors(self) -> dict[tuple[int, int], Poly]:
-        """2x2 Jacobian minors p[i, j] (1-based, i < j), the tangent-plane
-        Pluecker coordinates of the parametrized surface."""
-        rows = self.jacobian()
-        n = len(rows)
-        return {(i + 1, j + 1): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-                for i in range(n) for j in range(i + 1, n)}
+        """2x2 minors p[k, l] (1-based, k < l) of the Jacobian rows
+        (d/da, d/dt), the tangent-plane Pluecker coordinates of the
+        parametrized surface, summed over term pairs: c1*a^i1*t^j1 in
+        entry k and c2*a^i2*t^j2 in entry l add c1*c2*(i1*j2 - i2*j1) to
+        the coefficient of a^(i1+i2-1)*t^(j1+j2-1) of p[k, l].  A pair of
+        weight 0 adds nothing, and a coefficient that sums to zero is
+        dropped, as ``Poly.__add__`` drops it."""
+        items = [list(e.terms.items()) for e in self.entries]
+        out = {}
+        for k, left in enumerate(items, start=1):
+            for l, right in enumerate(items[k:], start=k + 1):
+                terms: dict[tuple[int, ...], Scalar] = {}
+                for (i1, j1), c1 in left:
+                    for (i2, j2), c2 in right:
+                        w = i1 * j2 - i2 * j1
+                        if w:
+                            e, c = (i1 + i2 - 1, j1 + j2 - 1), c1 * c2 * w
+                            s = terms[e] + c if e in terms else c
+                            if s.num:
+                                terms[e] = s
+                            else:
+                                del terms[e]
+                out[(k, l)] = Poly._of(AT, terms)
+        return out
 
     def is_equimultiple(self) -> tuple[bool, int, int]:
         """Compare the fiber multiplicity at a = 0 with the generic one.

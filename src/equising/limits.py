@@ -218,7 +218,7 @@ def arc_leading_vector(
     if nu == INFINITY:
         return None
     k = int(nu)
-    return nu, [p.coeff_of("s", k).constant_value() for p in subs]
+    return nu, [p.terms.get((k,), _ZERO) for p in subs]
 
 
 def _staircase(points: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

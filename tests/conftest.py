@@ -267,8 +267,8 @@ def support_scan_by_coeff_of(x: Poly, others: list[Poly], m: int, order: int,
                              floor_gcd: int) -> tuple[list[int], int]:
     """``projection._support_scan`` reading x's coefficients through
     ``Poly.coeff_of`` and taking the root by :func:`binomial_root`."""
-    xm = x.coeff_of("t", m).constant_value()
-    u_coeffs = [x.coeff_of("t", m + e).constant_value() / xm for e in range(order)]
+    xm = constant_value(x.coeff_of("t", m))
+    u_coeffs = [constant_value(x.coeff_of("t", m + e)) / xm for e in range(order)]
     w = series_reversion(binomial_root(SeriesT.from_coeffs(u_coeffs, order), m))
     t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
     ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]
@@ -534,6 +534,29 @@ def wedge3_by_closures(v, omega, dim):
                  if not (vanishes(x) or vanishes(y))]
         out[(i, j, k)] = sum(prods[1:], prods[0]) if prods else v[i - 1] * om(j, k)
     return out
+
+
+# -- the Whitney sweep's inputs through general polynomial work --------------
+# (the Jacobian rows, their products and the constant coefficient read
+# through ``Poly.coeff_of``; the library's former code, kept as oracles for
+# the term-pair minors and the direct reads that replaced it)
+
+def jacobian(family: Parametrization) -> list[tuple[Poly, Poly]]:
+    """Rows (d/da, d/dt) of each entry."""
+    return [(e.diff("a"), e.diff("t")) for e in family.entries]
+
+
+def plucker_minors_by_jacobian(family: Parametrization) -> dict[tuple[int, int], Poly]:
+    """2x2 minors of :func:`jacobian`, each row pair multiplied out."""
+    rows = jacobian(family)
+    n = len(rows)
+    return {(i + 1, j + 1): rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
+            for i in range(n) for j in range(i + 1, n)}
+
+
+def constant_value(p: Poly) -> Scalar:
+    """The constant coefficient (the whole value for a constant poly)."""
+    return p.terms.get((0,) * len(p.vars), _ZERO)
 
 
 # -- the strong check's series work before it skipped what it knows ----------

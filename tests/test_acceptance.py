@@ -37,6 +37,7 @@ from conftest import (
     direction_deviation,
     exponent_pairs,
     fiber_multiplicity,
+    jacobian,
     leading_direction,
     random_monomial_family,
     regime_arcs,
@@ -69,7 +70,7 @@ def span_form(u, v) -> dict:
 
 
 def jacobian_rows(family):
-    pairs = family.jacobian()
+    pairs = jacobian(family)
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 

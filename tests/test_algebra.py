@@ -33,7 +33,7 @@ from equising.algebra import (
     substitute_arc,
     symbol_run,
 )
-from conftest import CORPUS, binomial_root, power_by_multiplication
+from conftest import CORPUS, binomial_root, constant_value, power_by_multiplication
 
 AT = ("a", "t")
 
@@ -359,6 +359,19 @@ class TestParsePrint:
         with pytest.raises(ParseError, match="negative exponent"):
             P("t^-2")
 
+    @pytest.mark.parametrize("text, message", [
+        ("t^\u00b2", "expected a natural number (offset 2)"),
+        ("2\u00b2*t", "trailing input (offset 1)"),
+    ])
+    def test_superscript_digits_are_not_numbers(self, text, message):
+        # str.isdigit accepts a superscript two, which int() refuses
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert str(err.value) == message
+
+    def test_decimal_digits_of_any_script(self):
+        assert P("\u0663*t") == P("3*t")
+
     def test_truncated_input(self):
         with pytest.raises(ParseError):
             P("a + ")
@@ -486,7 +499,7 @@ class TestPoly:
         assert t_order(p) == 2
         assert p.min_deg("t") == 2 and p.max_deg("t") == 5
         assert t_order(Poly.zero(AT)) == INFINITY
-        assert p.coeff_of("t", 5).constant_value().as_fraction() == 3
+        assert constant_value(p.coeff_of("t", 5)).as_fraction() == 3
 
     def test_compose_identity_and_eval(self):
         p = P("a^2*t + t^4 - 2*a")

@@ -9,15 +9,37 @@ every coefficient, with no zero coefficient and no exponent tuple of the
 wrong length.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from equising import Poly, Scalar, SeriesT, series_reversion, wedge3
-from equising.algebra import _D1, _mono_mul, _sp_mul
+from equising import (
+    INFINITY,
+    Arc,
+    Parametrization,
+    Poly,
+    Scalar,
+    SeriesT,
+    equivalence_crosscheck,
+    family_from_strings,
+    load_family,
+    series_reversion,
+    wedge3,
+)
+from equising.algebra import _D1, _mono_mul, _sp_mul, substitute_arc, symbol_run
+from equising.limits import arc_leading_vector, secant_vector
+from equising.modifications import (
+    NonPolynomialChartError,
+    NoUnitChartError,
+    blowup_singular_locus,
+    nash_modification,
+)
 from conftest import (
     coeffs_in_dividing,
+    constant_value,
+    corpus_path,
     mono_mul_by_dict,
     poly_add_validating,
     poly_coeff_of_validating,
@@ -27,6 +49,9 @@ from conftest import (
     poly_neg_validating,
     poly_pow_validating,
     poly_sub_validating,
+    plucker_minors_by_jacobian,
+    random_binomial_family,
+    random_monomial_family,
     scalar_div_general,
     scalar_mul_by_loop,
     series_compose_by_loop,
@@ -378,6 +403,130 @@ class TestWedge:
                     assert_same_poly(got[key], want[key])
                 else:
                     assert_same_scalar(got[key], want[key])
+
+
+def assert_same_minors(got: dict, want: dict):
+    """Equal minors: values, text, exponent keys and every coefficient's
+    num/den dicts, with no zero coefficient (orders: see TestSweepInputs)."""
+    assert list(got) == list(want)
+    for key, p in got.items():
+        q = want[key]
+        assert p.vars == q.vars == AT
+        assert p == q and str(p) == str(q), key
+        assert set(p.terms) == set(q.terms), key
+        for e, c in p.terms.items():
+            assert len(e) == 2
+            assert isinstance(c, Scalar) and c.num, f"zero coefficient at {e}"
+            assert c.num == q.terms[e].num and c.den == q.terms[e].den
+
+
+class TestSweepInputs:
+    """The tangent-plane minors summed over term pairs against the Jacobian
+    rows multiplied out, and the vertical regime's direct reads against
+    ``Poly.coeff_of``.
+
+    The term-pair sum adds each exponent's contributions pair by pair,
+    where the product added da(f_k)*dt(f_l) and then subtracted
+    da(f_l)*dt(f_k); on entries of several terms the minors' ``terms`` key
+    order, and on generic coefficients a ``num`` dict order, can differ
+    from the product's.  Nothing reads those orders: the values, the text,
+    the keys and the coefficient dicts are equal, and the sweep reports
+    the same bytes with either.
+    """
+
+    @staticmethod
+    def families(seed: int) -> list[Parametrization]:
+        rng = random.Random(seed)
+        return ([random_monomial_family(rng) for _ in range(25)]
+                + [random_binomial_family(rng) for _ in range(25)])
+
+    def test_minors_match_the_jacobian_product(self):
+        for fam in self.families(2001):
+            for point in (0, Fraction(1, 2), "generic"):
+                moved, _, _ = fam.centered(point)
+                assert_same_minors(moved.plucker_minors(), plucker_minors_by_jacobian(moved))
+
+    def test_pairs_of_weight_zero_add_nothing(self):
+        # a*t^2 with a^2*t^4 weighs 1*4 - 2*2 = 0: no a^2*t^5 term
+        fam = family_from_strings(["a", "a*t^2 + t", "a^2*t^4"])
+        minors = fam.plucker_minors()
+        assert minors[(2, 3)].terms == {(1, 4): -2}
+        assert_same_minors(minors, plucker_minors_by_jacobian(fam))
+        # every pair of weight 0: the minor is zero
+        fam = family_from_strings(["a", "a*t^2", "a^2*t^4", "t"])
+        minors = fam.plucker_minors()
+        assert minors[(2, 3)].terms == {}
+        assert_same_minors(minors, plucker_minors_by_jacobian(fam))
+
+    def test_contributions_that_cancel(self):
+        # t^2 with 3*a*t^2 adds -6*t^3, a*t with 2*t^3 adds 6*t^3
+        fam = family_from_strings(["a", "t^2 + a*t", "2*t^3 + 3*a*t^2"])
+        minors = fam.plucker_minors()
+        assert minors[(2, 3)].terms == {(1, 2): 3}
+        assert_same_minors(minors, plucker_minors_by_jacobian(fam))
+
+    def test_corpus_families_and_their_charts(self):
+        charts = []
+        for name in ("family-345", "family-352", "family-467", "family-589", "tangent-arc"):
+            fam = load_family(corpus_path(f"{name}.json"))
+            charts.append(fam)
+            for modify in (blowup_singular_locus, nash_modification):
+                try:
+                    result = modify(fam)
+                except (NoUnitChartError, NonPolynomialChartError):
+                    continue
+                charts += [result.total, result.family]
+        assert len(charts) > 10
+        for fam in charts:
+            assert_same_minors(fam.plucker_minors(), plucker_minors_by_jacobian(fam))
+
+    def test_sweep_reports_the_same_bytes(self, monkeypatch):
+        families = self.families(2002)[::3]
+
+        def reports():
+            with symbol_run():
+                return [json.dumps(equivalence_crosscheck(fam, point).to_json())
+                        for fam in families for point in (0, Fraction(1, 2), "generic")]
+
+        fast = reports()
+        monkeypatch.setattr(Parametrization, "plucker_minors", plucker_minors_by_jacobian)
+        assert reports() == fast
+
+    def test_a_minor_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        a, t = sympy.symbols("a t")
+
+        def to_sympy(p: Poly):
+            return sympy.sympify(p.grammar_str().replace("^", "**"), locals={"a": a, "t": t})
+
+        fam = family_from_strings(["a", "t^2 - 3*a*t + a^2*t^3", "2/3*t^3 + a*t^2 - 5*a^3*t"])
+        moved, _, _ = fam.centered(Fraction(1, 2))
+        f2, f3 = (to_sympy(e) for e in moved.entries[1:])
+        det = sympy.Matrix([[sympy.diff(f2, a), sympy.diff(f2, t)],
+                            [sympy.diff(f3, a), sympy.diff(f3, t)]]).det()
+        assert sympy.expand(det - to_sympy(moved.plucker_minors()[(2, 3)])) == 0
+
+    def test_vertical_read_matches_coeff_of(self):
+        arcs = [Arc(), Arc(((Fraction(1, 2), None),)),
+                Arc(((Fraction(2), Scalar.from_fraction(3)),))]
+        for fam in self.families(2003):
+            for point in (0, "generic"):
+                moved, _, _ = fam.centered(point)
+                polys = secant_vector(moved) + list(moved.plucker_minors().values())
+                for p in polys:
+                    assert_same_poly(substitute_arc(p, Arc()), Poly(("s",), {
+                        (j,): c for (i, j), c in p.terms.items() if not i}))
+                for arc in arcs:
+                    subs = [substitute_arc(p, arc) for p in polys]
+                    nu = min(p.min_deg("s") for p in subs)
+                    led = arc_leading_vector(polys, arc)
+                    if nu == INFINITY:
+                        assert led is None
+                        continue
+                    assert led[0] == nu
+                    want = [constant_value(p.coeff_of("s", int(nu))) for p in subs]
+                    for got, expected in zip(led[1], want, strict=True):
+                        assert_same_scalar(got, expected)
 
 
 class TestAgainstSympy:

@@ -19,6 +19,7 @@ from equising import (
 )
 from equising.algebra import symbol_run
 from conftest import (
+    constant_value,
     corpus_path,
     fiber_multiplicity,
     generic_plane_projection,
@@ -37,7 +38,7 @@ def projection_polar(family, basepoint) -> dict:
     x, y = generic_plane_projection(list(fam.entries))
     jac = x.diff("a") * y.diff("t") - y.diff("a") * x.diff("t")
     k = int(t_order(jac))
-    unit = jac.coeff_of("t", k).constant_value()
+    unit = constant_value(jac.coeff_of("t", k))
     return {"empty": not unit.is_zero(), "vanishing_order": k,
             "unit_at_origin": str(unit)}
 
