@@ -11,8 +11,8 @@ Three layers, bottom up:
   ordered tuple of variable names.  The two-variable case over ``(a, t)``
   is the workhorse (``a`` the family parameter, ``t`` the curve parameter);
   ambient-space equations use longer variable tuples.
-* ``SeriesT``  -- truncated power series over Scalar, with inversion,
-  m-th roots and composition, used for exact reparametrizations.
+* ``SeriesT``  -- truncated power series over Scalar, with composition
+  and reversion by Lagrange inversion, used for exact reparametrizations.
 
 No floating point, no algebraic extensions: every operation stays inside
 the fraction field.  Roots that would leave the field are refused by the
@@ -27,8 +27,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd as _int_gcd, isqrt, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from math import comb, gcd as _int_gcd, lcm as _int_lcm
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
     "Scalar",
@@ -298,12 +298,6 @@ class Scalar:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
         return Fraction(self.num.get(_ONE_M, 0), self.den[_ONE_M])
-
-    def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for m in itertools.chain(self.num, self.den):
-            out.update(name for name, _ in m)
-        return out
 
     # -- arithmetic --
 
@@ -748,19 +742,6 @@ class Poly:
             out = out + term
         return out
 
-    def eval_scalar(self, values: Sequence[Scalar | int | Fraction]) -> Scalar:
-        if len(values) != len(self.vars):
-            raise ValueError("need one value per variable")
-        vals = [_as_scalar(v) for v in values]
-        out = _S0
-        for e, c in self.terms.items():
-            term = c
-            for v, exp in zip(vals, e):
-                if exp:
-                    term = term * v ** exp
-            out = out + term
-        return out
-
     def exact_div(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor, or None when it is not a polynomial.
 
@@ -1109,12 +1090,14 @@ class SeriesT:
     """Power series over Scalar truncated at ``order`` (exclusive).
 
     coeffs[k] is the coefficient of the k-th power; len(coeffs) == order.
-    Arithmetic results carry the minimum truncation order of the operands.
+    A series is read from a polynomial, reversed by :func:`series_reversion`
+    and composed; a composition carries the lower truncation order of its
+    operands.
 
-    Products, inverses and compositions iterate over nonzero coefficients
-    only, collected once per call, and add their terms in the same order
-    as a dense loop that skips zeros: every result coefficient is the same
-    Scalar, with the same ``num``/``den`` key order, as that loop's.
+    Composition iterates over nonzero coefficients only, collected once per
+    call, and adds its terms in the same order as a dense loop over the
+    powers that skips zeros: every result coefficient is the same Scalar,
+    with the same ``num``/``den`` key order, as that loop's.
 
     Coefficient tuples are built from lists, never from generators: a
     tuple built from a generator is allocated at a guessed length and
@@ -1139,107 +1122,9 @@ class SeriesT:
                 coeffs[e] = c
         return cls(tuple(coeffs), order)
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable, order: int | None = None) -> "SeriesT":
-        cs = [_as_scalar(c) for c in coeffs]
-        if order is None:
-            order = len(cs)
-        cs = (cs + [_S0] * order)[:order]
-        return cls(tuple(cs), order)
-
-    def __getitem__(self, k: int) -> Scalar:
-        return self.coeffs[k]
-
     def _terms(self, n: int) -> list[tuple[int, Scalar]]:
         """The nonzero coefficients below s^n as (k, coeffs[k]), k ascending."""
         return [(k, c) for k, c in enumerate(self.coeffs[:n]) if c.num]
-
-    def valuation(self) -> float:
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return INFINITY
-
-    def __add__(self, other: "SeriesT") -> "SeriesT":
-        n = min(self.order, other.order)
-        return SeriesT(tuple([self.coeffs[k] + other.coeffs[k] for k in range(n)]), n)
-
-    def __sub__(self, other: "SeriesT") -> "SeriesT":
-        n = min(self.order, other.order)
-        return SeriesT(tuple([self.coeffs[k] - other.coeffs[k] for k in range(n)]), n)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = _as_scalar(other)
-            return SeriesT(tuple([x * c for x in self.coeffs]), self.order)
-        n = min(self.order, other.order)
-        out = [_S0] * n
-        for k, c in _mul_terms(self._terms(n), other._terms(n), n):
-            out[k] = c
-        return SeriesT(tuple(out), n)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "SeriesT":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.order == 0 or self.coeffs[0].is_zero():
-            raise ValueError("series inverse needs a nonzero constant term")
-        a0 = self.coeffs[0]
-        support = self._terms(self.order)[1:]
-        out = [_S1 / a0] + [_S0] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = _S0
-            for i, ai in support:
-                if i > k:
-                    break
-                acc = acc + ai * out[k - i]
-            out[k] = -acc / a0
-        return SeriesT(tuple(out), self.order)
-
-    def root(self, m: int) -> "SeriesT":
-        """m-th root with the same truncation order.
-
-        The constant term must be 1, or a rational with an exact rational
-        m-th root; anything else would leave the scalar field, so callers
-        normalize first (a harmless rescaling in every use here).
-        """
-        if m < 1:
-            raise ValueError("root index must be >= 1")
-        if m == 1:
-            return self
-        if self.order == 0 or self.coeffs[0].is_zero():
-            raise ValueError("series root needs a nonzero constant term")
-        c0 = self.coeffs[0]
-        scale = _S1
-        if not (c0 == _S1):
-            if not c0.is_rational():
-                raise ValueError("series root needs constant term 1 or an exact rational root")
-            q = c0.as_fraction()
-            if q <= 0:
-                raise ValueError("series root needs a positive rational constant term")
-            rn, rd = _int_root(q.numerator, m), _int_root(q.denominator, m)
-            if rn ** m != q.numerator or rd ** m != q.denominator:
-                raise ValueError(f"{q} has no exact rational {m}-th root")
-            scale = Scalar.from_fraction(Fraction(rn, rd))
-            inv = _S1 / c0
-            unit = SeriesT(tuple([c * inv for c in self.coeffs]), self.order)
-            return unit.root(m) * scale
-        if not any(self.coeffs[1:]):
-            return self  # the unit series is its own root
-        # binomial series around 1: (1+z)^(1/m) with z of positive valuation
-        n = self.order
-        z = self - SeriesT.from_coeffs([1], n)
-        out = SeriesT.from_coeffs([1], n)
-        zk = SeriesT.from_coeffs([1], n)
-        binom = Fraction(1)
-        alpha = Fraction(1, m)
-        for k in range(1, n):
-            binom = binom * (alpha - (k - 1)) / k
-            zk = zk * z
-            if zk.valuation() >= n:
-                break
-            out = out + zk * Scalar.from_fraction(binom)
-        return out
 
     def compose(self, inner: "SeriesT") -> "SeriesT":
         """self(inner); the inner series must have zero constant term."""
@@ -1284,53 +1169,39 @@ def _mul_terms(left: list[tuple[int, Scalar]], right: list[tuple[int, Scalar]],
     return sorted((k, c) for k, c in out.items() if c.num)
 
 
-def _int_root(n: int, m: int) -> int:
-    """The integer part of the m-th root of n >= 1, exactly, at any size."""
-    if m == 2:
-        return isqrt(n)
-    # Newton's iteration from above, 2^ceil(bits/m) > n^(1/m), decreases
-    # strictly until it reaches the floor of the root
-    r = 1 << -(-n.bit_length() // m)
-    while True:
-        s = ((m - 1) * r + n // r ** (m - 1)) // m
-        if s >= r:
-            return r
-        r = s
+def series_reversion(u: SeriesT, m: int) -> SeriesT:
+    """Given u(0) = 1, return w such that t(s) = s*w(s) solves t^m*u(t) = s^m.
 
-
-def series_reversion(v: SeriesT) -> SeriesT:
-    """Given s(t) = t*v(t) with v(0) = 1, return w with t(s) = s*w(s).
-
-    Newton iteration on the functional equation s(t(s)) = s at doubling
-    precision (R. P. Brent and H. T. Kung, J. ACM 25, 1978): with t exact
-    modulo s^c, one step taken on operands truncated at s^k, k = min(n, 2c),
-    makes it exact modulo s^k.  When v is 1 up to its order, s(t) = t is
-    its own reversion: nothing is set up and no step is taken.
+    Lagrange inversion: the coefficient of s^k in t(s) is that of t^(k-1)
+    in u^(-k/m), divided by k.  Each power p = u^(-k/m) comes from
+    J. C. P. Miller's recurrence m*j*p_j = sum_i ((m-k)*i - m*j)*u_i*p_(j-i)
+    over the nonzero terms of u (D. E. Knuth, TAOCP vol. 2, 4.7), so no
+    series product, inverse or root is formed.  t(s) is exact modulo s^n
+    for u of order n, so w is one order shorter.  When u is 1 up to its
+    order, t = s and nothing is computed.
     """
-    n = v.order
-    if n == 0 or not (v.coeffs[0] == _S1):
+    n = u.order
+    if m < 1:
+        raise ValueError("root index must be >= 1")
+    if n == 0 or not (u.coeffs[0] == _S1):
         raise ValueError("reversion needs unit constant term")
-    if not any(v.coeffs[1:]):
-        return SeriesT.from_coeffs([_S1], n - 1)
-    # series s(t) = t * v(t) as coefficients in t, degree shifted by one
-    s_of_t = SeriesT.from_coeffs([_S0] + list(v.coeffs[: n - 1]), n)
-    ds = _series_derivative(s_of_t)
-    t = SeriesT.from_coeffs([0, 1], n)
-    correct = 2
-    while correct < n:
-        k = min(n, 2 * correct)
-        t = SeriesT.from_coeffs(t.coeffs, k)
-        err = s_of_t.compose(t) - SeriesT.from_coeffs([0, 1], k)
-        t = t - err * ds.compose(t).inverse()
-        correct = k
-    # t(s) is exact modulo s^n, so the cofactor w in t = s*w(s) is one
-    # order shorter
-    return SeriesT(tuple(t.coeffs[1:]), n - 1)
-
-
-def _series_derivative(f: SeriesT) -> SeriesT:
-    n = f.order
-    return SeriesT(tuple([f.coeffs[k + 1] * (k + 1) for k in range(n - 1)] + [_S0]), n)
+    w = ([_S1] + [_S0] * (n - 2))[:n - 1]
+    support = u._terms(n - 1)[1:]
+    if not support:  # u is 1 below s^(n-1): t = s
+        return SeriesT(tuple(w), n - 1)
+    for k in range(2, n):
+        p = [_S1]
+        for j in range(1, k):
+            acc = _S0
+            for i, ui in support:
+                if i > j:
+                    break
+                c = (m - k) * i - m * j
+                if c and p[j - i].num:
+                    acc = acc + ui * p[j - i] * c
+            p.append(acc / (m * j) if acc.num else acc)
+        w[k - 1] = p[k - 1] / k
+    return SeriesT(tuple(w), n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ So an exact reparametrization t = t(s) makes that coordinate a constant
 times s^m, every other coordinate is composed with t(s), and the
 exponents are read off the union of their s-supports wherever the running
 gcd drops.  The arithmetic stays over Q, or Q(a) at the generic fiber.
+With the coordinate written xm*t^m*u(t), u(0) = 1, t(s) solves
+t^m*u(t) = s^m, and Lagrange inversion gives it in one step over the
+terms of u: its coefficient at s^k is that of t^(k-1) in u^(-k/m),
+divided by k.
 
 The scan works with truncated series, so it certifies its own
 completeness: the gcd of all support exponents of the coordinates is an
@@ -105,7 +109,7 @@ def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
     while True:
         # a zero coefficient is left as it is, not divided
         u = SeriesT(tuple([c / xm if c.num else c for c in x_coeffs[:k]]), k)
-        w = series_reversion(u.root(m))
+        w = series_reversion(u, m)
         t_of_s = SeriesT((Scalar({}),) + w.coeffs, k)
         ys = [SeriesT.from_poly(y, k).compose(t_of_s) for y in others]
         d = m

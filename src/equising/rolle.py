@@ -31,8 +31,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim, parse_poly
-from .family import FamilyValidationError, Parametrization, check_coefficient_size
+from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim
+from .family import (
+    MAX_CENTERED_DIGITS,
+    FamilyValidationError,
+    Parametrization,
+    _parse_named,
+    check_coefficient_size,
+)
 
 __all__ = [
     "ConstantMapError",
@@ -211,12 +217,14 @@ def rolle_for_map(family: Parametrization, rho: Poly,
     """Certificate for an ambient polynomial map restricted to one fiber.
 
     ``rho`` must be a polynomial in the family's ambient coordinates; it is
-    pulled back through the fiber at parameter value ``at``.
+    pulled back through the fiber at parameter value ``at``, and refused
+    like a recentered family when a coefficient has grown too large to print.
     """
     if rho.vars != family.ambient:
         raise ValueError(
             f"map must use the ambient coordinates {family.ambient}")
     composed = rho.compose(family.fiber(at))
+    check_coefficient_size(composed, "the map composed with the fiber", MAX_CENTERED_DIGITS)
     return rolle_witness(_rational_coeff_list(composed))
 
 
@@ -248,8 +256,9 @@ def load_curve(path) -> tuple[str, list[Poly]]:
             not all(isinstance(e, str) for e in entries):
         raise FamilyValidationError(f"{path}: 'entries' must be a nonempty list of "
                                     "expression strings")
-    polys = [parse_poly(e, ("t",)) for e in entries]
-    for k, p in enumerate(polys, start=1):
-        check_coefficient_size(p, f"{path}: entry {k}")
+    labels = [f"{path}: entry {k}" for k in range(1, len(entries) + 1)]
+    polys = _parse_named(entries, ("t",), labels)
+    for p, what in zip(polys, labels):
+        check_coefficient_size(p, what)
     name = raw.get("name") or Path(path).stem
     return name, polys

@@ -25,7 +25,6 @@ from equising import (
     SeriesT,
     family_from_strings,
     fresh_symbol,
-    series_reversion,
     t_order,
 )
 from equising.algebra import _mul_terms, _sp_mul
@@ -139,6 +138,26 @@ def arc_point(arc: Arc, s: Fraction,
     return a_val, t_val
 
 
+def scalar_symbols(x: Scalar) -> set[str]:
+    """The symbol names in x's numerator and denominator."""
+    return {name for m in itertools.chain(x.num, x.den) for name, _ in m}
+
+
+def eval_scalar(p: Poly, values) -> Scalar:
+    """p at one value (int, Fraction or Scalar) per variable, exactly."""
+    if len(values) != len(p.vars):
+        raise ValueError("need one value per variable")
+    vals = [Scalar._coerce(v) for v in values]
+    out = _ZERO
+    for e, c in p.terms.items():
+        term = c
+        for v, exp in zip(vals, e):
+            if exp:
+                term = term * v ** exp
+        out = out + term
+    return out
+
+
 def leading_direction(polys, arc: Arc,
                       c_value: Fraction = Fraction(1)) -> list[Fraction] | None:
     """Symbolic dominant direction along the arc, with coefficients pinned."""
@@ -148,7 +167,7 @@ def leading_direction(polys, arc: Arc,
     _, vec = led
     out = []
     for x in vec:
-        for name in sorted(x.symbols()):
+        for name in sorted(scalar_symbols(x)):
             x = x.subs(name, c_value)
         out.append(x.as_fraction())
     return out
@@ -157,7 +176,7 @@ def leading_direction(polys, arc: Arc,
 def numeric_direction(polys, arc: Arc, s: Fraction,
                       c_value: Fraction = Fraction(1)) -> list[Fraction]:
     a_val, t_val = arc_point(arc, s, c_value)
-    return [p.eval_scalar([a_val, t_val]).as_fraction() for p in polys]
+    return [eval_scalar(p, [a_val, t_val]).as_fraction() for p in polys]
 
 
 def direction_deviation(polys, arc: Arc,
@@ -246,31 +265,14 @@ def fiber_by_compose(family: Parametrization, a_value) -> list[Poly]:
     return [e.compose([a_const, t_var]) for e in family.entries]
 
 
-def binomial_root(u: SeriesT, m: int) -> SeriesT:
-    """u^(1/m) for u = 1 + z, z of positive valuation, summed term by term
-    from the binomial series, with no shortcut for z = 0."""
-    n = u.order
-    z = u - SeriesT.from_coeffs([1], n)
-    out = SeriesT.from_coeffs([1], n)
-    zk = SeriesT.from_coeffs([1], n)
-    binom = Fraction(1)
-    for k in range(1, n):
-        binom = binom * (Fraction(1, m) - (k - 1)) / k
-        zk = zk * z
-        if zk.valuation() >= n:
-            break
-        out = out + zk * Scalar.from_fraction(binom)
-    return out
-
-
 def support_scan_by_coeff_of(x: Poly, others: list[Poly], m: int, order: int,
                              floor_gcd: int) -> tuple[list[int], int]:
     """``projection._support_scan`` reading x's coefficients through
-    ``Poly.coeff_of`` and taking the root by :func:`binomial_root`."""
+    ``Poly.coeff_of`` and reparametrizing by :func:`reversion_by_root`."""
     xm = constant_value(x.coeff_of("t", m))
     u_coeffs = [constant_value(x.coeff_of("t", m + e)) / xm for e in range(order)]
-    w = series_reversion(binomial_root(SeriesT.from_coeffs(u_coeffs, order), m))
-    t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
+    w = reversion_by_root(series_from_coeffs(u_coeffs, order), m)
+    t_of_s = series_from_coeffs([0] + list(w.coeffs), order)
     ys = [SeriesT.from_poly(y, order).compose(t_of_s) for y in others]
     d = m
     betas: list[int] = []
@@ -560,8 +562,7 @@ def constant_value(p: Poly) -> Scalar:
 
 
 # -- the strong check's series work before it skipped what it knows ----------
-# (compose with s through the power loop, the reversion's set-up built
-# before it checks for a unit series, every coefficient divided, a unit
+# (compose with s through the power loop, every coefficient divided, a unit
 # divisor too, and every series computed to the full truncation order;
 # the library's former code, kept as oracles for the shortcuts)
 
@@ -592,33 +593,15 @@ def series_compose_by_loop(f: SeriesT, inner: SeriesT) -> SeriesT:
     return SeriesT(tuple(out), n)
 
 
-def series_reversion_with_setup(v: SeriesT) -> SeriesT:
-    """``series_reversion`` building s(t) and s'(t) before it checks for a
-    unit series, composing by :func:`series_compose_by_loop`."""
-    n = v.order
-    if n == 0 or not (v.coeffs[0] == 1):
-        raise ValueError("reversion needs unit constant term")
-    s_of_t = SeriesT.from_coeffs([_ZERO] + list(v.coeffs[: n - 1]), n)
-    ds = SeriesT(tuple([s_of_t.coeffs[k + 1] * (k + 1) for k in range(n - 1)] + [_ZERO]), n)
-    t = SeriesT.from_coeffs([0, 1], n)
-    correct = 2 if any(v.coeffs[1:]) else n
-    while correct < n:
-        k = min(n, 2 * correct)
-        t = SeriesT.from_coeffs(t.coeffs, k)
-        err = series_compose_by_loop(s_of_t, t) - SeriesT.from_coeffs([0, 1], k)
-        t = t - err * series_compose_by_loop(ds, t).inverse()
-        correct = k
-    return SeriesT(tuple(t.coeffs[1:]), n - 1)
-
-
 def support_scan_full_order(x: Poly, others: list[Poly], m: int, order: int,
                             floor_gcd: int) -> tuple[list[int], int]:
     """``projection._support_scan`` computing every series to ``order``,
-    dividing zeros and using the two oracles above."""
+    dividing zeros, reparametrizing by :func:`reversion_by_root` and
+    composing by :func:`series_compose_by_loop`."""
     xm = x.terms[(m,)]
     u_coeffs = [scalar_div_general(c, xm) for c in SeriesT.from_poly(x, m + order).coeffs[m:]]
-    w = series_reversion_with_setup(SeriesT.from_coeffs(u_coeffs, order).root(m))
-    t_of_s = SeriesT.from_coeffs([Scalar.from_fraction(0)] + list(w.coeffs), order)
+    w = reversion_by_root(series_from_coeffs(u_coeffs, order), m)
+    t_of_s = series_from_coeffs([0] + list(w.coeffs), order)
     ys = [series_compose_by_loop(SeriesT.from_poly(y, order), t_of_s) for y in others]
     d = m
     betas: list[int] = []
@@ -629,3 +612,128 @@ def support_scan_full_order(x: Poly, others: list[Poly], m: int, order: int,
             betas.append(j)
             d = gcd(d, j)
     return betas, d
+
+
+# -- the reparametrization before Lagrange inversion ---------------------------
+# (series sums, products and inverses, the binomial m-th root and the
+# Newton reversion: the library's former ``SeriesT`` methods and
+# ``series_reversion``, kept as oracles for the one recurrence that
+# replaced them)
+
+def series_from_coeffs(coeffs, order: int | None = None) -> SeriesT:
+    """A series from ints, Fractions or Scalars, padded or cut to ``order``."""
+    cs = [Scalar._coerce(c) for c in coeffs]
+    if order is None:
+        order = len(cs)
+    return SeriesT(tuple((cs + [_ZERO] * order)[:order]), order)
+
+
+def series_valuation(f: SeriesT) -> float:
+    return next((k for k, c in enumerate(f.coeffs) if c.num), INFINITY)
+
+
+def series_add(f: SeriesT, g: SeriesT) -> SeriesT:
+    n = min(f.order, g.order)
+    return SeriesT(tuple([f.coeffs[k] + g.coeffs[k] for k in range(n)]), n)
+
+
+def series_sub(f: SeriesT, g: SeriesT) -> SeriesT:
+    n = min(f.order, g.order)
+    return SeriesT(tuple([f.coeffs[k] - g.coeffs[k] for k in range(n)]), n)
+
+
+def series_mul(f: SeriesT, g) -> SeriesT:
+    """f*g for a series or a scalar g, summed over nonzero terms."""
+    if not isinstance(g, SeriesT):
+        c = Scalar._coerce(g)
+        return SeriesT(tuple([x * c for x in f.coeffs]), f.order)
+    n = min(f.order, g.order)
+    out = [_ZERO] * n
+    for k, c in _mul_terms(f._terms(n), g._terms(n), n):
+        out[k] = c
+    return SeriesT(tuple(out), n)
+
+
+def series_inverse(f: SeriesT) -> SeriesT:
+    """1/f by the recurrence over f's nonzero terms; f(0) != 0."""
+    if f.order == 0 or f.coeffs[0].is_zero():
+        raise ValueError("series inverse needs a nonzero constant term")
+    a0 = f.coeffs[0]
+    support = f._terms(f.order)[1:]
+    out = [Scalar.from_fraction(1) / a0] + [_ZERO] * (f.order - 1)
+    for k in range(1, f.order):
+        acc = _ZERO
+        for i, ai in support:
+            if i > k:
+                break
+            acc = acc + ai * out[k - i]
+        out[k] = -acc / a0
+    return SeriesT(tuple(out), f.order)
+
+
+def binomial_root(u: SeriesT, m: int) -> SeriesT:
+    """u^(1/m) for u = 1 + z, z of positive valuation, summed term by term
+    from the binomial series, with no shortcut for z = 0."""
+    n = u.order
+    z = series_sub(u, series_from_coeffs([1], n))
+    out = series_from_coeffs([1], n)
+    zk = series_from_coeffs([1], n)
+    binom = Fraction(1)
+    for k in range(1, n):
+        binom = binom * (Fraction(1, m) - (k - 1)) / k
+        zk = series_mul(zk, z)
+        if series_valuation(zk) >= n:
+            break
+        out = series_add(out, series_mul(zk, binom))
+    return out
+
+
+def newton_reversion(v: SeriesT) -> SeriesT:
+    """w with t(s) = s*w(s) inverting s(t) = t*v(t), v(0) = 1, by Newton's
+    iteration at doubling precision, composing by
+    :func:`series_compose_by_loop`; s(t) and s'(t) are built first, for a
+    unit series too."""
+    n = v.order
+    if n == 0 or not (v.coeffs[0] == 1):
+        raise ValueError("reversion needs unit constant term")
+    s_of_t = series_from_coeffs([0] + list(v.coeffs[: n - 1]), n)
+    ds = SeriesT(tuple([s_of_t.coeffs[k + 1] * (k + 1) for k in range(n - 1)] + [_ZERO]), n)
+    t = series_from_coeffs([0, 1], n)
+    correct = 2 if any(v.coeffs[1:]) else n
+    while correct < n:
+        k = min(n, 2 * correct)
+        t = series_from_coeffs(t.coeffs, k)
+        err = series_sub(series_compose_by_loop(s_of_t, t), series_from_coeffs([0, 1], k))
+        t = series_sub(t, series_mul(err, series_inverse(series_compose_by_loop(ds, t))))
+        correct = k
+    return SeriesT(tuple(t.coeffs[1:]), n - 1)
+
+
+def reversion_by_root(u: SeriesT, m: int) -> SeriesT:
+    """``series_reversion(u, m)`` as the root, then Newton's reversion."""
+    return newton_reversion(binomial_root(u, m))
+
+
+def support_scan_by_root(x: Poly, others: list[Poly], m: int, order: int,
+                         floor_gcd: int) -> tuple[list[int], int]:
+    """``projection._support_scan`` at doubling precision, reparametrizing
+    by :func:`reversion_by_root`."""
+    xm = x.terms[(m,)]
+    x_coeffs = SeriesT.from_poly(x, m + order).coeffs[m:]
+    k = min(order, 2 * m)
+    while True:
+        u = SeriesT(tuple([c / xm if c.num else c for c in x_coeffs[:k]]), k)
+        w = reversion_by_root(u, m)
+        t_of_s = SeriesT((_ZERO,) + w.coeffs, k)
+        ys = [SeriesT.from_poly(y, k).compose(t_of_s) for y in others]
+        d = m
+        betas: list[int] = []
+        for j in range(1, k):
+            if d == floor_gcd or d == 1:
+                break
+            if j % d and any(y.coeffs[j].num for y in ys):
+                betas.append(j)
+                d = gcd(d, j)
+        if d == floor_gcd or d == 1 or k == order:
+            return betas, d
+        k = min(order, 2 * k)

@@ -33,7 +33,21 @@ from equising.algebra import (
     substitute_arc,
     symbol_run,
 )
-from conftest import CORPUS, binomial_root, constant_value, power_by_multiplication
+from conftest import (
+    CORPUS,
+    binomial_root,
+    constant_value,
+    eval_scalar,
+    power_by_multiplication,
+    reversion_by_root,
+    scalar_symbols,
+    series_add,
+    series_from_coeffs,
+    series_inverse,
+    series_mul,
+    series_sub,
+    series_valuation,
+)
 
 AT = ("a", "t")
 
@@ -77,7 +91,7 @@ class TestScalar:
         u, v = Scalar.symbol("u"), Scalar.symbol("v")
         expr = (u * u - v) / (u + 1)
         assert expr.subs("u", 2).subs("v", 1).as_fraction() == 1
-        assert expr.subs("u", Scalar.symbol("w")).symbols() == {"v", "w"}
+        assert scalar_symbols(expr.subs("u", Scalar.symbol("w"))) == {"v", "w"}
 
     def test_coeffs_in(self):
         u, v = Scalar.symbol("u"), Scalar.symbol("v")
@@ -505,7 +519,7 @@ class TestPoly:
         p = P("a^2*t + t^4 - 2*a")
         a_var, t_var = Poly.var(AT, "a"), Poly.var(AT, "t")
         assert p.compose([a_var, t_var]) == p
-        v = p.eval_scalar([Fraction(2), Fraction(3)])
+        v = eval_scalar(p, [Fraction(2), Fraction(3)])
         assert v.as_fraction() == 4 * 3 + 81 - 4
 
     def test_power_matches_repeated_multiplication(self):
@@ -636,81 +650,68 @@ class TestArc:
         out = substitute_arc(P("a"), arc)
         names = set()
         for coeff in out.terms.values():
-            names |= coeff.symbols()
+            names |= scalar_symbols(coeff)
         assert names == {"c1", "c2"}
 
 
 class TestSeries:
     def test_inverse(self):
-        u = SeriesT.from_coeffs([1, 2, -1, Fraction(1, 3)], 6)
-        prod = u * u.inverse()
+        # the oracle inverse behind conftest.newton_reversion
+        u = series_from_coeffs([1, 2, -1, Fraction(1, 3)], 6)
+        prod = series_mul(u, series_inverse(u))
         assert prod.coeffs[0].as_fraction() == 1
         assert all(c.is_zero() for c in prod.coeffs[1:])
 
     def test_root_binomial_coefficients(self):
-        u = SeriesT.from_coeffs([1, 1], 4)
-        v = u.root(2)
-        assert [c.as_fraction() for c in v.coeffs] == \
-            [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
-        assert (v * v - u).valuation() == INFINITY
+        # t^2*(1 + t) = s^2: by Lagrange the coefficient of s^k in t(s) is
+        # binom(-k/2, k-1)/k, where the binomial root of 1 + t has binom(1/2, k)
+        u = series_from_coeffs([1, 1], 5)
+        assert [c.as_fraction() for c in binomial_root(u, 2).coeffs] == \
+            [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128)]
+        w = series_reversion(u, 2)
+        assert [c.as_fraction() for c in w.coeffs] == [1, Fraction(-1, 2), Fraction(5, 8), -1]
+        t = series_from_coeffs([0] + list(w.coeffs), 5)
+        lhs = series_mul(series_mul(t, t), series_add(series_from_coeffs([1], 5), t))
+        assert _items(lhs) == _items(series_from_coeffs([0, 0, 1], 5))
 
     def test_root_of_unit_series_is_the_binomial_loop(self):
-        # 1 + 0*s + ... is its own root; the shortcut must give the loop's
-        # coefficients, and series with a nonzero tail still take the loop
+        # a unit series is reversed to s with nothing computed: the same
+        # coefficients as its binomial root reversed by Newton's iteration,
+        # and series with a nonzero tail give that path's values too
         for n in range(1, 41):
-            u = SeriesT.from_coeffs([1], n)
-            for m in range(2, 8):
-                assert u.root(m) is u
-                assert _items(u.root(m)) == _items(binomial_root(u, m)), (n, m)
+            u = series_from_coeffs([1], n)
+            for m in range(1, 8):
+                assert _items(series_reversion(u, m)) == _items(reversion_by_root(u, m)), (n, m)
         g = Scalar.symbol("g1")
         for cs in ([1, 1], [1, 0, 0, Fraction(-2, 3)], [1, g], [1, 0, g, 5]):
             for n in (4, 9):
-                u = SeriesT.from_coeffs(cs, n)
+                u = series_from_coeffs(cs, n)
                 for m in (2, 3, 7):
-                    assert _items(u.root(m)) == _items(binomial_root(u, m)), (cs, n, m)
-
-    def test_root_rescales_rational_constant(self):
-        u = SeriesT.from_coeffs([4, 4], 5)
-        v = u.root(2)
-        assert v.coeffs[0].as_fraction() == 2
-        assert (v * v - u).valuation() == INFINITY
+                    assert _stored(series_reversion(u, m)) == _stored(reversion_by_root(u, m)), \
+                        (cs, n, m)
 
     def test_root_rejects_non_power_constant(self):
-        with pytest.raises(ValueError):
-            SeriesT.from_coeffs([2, 1], 4).root(2)
-
-    @pytest.mark.parametrize("c0, m, root", [
-        (Fraction(3 ** 700), 2, Fraction(3 ** 350)),       # past float range
-        (Fraction((10 ** 40 + 1) ** 2), 2, Fraction(10 ** 40 + 1)),  # past float precision
-        (Fraction(7 ** 300, 2 ** 99), 3, Fraction(7 ** 100, 2 ** 33)),
-    ])
-    def test_root_of_large_rational_constant(self, c0, m, root):
-        u = SeriesT.from_coeffs([c0, 1], 3)
-        v = u.root(m)
-        assert v.coeffs[0].as_fraction() == root
-        w = v
-        for _ in range(m - 1):
-            w = w * v
-        assert (w - u).valuation() == INFINITY
-
-    def test_root_rejects_near_powers(self):
-        for n in ((10 ** 40 + 1) ** 2 - 1, (10 ** 40 + 1) ** 2 + 1, 3 ** 701):
-            with pytest.raises(ValueError, match="no exact rational 2-th root"):
-                SeriesT.from_coeffs([n, 1], 3).root(2)
-        with pytest.raises(ValueError, match="no exact rational 3-th root"):
-            SeriesT.from_coeffs([Fraction(7 ** 300 + 1, 2 ** 99), 1], 3).root(3)
+        # u(0) must be 1: a constant 2 has no rational square root, and a
+        # caller divides a rational leading coefficient out first
+        for m in (1, 2):
+            with pytest.raises(ValueError, match="unit constant term"):
+                series_reversion(series_from_coeffs([2, 1], 4), m)
+        with pytest.raises(ValueError, match="root index"):
+            series_reversion(series_from_coeffs([1, 1], 4), 0)
 
     def test_reversion_inverts_composition(self):
-        v = SeriesT.from_coeffs([1, -2, Fraction(3, 5), 0, 1], 5)
-        w = series_reversion(v)
-        n = w.order
-        t_of_s = SeriesT.from_coeffs(
-            [Scalar.from_fraction(0)] + list(w.coeffs), n)
-        s_of_t = SeriesT.from_coeffs(
-            [Scalar.from_fraction(0)] + list(v.coeffs), n)
-        ident = s_of_t.compose(t_of_s)
-        assert ident.coeffs[1].as_fraction() == 1
-        assert all(c.is_zero() for k, c in enumerate(ident.coeffs) if k != 1)
+        for m in (1, 2, 3):
+            v = series_from_coeffs([1, -2, Fraction(3, 5), 0, 1], 5)
+            w = series_reversion(v, m)
+            n = v.order
+            t = series_from_coeffs([0] + list(w.coeffs), n)
+            # t^m * v(t) = s^m below s^n, the order of v
+            tm = series_from_coeffs([1], n)
+            for _ in range(m):
+                tm = series_mul(tm, t)
+            ident = series_mul(tm, v.compose(t))
+            assert ident.coeffs[m].as_fraction() == 1
+            assert all(c.is_zero() for k, c in enumerate(ident.coeffs) if k != m)
 
 
 # -- dense series loops, kept as references for the sparse kernels --
@@ -743,29 +744,29 @@ def _dense_inverse(f):
 
 def _dense_compose(f, inner):
     n = min(f.order, inner.order)
-    out = SeriesT.from_coeffs([f.coeffs[0]] if n else [], n)
-    gk = SeriesT.from_coeffs([1], n)
+    out = series_from_coeffs([f.coeffs[0]] if n else [], n)
+    gk = series_from_coeffs([1], n)
     for k in range(1, n):
         gk = _dense_mul(gk, inner)
-        if gk.valuation() >= n:
+        if series_valuation(gk) >= n:
             break
         c = f.coeffs[k]
         if not c.is_zero():
-            out = out + gk * c
+            out = series_add(out, series_mul(gk, c))
     return out
 
 
 def _dense_reversion(v):
     """Newton at full order from t = s, one pass per doubling."""
     n = v.order
-    s_of_t = SeriesT.from_coeffs([0] + list(v.coeffs[: n - 1]), n)
+    s_of_t = series_from_coeffs([0] + list(v.coeffs[: n - 1]), n)
     ds = SeriesT(tuple(s_of_t.coeffs[k + 1] * (k + 1) for k in range(n - 1))
                  + (Scalar.from_fraction(0),), n)
-    t = s_var = SeriesT.from_coeffs([0, 1], n)
+    t = s_var = series_from_coeffs([0, 1], n)
     correct = 2
     while correct < n + 1:
-        err = _dense_compose(s_of_t, t) - s_var
-        t = t - _dense_mul(err, _dense_inverse(_dense_compose(ds, t)))
+        err = series_sub(_dense_compose(s_of_t, t), s_var)
+        t = series_sub(t, _dense_mul(err, _dense_inverse(_dense_compose(ds, t))))
         correct *= 2
     return SeriesT(tuple(t.coeffs[1:]), n - 1)
 
@@ -775,11 +776,17 @@ def _items(f):
     return [(list(c.num.items()), list(c.den.items())) for c in f.coeffs], f.order
 
 
+def _stored(f):
+    """Coefficients as their stored ``num``/``den`` dicts, and order."""
+    return [(c.num, c.den) for c in f.coeffs], f.order
+
+
 class TestSeriesKernels:
-    """The sparse ``*``, ``inverse``, ``compose`` and the doubling-precision
-    ``series_reversion`` against the dense loops above, on seeded random
-    series: sparse and dense, with rational, symbolic and non-unit
-    denominator coefficients, at orders 1-40."""
+    """``compose`` and the Lagrange ``series_reversion`` against the dense
+    loops above and against the root-then-Newton path it replaced, and the
+    sparse oracle ``*`` and ``inverse`` behind that path against the dense
+    loops, on seeded random series: sparse and dense, with rational,
+    symbolic and non-unit denominator coefficients, at orders 1-40."""
 
     G1, G2 = Scalar.symbol("g1"), Scalar.symbol("g2")
 
@@ -798,7 +805,7 @@ class TestSeriesKernels:
               for _ in range(order)]
         if order and const is not None:
             cs[0] = const
-        return SeriesT.from_coeffs(cs, order)
+        return series_from_coeffs(cs, order)
 
     def cases(self):
         """(kind, order, density) triples.  Symbolic series stay shorter:
@@ -819,34 +826,52 @@ class TestSeriesKernels:
         for kind, n, density in cases:
             f = self.series(rng, kind, n, density)
             g = self.series(rng, kind, n + rng.randint(0, 3), density)
-            assert _items(f * g) == _items(_dense_mul(f, g)), (f, g)
-            assert _items(g * f) == _items(_dense_mul(g, f)), (f, g)
+            assert _items(series_mul(f, g)) == _items(_dense_mul(f, g)), (f, g)
+            assert _items(series_mul(g, f)) == _items(_dense_mul(g, f)), (f, g)
             unit = self.series(rng, kind, n, density, const=self.coeff(rng, kind))
-            assert _items(unit.inverse()) == _items(_dense_inverse(unit)), unit
+            assert _items(series_inverse(unit)) == _items(_dense_inverse(unit)), unit
             inner = self.series(rng, kind, n, density, const=0)
             assert _items(f.compose(inner)) == _items(_dense_compose(f, inner)), (f, inner)
             # a monomial inner series: the strong check's s -> c*s^e
             e = rng.randint(1, 3)
-            mono = SeriesT.from_coeffs([0] * e + [self.coeff(rng, kind)], n)
+            mono = series_from_coeffs([0] * e + [self.coeff(rng, kind)], n)
             assert _items(f.compose(mono)) == _items(_dense_compose(f, mono)), (f, mono)
 
     def test_reversion_matches_dense_newton(self):
         rng, cases = self.cases()
         one = Scalar.from_fraction(1)
-        inputs = [SeriesT.from_coeffs([1], n) for n in (1, 2, 3, 17, 40)]
+        inputs = [series_from_coeffs([1], n) for n in (1, 2, 3, 17, 40)]
         inputs += [self.series(rng, kind, n, density, const=one)
                    for kind, n, density in cases]
         inputs += [self.series(rng, "ratfunc", n, 0.9, const=one) for n in (1, 2, 2)]
         for v in inputs:
-            w = series_reversion(v)
+            w = series_reversion(v, 1)
             ref = _dense_reversion(v)
             assert w.order == ref.order == v.order - 1
             assert all(x == y for x, y in zip(w.coeffs, ref.coeffs)), v
             n = v.order
-            s_of_t = SeriesT.from_coeffs([0] + list(v.coeffs[: n - 1]), n)
-            t_of_s = SeriesT.from_coeffs([0] + list(w.coeffs), n)
+            s_of_t = series_from_coeffs([0] + list(v.coeffs[: n - 1]), n)
+            t_of_s = series_from_coeffs([0] + list(w.coeffs), n)
             assert _items(_dense_compose(s_of_t, t_of_s)) == \
-                _items(SeriesT.from_coeffs([0, 1], n)), v
+                _items(series_from_coeffs([0, 1], n)), v
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+    def test_lagrange_matches_root_then_newton(self, m):
+        # equal values everywhere; a rational or polynomial coefficient has
+        # one normal form, so its stored num/den are equal too (a ratio of
+        # polynomials is not reduced by their gcd, so its form depends on
+        # the path)
+        rng, cases = self.cases()
+        one = Scalar.from_fraction(1)
+        for kind, n, density in cases:
+            if kind == "ratfunc" and n > 7:
+                continue  # the Newton path grows a ratio's terms too fast
+            v = self.series(rng, kind, n, density, const=one)
+            w, ref = series_reversion(v, m), reversion_by_root(v, m)
+            assert w.order == ref.order == n - 1
+            assert all(x == y for x, y in zip(w.coeffs, ref.coeffs)), (v, m)
+            if kind != "ratfunc":
+                assert _stored(w) == _stored(ref), (v, m)
 
     def test_kernels_agree_with_sympy_on_rationals(self):
         ring_series = pytest.importorskip("sympy.polys.ring_series")
@@ -869,15 +894,22 @@ class TestSeriesKernels:
             unit = self.series(rng, kind, n, density, const=self.coeff(rng, kind))
             inner = self.series(rng, kind, n, density, const=0)
             v = self.series(rng, kind, n, density, const=Scalar.from_fraction(1))
-            assert to_ring(f * g) == ring_series.rs_mul(to_ring(f), to_ring(g), x, n)
-            assert to_ring(unit.inverse()) == ring_series.rs_series_inversion(to_ring(unit), x, n)
+            assert to_ring(series_mul(f, g)) == ring_series.rs_mul(to_ring(f), to_ring(g), x, n)
+            assert to_ring(series_inverse(unit)) == \
+                ring_series.rs_series_inversion(to_ring(unit), x, n)
             assert to_ring(f.compose(inner)) == \
                 ring_series.rs_subs(to_ring(f), {x: to_ring(inner)}, x, n)
             if n >= 2:
                 # t(s) = s*w(s) mod s^n against sympy's reversion of s = t*v(t)
-                w = series_reversion(v)
-                s_of_t = x * to_ring(SeriesT.from_coeffs(v.coeffs, n - 1))
+                w = series_reversion(v, 1)
+                s_of_t = x * to_ring(series_from_coeffs(v.coeffs, n - 1))
                 assert y * to_ring(w, y) == ring_series.rs_series_reversion(s_of_t, x, n, y)
+                # t^m*v(t) = s^m: s = t*v(t)^(1/m), reversed by sympy
+                for m in (2, 3, 5):
+                    root = ring_series.rs_nth_root(to_ring(series_from_coeffs(v.coeffs, n - 1)),
+                                                   m, x, n - 1)
+                    assert y * to_ring(series_reversion(v, m), y) == \
+                        ring_series.rs_series_reversion(x * root, x, n, y), (v, m)
 
 
 class TestWedge:

@@ -379,6 +379,14 @@ class TestErrors:
         assert proc.returncode == 1
         assert "constant" in proc.stderr
 
+    def test_curve_parse_error_names_its_entry(self, tmp_path, capsys):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"entries": ["t^2", "t^3 + (t"]}))
+        assert cli.main(["rolle", str(curve), "--functional", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {curve}: entry 2: expected ')' (offset 8)\n"
+
     def test_rolle_curve_input_errors(self, tmp_path):
         bad = tmp_path / "bad-curve.json"
         bad.write_text(json.dumps({"entries": []}))
@@ -560,6 +568,19 @@ class TestHugeCoefficients:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: entry z recentered on the base point has a "
+                                f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
+
+    @pytest.mark.parametrize("command", ["rolle", "full-report"])
+    def test_map_past_the_print_limit_at_a_value_is_refused(self, tmp_path, capsys, command):
+        # the same a^5 on the fiber at a 1,000-digit --at: the composed map
+        # has a coefficient of about 5,000 digits
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2", "a^5*t^3"]}))
+        argv = [command, str(family), "--rho", "y - z", "--at", "1" + "0" * 999]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the map composed with the fiber has a "
                                 f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
 
     @pytest.mark.parametrize("path, what", [

@@ -111,10 +111,7 @@ def test_every_top_level_definition_is_used_or_exported():
 
 # methods no module calls, kept as oracles that the tests check the
 # library against: name -> reason
-ORACLE_METHODS = {
-    "Poly.eval_scalar": "exact point evaluation behind conftest.numeric_direction",
-    "Scalar.symbols": "symbol names that conftest.leading_direction pins",
-}
+ORACLE_METHODS: dict[str, str] = {}
 
 
 def _reference_counts(node: ast.AST) -> Counter:

@@ -54,8 +54,9 @@ from conftest import (
     random_monomial_family,
     scalar_div_general,
     scalar_mul_by_loop,
+    newton_reversion,
     series_compose_by_loop,
-    series_reversion_with_setup,
+    series_from_coeffs,
     sp_mul_by_loop,
     wedge3_by_closures,
 )
@@ -267,9 +268,10 @@ def random_series(rng, order, density=0.3, const=None):
 
 
 class TestSeriesShortcuts:
-    """Compose with s, the reversion of a unit series and division by 1
-    against the code they replaced: the same values, text and
-    ``num``/``den`` dict order in every coefficient."""
+    """Compose with s, the reversion (a unit series with nothing computed,
+    any other by Lagrange inversion) and division by 1 against the code
+    they replaced: the same values, text and ``num``/``den`` dict order in
+    every coefficient."""
 
     def test_compose_matches_the_loop(self):
         rng = random.Random(1901)
@@ -298,23 +300,23 @@ class TestSeriesShortcuts:
         rng = random.Random(1902)
         for n in range(2, 41):
             f = random_series(rng, n)
-            s = SeriesT.from_coeffs([0, 1], n)
+            s = series_from_coeffs([0, 1], n)
             assert f.compose(s) is f
-            assert_same_series(f.compose(SeriesT.from_coeffs([0, 1], n - 1)),
+            assert_same_series(f.compose(series_from_coeffs([0, 1], n - 1)),
                                SeriesT(f.coeffs[:n - 1], n - 1))
             with pytest.raises(ValueError):
-                f.compose(SeriesT.from_coeffs([1, 1], n))
+                f.compose(series_from_coeffs([1, 1], n))
 
     def test_reversion_matches_the_setup(self):
         rng = random.Random(1903)
         for n in range(0, 41):
-            unit = SeriesT.from_coeffs([1], n)
+            unit = series_from_coeffs([1], n)
             if n == 0:
                 for v in (unit, SeriesT((), 0)):
                     with pytest.raises(ValueError):
-                        series_reversion(v)
+                        series_reversion(v, 1)
                     with pytest.raises(ValueError):
-                        series_reversion_with_setup(v)
+                        newton_reversion(v)
                 continue
             inputs = [unit]
             # non-unit v at odd orders: rational coefficients up to 39,
@@ -329,7 +331,7 @@ class TestSeriesShortcuts:
                 if n <= 8:
                     inputs.append(random_series(rng, n, density=0.4, const=1))
             for v in inputs:
-                assert_same_series(series_reversion(v), series_reversion_with_setup(v))
+                assert_same_series(series_reversion(v, 1), newton_reversion(v))
 
     def test_division_by_one_and_minus_one(self):
         rng = random.Random(1904)
@@ -361,9 +363,9 @@ class TestSeriesShortcuts:
             for density in (0.0, 0.2, 0.7):
                 cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density
                       else 0 for _ in range(n)]
-                v = SeriesT.from_coeffs([1] + cs[1:], n)
-                w = series_reversion(v)
-                s_of_t = x * to_ring(SeriesT.from_coeffs(v.coeffs, n - 1), x)
+                v = series_from_coeffs([1] + cs[1:], n)
+                w = series_reversion(v, 1)
+                s_of_t = x * to_ring(series_from_coeffs(v.coeffs, n - 1), x)
                 assert y * to_ring(w, y) == ring_series.rs_series_reversion(s_of_t, x, n, y)
 
 

@@ -34,6 +34,7 @@ from conftest import (
     random_binomial_family,
     random_monomial_family,
     support_scan_by_coeff_of,
+    support_scan_by_root,
     support_scan_full_order,
 )
 
@@ -278,6 +279,81 @@ class TestAgainstFullOrderScan:
                 with_scan(support_scan_full_order, [fiber]), (texts, value)
 
         check()
+
+
+# a transversal coordinate with a tail: the reparametrization is no
+# identity (the root-then-Newton path took 0.2-0.8 s on each)
+NON_MONOMIAL_FAMILIES = {
+    "a": ["a", "3*a*t^6 + t^8 + 3*t^7", "2*a*t^4"],
+    "b": ["a", "a*t^6", "3*t^5 + 2*t^7 - 3*t^8", "3*a^2*t^4 + a*t^8"],
+    "c": ["a", "2*a^2*t^2", "3*a^2*t^3 + 2*t^6 + 2*t^5", "a*t^5"],
+    "d": ["a", "t^2*(t+a+1)^2", "t^4*(t+a+1)^4 + t^7"],
+}
+
+
+def seeded_non_monomial_families(count: int) -> list[list[str]]:
+    """Entries (a, x, y[, z]): x = c*t^m plus 1-2 terms of higher t-order,
+    m in 2-4, the others of t-order above m, so x is the transversal
+    coordinate of every fiber and u is not a unit series."""
+    rng = random.Random(20261021)
+
+    def term(i, j):
+        return f"({rng.choice((-1, 1)) * rng.randint(1, 9)})*a^{i}*t^{j}"
+
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 4)
+        x = " + ".join([term(0, m)] + [term(rng.randint(0, 1), m + rng.randint(1, 4))
+                                       for _ in range(rng.randint(1, 2))])
+        others = [" + ".join(term(rng.randint(0, 2), rng.randint(m + 1, m + 5))
+                             for _ in range(rng.randint(1, 2)))
+                  for _ in range(rng.randint(1, 2))]
+        entries = ["a", x, *others]
+        try:
+            family_from_strings(entries)
+        except FamilyValidationError:
+            continue
+        out.append(entries)
+    return out
+
+
+def strong_reports(entries_list, scan=None) -> list[dict]:
+    """Strong JSON at a = 0, at a = 1/2 and at the generic fiber, with
+    ``scan`` in place of ``projection._support_scan`` when given."""
+    def run():
+        out = []
+        for entries in entries_list:
+            with symbol_run():
+                res = strong_equisingularity_check(family_from_strings(entries),
+                                                   special_a=(Fraction(1, 2),))
+            out.append(res.to_json())
+        return out
+
+    if scan is None:
+        return run()
+    with mock.patch.object(projection, "_support_scan", scan):
+        return run()
+
+
+class TestAgainstRootThenNewton:
+    """The scan reparametrizing by Lagrange inversion against the one that
+    took the binomial m-th root and then Newton's reversion."""
+
+    def test_families_a_to_d(self):
+        cases = list(NON_MONOMIAL_FAMILIES.values())
+        assert strong_reports(cases) == strong_reports(cases, support_scan_by_root)
+
+    def test_seeded_non_monomial_families(self):
+        cases = seeded_non_monomial_families(300)
+        assert strong_reports(cases) == strong_reports(cases, support_scan_by_root)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_strong_check_time(self, name):
+        # 0.43-0.80 s each through the root and Newton's reversion
+        family = family_from_strings(NON_MONOMIAL_FAMILIES[name])
+        start = time.perf_counter()
+        strong_equisingularity_check(family, special_a=(Fraction(1, 2),))
+        assert time.perf_counter() - start < 0.3
 
 
 class TestScanPrecision:
