@@ -24,7 +24,6 @@ from .algebra import (
     fresh_symbol,
     parse_poly,
     series_reversion,
-    t_order,
     wedge3,
 )
 from .family import (
@@ -128,7 +127,6 @@ __all__ = [
     "rolle_for_map",
     "series_reversion",
     "strong_equisingularity_check",
-    "t_order",
     "verify_implicit_equations",
     "wedge3",
     "whitney_check",

@@ -39,7 +39,6 @@ __all__ = [
     "fresh_symbol",
     "symbol_run",
     "parse_poly",
-    "t_order",
     "substitute_arc",
     "series_reversion",
     "wedge3",
@@ -674,18 +673,7 @@ class Poly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms)))
 
-    # -- calculus / structure --
-
-    def diff(self, name: str) -> "Poly":
-        i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = c * e[i]
-        return Poly._of(self.vars, terms)
+    # -- structure --
 
     def min_deg(self, name: str) -> float:
         """Lowest exponent of a variable; +inf for the zero polynomial."""
@@ -1027,11 +1015,6 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 
 AT = ("a", "t")
-
-
-def t_order(p: Poly) -> float:
-    """Lowest power of t in a two-variable entry; +inf for the zero entry."""
-    return p.min_deg("t")
 
 
 # ---------------------------------------------------------------------------

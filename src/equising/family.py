@@ -162,13 +162,25 @@ class Parametrization:
         return out
 
     def recenter(self, a_value: Scalar | Fraction | int) -> "Parametrization":
-        """Translate the parameter so the fiber of interest sits at a = 0."""
-        shifted = Poly.var(AT, "a") + Poly.const(AT, a_value)
+        """Translate the parameter so the fiber of interest sits at a = 0.
+
+        Entries are recentered and size-checked one at a time.  At a
+        rational point an entry is refused before it is expanded when bit
+        lengths prove that one of its a-free coefficients would be refused
+        after it (see :func:`_proven_value_bits`)."""
+        v = a_value if isinstance(a_value, Scalar) else Scalar.from_fraction(a_value)
+        shifted = Poly.var(AT, "a") + Poly.const(AT, v)
         t_var = Poly.var(AT, "t")
-        new = [self.entries[0]] + [e.compose([shifted, t_var]) for e in self.entries[1:]]
-        for name, e in zip(self.ambient[1:], new[1:]):
-            check_coefficient_size(e, f"entry {name} recentered on the base point",
-                                   MAX_CENTERED_DIGITS)
+        limit = (10 ** MAX_CENTERED_DIGITS).bit_length()
+        new = [self.entries[0]]
+        for name, e in zip(self.ambient[1:], self.entries[1:]):
+            what = f"entry {name} recentered on the base point"
+            if (v.is_rational() and all(c.is_rational() for c in e.terms.values())
+                    and _proven_value_bits(e, v.as_fraction()) >= limit):
+                raise CoefficientSizeError(
+                    f"{what} has a coefficient of more than {MAX_CENTERED_DIGITS} digits")
+            new.append(e.compose([shifted, t_var]))
+            check_coefficient_size(new[-1], what, MAX_CENTERED_DIGITS)
         return Parametrization(tuple(new), self.ambient, self.name)
 
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
@@ -274,6 +286,34 @@ def check_coefficient_size(p: Poly, what: str, digits: int = MAX_COEFF_DIGITS) -
            for n in (*val.num.values(), *val.den.values())):
         raise CoefficientSizeError(
             f"{what} has a coefficient of more than {digits} digits")
+
+
+def _proven_value_bits(entry: Poly, a0: Fraction) -> int:
+    """The largest k that bit lengths alone prove |P_j(a0)| > 2**k for,
+    over the coefficients P_j(a) of t^j in ``entry``, or -1.  Once the
+    entry is recentered on a0, P_j(a0) is its coefficient of a^0*t^j.
+
+    With P_j = c_n*a^n + (lower terms) and M the largest |c_i/c_n|, i < n,
+    the lower terms sum to less than half of |c_n*a0^n| once |a0| is at
+    least 2*M + 1, past the Cauchy bound 1 + M; then |P_j(a0)| exceeds
+    |c_n|*|a0|^n/2.  A rational r = u/w, u != 0, has 2**(bits(u) - 1 -
+    bits(w)) < |r| < 2**(bits(u) - bits(w) + 1)."""
+    by_j: dict[int, dict[int, Fraction]] = {}
+    for (i, j), c in entry.terms.items():
+        by_j.setdefault(j, {})[i] = c.as_fraction()
+    size = a0.numerator.bit_length() - 1 - a0.denominator.bit_length()   # |a0| > 2**size
+    best = -1
+    for coeffs in by_j.values():
+        n = max(coeffs)
+        if n == 0:
+            continue
+        lead = coeffs.pop(n)
+        low = lead.numerator.bit_length() - 1 - lead.denominator.bit_length()   # |c_n| > 2**low
+        ratio = max((c.numerator.bit_length() - c.denominator.bit_length() + 1
+                     for c in coeffs.values()), default=low) - low   # M < 2**ratio
+        if size >= max(ratio, 0) + 2:
+            best = max(best, low + n * size - 1)
+    return best
 
 
 def load_family(path: str | Path) -> Parametrization:

@@ -50,7 +50,6 @@ from .algebra import (
     Arc,
     Poly,
     Scalar,
-    dense_divmod,
     dense_gcd,
     dense_trim,
     substitute_arc,
@@ -310,33 +309,21 @@ def _render_cpoly(p: Sequence[Scalar], cname: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots (with multiplicity collapsed) of a polynomial
-    with rational coefficients and nonzero constant term."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    roots = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if _eval_poly(ints, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted({*small, *(n // d for d in small)})
 
 
-def _eval_poly(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _divide_linear(ints: list[int], q: int, p: int) -> list[int] | None:
+    """``ints`` (integers by degree) divided by q*c - p from the top, or
+    None when q*c - p does not divide it."""
+    out, acc = [], 0
+    for x in reversed(ints[1:]):
+        acc, rem = divmod(x + p * acc, q)
+        if rem:
+            return None
+        out.append(acc)
+    return out[::-1] if ints[0] + p * acc == 0 else None
 
 
 def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | None]:
@@ -346,6 +333,12 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
     factor whose roots cannot be expressed in the coefficient field.  The
     root at zero is dropped: a vanishing leading coefficient just means the
     arc belongs to a lower exponent regime.
+
+    A rational polynomial is searched in one integer pass: denominators
+    cleared, each candidate p/q (p | constant, q | leading coefficient; by
+    p, then q, then sign) is divided out as q*c - p as often as it divides,
+    by integer synthetic division (Gauss's lemma), and recorded on its
+    first division.  The leftover keeps the input's leading coefficient.
     """
     p = dense_trim(list(p))
     p = p[next((k for k, c in enumerate(p) if not c.is_zero()), len(p)):]
@@ -353,20 +346,26 @@ def _extract_roots(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | Non
         return [], None
     if len(p) == 2:
         return [-p[0] / p[1]], None
-    if all(c.is_rational() for c in p):
-        fr = [c.as_fraction() for c in p]
-        roots: list[Fraction] = []
-        for r in _rational_roots(fr):
-            while len(fr) > 1 and _eval_poly(fr, r) == 0:
-                fr = dense_divmod(fr, [-r, 1])[0]
-                if r not in roots:
-                    roots.append(r)
-        scalars = [Scalar.from_fraction(r) for r in roots]
-        if len(fr) > 1:
-            left = [Scalar.from_fraction(x) for x in fr]
-            return scalars, _render_cpoly(left, cname)
-        return scalars, None
-    return [], _render_cpoly(p, cname)
+    if not all(c.is_rational() for c in p):
+        return [], _render_cpoly(p, cname)
+    fr = [c.as_fraction() for c in p]
+    lcm = math.lcm(*(c.denominator for c in fr))
+    ints = [int(c * lcm) for c in fr]
+    dens = _divisors(abs(ints[-1]))
+    roots: list[Scalar] = []
+    for num in _divisors(abs(ints[0])):
+        for den in dens:
+            if ints[0] % num:   # then no q*c - num divides what is left
+                break
+            for signed in (num, -num):
+                quo = _divide_linear(ints, den, signed)
+                if quo is not None:
+                    roots.append(Scalar.from_fraction(Fraction(signed, den)))
+                while quo is not None:
+                    ints, quo = quo, _divide_linear(quo, den, signed)
+    scale = fr[-1] / ints[-1]
+    left = [Scalar.from_fraction(x * scale) for x in ints]
+    return roots, (_render_cpoly(left, cname) if len(left) > 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +549,7 @@ def _regime_tests(vec_lead: list[Scalar], om_lead_list: list[Scalar],
     exponent, the nonzero values of c cancelling the leads and the factors
     whose roots leave the coefficient field."""
     om_lead = dict(zip(keys, om_lead_list))
-    om_gcd = None
+    om_found = None
     tests = []
     for mode in modes:
         test_vec = vec_lead if mode == "b" else [_ONE] + [_ZERO] * (dim - 1)
@@ -559,16 +558,15 @@ def _regime_tests(vec_lead: list[Scalar], om_lead_list: list[Scalar],
         roots: list[Scalar] = []
         unresolved: list[str] = []
         if ijk is None and finite:
-            gcds: list[list[Scalar]] = []
+            found = []
             if mode == "b":
-                gcds.append(_c_gcd_many(
-                    [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]))
-            if om_gcd is None:
-                om_gcd = _c_gcd_many(
-                    [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()])
-            gcds.append(om_gcd)
-            for g in gcds:
-                got, factor = _extract_roots(g, cname)
+                found.append(_extract_roots(_c_gcd_many(
+                    [c.coeffs_in(cname) for c in test_vec if not c.is_zero()]), cname))
+            if om_found is None:   # the minors' roots serve both conditions
+                om_found = _extract_roots(_c_gcd_many(
+                    [c.coeffs_in(cname) for c in om_lead_list if not c.is_zero()]), cname)
+            found.append(om_found)
+            for got, factor in found:
                 for r in got:
                     if not any(r == r2 for r2 in roots):
                         roots.append(r)

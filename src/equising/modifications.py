@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AT, INFINITY, Poly, Scalar, t_order
+from .algebra import AT, INFINITY, Poly, Scalar
 from .family import Parametrization
 
 __all__ = [
@@ -234,7 +234,7 @@ def _unit_chart(candidates: list[tuple[object, Poly]], what: str):
     for key, p in candidates:
         if p.is_zero():
             continue
-        k = t_order(p)
+        k = p.min_deg("t")
         if k < best_order:
             best_order = k
             best = None

@@ -26,12 +26,11 @@ divided by k.
 The scan works with truncated series, so it certifies its own
 completeness: the gcd of all support exponents of the coordinates is an
 a priori lower bound for the running gcd, and reaching it proves no
-further characteristic exponent exists.  A sequence's ``truncation`` is
-the most the scan may read; the series are computed at a precision that
-starts at 2m and doubles up to it only while the scan has not stopped.
-If the bound is not reached within the truncation the truncation is
-doubled once; after that the sequence is returned with ``confirmed``
-False rather than guessed.
+further characteristic exponent exists.  One scan reads up to twice the
+first truncation 2*deg + 1, deg the largest t-degree, at a precision
+that starts at 2m and doubles only while the scan has not stopped.  The
+``truncation`` is the first one if the bound is reached below it, twice
+that otherwise; a sequence short of the bound has ``confirmed`` False.
 
 Strong equisingularity of a family asks the sequence to be the same for
 the generic fiber and every special fiber of interest.
@@ -102,7 +101,8 @@ def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
 
     The series are computed at a working precision k that starts at 2m
     and doubles up to ``order``.  Every coefficient below s^k is exact, so
-    a scan that stops below k reads what it would read at full order."""
+    a scan that stops below k reads what it would read at full order.
+    ``floor_gcd`` divides every exponent read: the running gcd stops there."""
     xm = x.terms[(m,)]
     x_coeffs = SeriesT.from_poly(x, m + order).coeffs[m:]
     k = min(order, 2 * m)
@@ -115,12 +115,12 @@ def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
         d = m
         betas: list[int] = []
         for j in range(1, k):
-            if d == floor_gcd or d == 1:
+            if d == floor_gcd:
                 break
             if j % d and any(y.coeffs[j].num for y in ys):
                 betas.append(j)
                 d = _gcd(d, j)
-        if d == floor_gcd or d == 1 or k == order:
+        if d == floor_gcd or k == order:
             return betas, d
         k = min(order, 2 * k)
 
@@ -145,11 +145,10 @@ def char_exponents(*coords: Poly) -> CharSequence:
     x = others.pop(next(k for k, c in enumerate(coords) if c.min_deg("t") == m))
     floor_gcd = _gcd(*(e for c in coords for (e,) in c.terms))
     first = 2 * max(c.max_deg("t") for c in coords) + 1
-    for order in (first, 2 * first):
-        betas, d = _support_scan(x, others, m, order, floor_gcd)
-        if d == floor_gcd:
-            return CharSequence(m, tuple(betas), d, True, order)
-    return CharSequence(m, tuple(betas), d, False, order)
+    betas, d = _support_scan(x, others, m, 2 * first, floor_gcd)
+    confirmed = d == floor_gcd
+    truncation = first if confirmed and max(betas, default=0) < first else 2 * first
+    return CharSequence(m, tuple(betas), d, confirmed, truncation)
 
 
 def char_exponents_at(family: Parametrization, a_value) -> CharSequence:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 from equising import (
@@ -25,10 +25,11 @@ from equising import (
     SeriesT,
     family_from_strings,
     fresh_symbol,
-    t_order,
 )
-from equising.algebra import _mul_terms, _sp_mul
-from equising.limits import _regime_plan, arc_leading_vector, secant_vector
+from equising.algebra import _mul_terms, _sp_mul, dense_divmod, dense_trim
+from equising.family import DegenerateFiberError
+from equising.limits import _regime_plan, _render_cpoly, arc_leading_vector, secant_vector
+from equising.projection import CharSequence, _support_scan
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -94,7 +95,7 @@ def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
 def fiber_multiplicity(family: Parametrization, a_value) -> int:
     """Least t-order over the non-parameter entries of the fiber at
     ``a_value``, read from the fiber itself."""
-    k = min(t_order(f) for f in family.fiber(a_value)[1:])
+    k = min(f.min_deg("t") for f in family.fiber(a_value)[1:])
     assert k != INFINITY, f"fiber at a = {a_value} is a point"
     return int(k)
 
@@ -539,13 +540,27 @@ def wedge3_by_closures(v, omega, dim):
 
 
 # -- the Whitney sweep's inputs through general polynomial work --------------
-# (the Jacobian rows, their products and the constant coefficient read
-# through ``Poly.coeff_of``; the library's former code, kept as oracles for
-# the term-pair minors and the direct reads that replaced it)
+# (the derivative, the Jacobian rows, their products and the constant
+# coefficient read through ``Poly.coeff_of``; the library's former code,
+# kept as oracles for the term-pair minors and the direct reads that
+# replaced it)
+
+def poly_diff(p: Poly, name: str) -> Poly:
+    """The derivative of ``p`` in the variable ``name``."""
+    i = p.vars.index(name)
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i] == 0:
+            continue
+        ne = list(e)
+        ne[i] -= 1
+        terms[tuple(ne)] = c * e[i]
+    return Poly._of(p.vars, terms)
+
 
 def jacobian(family: Parametrization) -> list[tuple[Poly, Poly]]:
     """Rows (d/da, d/dt) of each entry."""
-    return [(e.diff("a"), e.diff("t")) for e in family.entries]
+    return [(poly_diff(e, "a"), poly_diff(e, "t")) for e in family.entries]
 
 
 def plucker_minors_by_jacobian(family: Parametrization) -> dict[tuple[int, int], Poly]:
@@ -737,3 +752,86 @@ def support_scan_by_root(x: Poly, others: list[Poly], m: int, order: int,
         if d == floor_gcd or d == 1 or k == order:
             return betas, d
         k = min(order, 2 * k)
+
+
+# -- the exact searches before each ran once -----------------------------------
+# (every rational root candidate tested by Horner evaluation in Fractions
+# and each root evaluated again to be divided out, and the strong check's
+# scan restarted from 2m at twice the first truncation; the library's
+# former code, kept as oracles for the one integer pass and the one
+# precision loop that replaced it)
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _eval_poly(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def rational_roots_by_fractions(coeffs: list[Fraction]) -> list[Fraction]:
+    """Every rational root, once, of a rational polynomial with nonzero
+    constant term: each candidate p/q evaluated in Fractions."""
+    lcm = 1
+    for c in coeffs:
+        lcm = _lcm(lcm, c.denominator)
+    ints = [int(c * lcm) for c in coeffs]
+    roots = []
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and _eval_poly(ints, cand) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def extract_roots_by_fractions(p: list[Scalar], cname: str) -> tuple[list[Scalar], str | None]:
+    """``limits._extract_roots`` finding the roots by
+    :func:`rational_roots_by_fractions`, then dividing each out in
+    Fractions while it evaluates to zero."""
+    p = dense_trim(list(p))
+    p = p[next((k for k, c in enumerate(p) if not c.is_zero()), len(p)):]
+    if len(p) <= 1:
+        return [], None
+    if len(p) == 2:
+        return [-p[0] / p[1]], None
+    if not all(c.is_rational() for c in p):
+        return [], _render_cpoly(p, cname)
+    fr = [c.as_fraction() for c in p]
+    roots: list[Fraction] = []
+    for r in rational_roots_by_fractions(fr):
+        while len(fr) > 1 and _eval_poly(fr, r) == 0:
+            fr = dense_divmod(fr, [-r, 1])[0]
+            if r not in roots:
+                roots.append(r)
+    scalars = [Scalar.from_fraction(r) for r in roots]
+    if len(fr) > 1:
+        return scalars, _render_cpoly([Scalar.from_fraction(x) for x in fr], cname)
+    return scalars, None
+
+
+def char_exponents_two_scans(*coords: Poly, scan=_support_scan) -> CharSequence:
+    """``projection.char_exponents`` scanning to the first truncation, then,
+    when that does not confirm, scanning again from 2m to twice it, by
+    ``scan`` (``projection._support_scan`` by default)."""
+    coords = [c for c in coords if not c.is_zero()]
+    if not coords:
+        raise DegenerateFiberError("the curve is a point")
+    m = int(min(c.min_deg("t") for c in coords))
+    if m == 0:
+        raise ValueError("branch does not pass through the origin")
+    if m == 1:
+        return CharSequence(1, (), 1, True, 0)
+    others = list(coords)
+    x = others.pop(next(k for k, c in enumerate(coords) if c.min_deg("t") == m))
+    floor_gcd = gcd(*(e for c in coords for (e,) in c.terms))
+    first = 2 * max(c.max_deg("t") for c in coords) + 1
+    for order in (first, 2 * first):
+        betas, d = scan(x, others, m, order, floor_gcd)
+        if d == floor_gcd:
+            return CharSequence(m, tuple(betas), d, True, order)
+    return CharSequence(m, tuple(betas), d, False, order)

@@ -570,6 +570,20 @@ class TestHugeCoefficients:
         assert captured.err == ("error: entry z recentered on the base point has a "
                                 f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
 
+    def test_large_recentered_entry_is_refused_before_it_is_expanded(self, tmp_path, capsys):
+        # expanding (a + a0)^9990 at a 1,000-digit a0 ran past 10 s before
+        # the entry was refused; a bound on a0^9990 refuses it unexpanded
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2", "a^9990*t^3"]}))
+        start = time.perf_counter()
+        code = cli.main(["check-zariski", str(family), "--basepoint", "1" + "0" * 999])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: entry z recentered on the base point has a "
+                                f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
+
     @pytest.mark.parametrize("command", ["rolle", "full-report"])
     def test_map_past_the_print_limit_at_a_value_is_refused(self, tmp_path, capsys, command):
         # the same a^5 on the fiber at a 1,000-digit --at: the composed map

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -27,12 +28,20 @@ from equising import (
     strong_equisingularity_check,
     verify_implicit_equations,
 )
-from equising.family import MAX_COEFF_DIGITS, CoefficientSizeError, resolve_basepoint
+from equising.family import (
+    MAX_CENTERED_DIGITS,
+    MAX_COEFF_DIGITS,
+    CoefficientSizeError,
+    _proven_value_bits,
+    check_coefficient_size,
+    resolve_basepoint,
+)
 from conftest import (
     constant_value,
     corpus_path,
     fiber_by_compose,
     fiber_multiplicity,
+    poly_diff,
     random_binomial_family,
     random_monomial_family,
 )
@@ -199,7 +208,7 @@ class TestGeometry:
             assert len(calls) == 1, basepoint
         minors = fam.plucker_minors()
         minors[(1, 2)] = Poly.zero(("a", "t"))
-        assert fam.plucker_minors()[(1, 2)] == fam.entries[1].diff("t")
+        assert fam.plucker_minors()[(1, 2)] == poly_diff(fam.entries[1], "t")
 
     def test_plucker_quadric_identity_fuzz(self):
         # decomposable 2-forms satisfy the Grassmann quadric identically
@@ -228,7 +237,7 @@ class TestGeometry:
                 moved, _, _ = fam.centered(point)
                 minors = moved.plucker_minors()
                 for j, entry in enumerate(moved.entries[1:], start=2):
-                    assert minors[(1, j)] == entry.diff("t")
+                    assert minors[(1, j)] == poly_diff(entry, "t")
                 assert any(not p.is_zero() for p in minors.values()), \
                     (fam.entry_strings(), point)
         # a base point whose fiber is a point is refused on recentering
@@ -261,6 +270,67 @@ class TestGeometry:
         g = fresh_symbol()
         fib = fam.fiber(g)
         assert constant_value(fib[2].coeff_of("t", 3)) == g
+
+
+class TestRecenteringBound:
+    """An entry refused on recentering before it is expanded: bit lengths
+    prove an a-free coefficient P_j(a0) too large to keep."""
+
+    def test_bound_holds_on_seeded_entries(self):
+        rng = random.Random(20261020)
+
+        def rational(bits):
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** bits),
+                            rng.randint(1, 2 ** rng.randint(0, bits)))
+
+        proved = 0
+        for _ in range(2000):
+            terms = {(rng.randint(0, 6), rng.randint(1, 3)): rational(rng.randint(1, 40))
+                     for _ in range(rng.randint(1, 5))}
+            entry = Poly(("a", "t"), terms)
+            a0 = rational(rng.randint(1, 60))
+            bits = _proven_value_bits(entry, a0)
+            if bits >= 0:
+                proved += 1
+                values = {}
+                for (i, j), c in terms.items():
+                    values[j] = values.get(j, 0) + c * a0 ** i
+                assert max(abs(v) for v in values.values()) > 2 ** bits, (terms, a0)
+        assert proved > 500
+
+    def test_nothing_is_proved_at_a_root(self):
+        # (a - a0)*Q(a)*t^2 has P_2(a0) = 0: a0 lies within the Cauchy bound
+        rng = random.Random(20261021)
+        for _ in range(500):
+            a0 = Fraction(rng.choice((-1, 1)) * rng.randint(8, 2 ** 60), rng.randint(1, 3))
+            terms = {}
+            for i in range(rng.randint(1, 4)):
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 20), rng.randint(1, 9))
+                terms[(i + 1, 2)] = terms.get((i + 1, 2), 0) + c
+                terms[(i, 2)] = terms.get((i, 2), 0) - a0 * c
+            entry = Poly(("a", "t"), {e: c for e, c in terms.items() if c})
+            assert _proven_value_bits(entry, a0) == -1, (terms, a0)
+
+    def test_refusal_is_the_one_after_expanding(self):
+        fam = family_from_strings(["a", "t^2", "a^300*t^3 + 7*a*t^3 + t^3"])
+        a0 = 10 ** 6
+        composed = []
+        compose = Poly.compose
+
+        def counted(self, values):
+            composed.append(self)
+            return compose(self, values)
+
+        with pytest.raises(CoefficientSizeError) as early:
+            with mock.patch.object(Poly, "compose", counted):
+                fam.recenter(a0)
+        assert composed == [fam.entries[1]]
+        expanded = compose(fam.entries[2], [Poly.var(("a", "t"), "a") + a0,
+                                            Poly.var(("a", "t"), "t")])
+        with pytest.raises(CoefficientSizeError) as late:
+            check_coefficient_size(expanded, "entry z recentered on the base point",
+                                   MAX_CENTERED_DIGITS)
+        assert str(early.value) == str(late.value)
 
 
 class TestLoading:

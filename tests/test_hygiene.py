@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level definition is used in the package or exported, and
-every method is called somewhere in the package.
+every method is taken as an attribute somewhere in the package.
 
 An ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
 is read anywhere in the module, appears in a quoted annotation, or is
@@ -114,19 +114,19 @@ def test_every_top_level_definition_is_used_or_exported():
 ORACLE_METHODS: dict[str, str] = {}
 
 
-def _reference_counts(node: ast.AST) -> Counter:
-    """How often each name is read or taken as an attribute under ``node``."""
-    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
-                   for sub in ast.walk(node)
-                   if isinstance(sub, (ast.Name, ast.Attribute)))
+def _attribute_counts(node: ast.AST) -> Counter:
+    """How often each name is taken as an attribute under ``node``.  Bare
+    names are not counted: a local variable that shares a method's name
+    does not call the method."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
 def unreferenced_methods(paths) -> list[str]:
     """``Class.method`` for every non-dunder method or property of a class
-    in ``paths`` whose name is referenced nowhere in them outside its own
-    body."""
+    in ``paths`` whose name is taken as an attribute nowhere in them
+    outside its own body."""
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
-    total = sum((_reference_counts(tree) for tree in trees), Counter())
+    total = sum((_attribute_counts(tree) for tree in trees), Counter())
     out = []
     for tree in trees:
         for cls in ast.walk(tree):
@@ -135,14 +135,14 @@ def unreferenced_methods(paths) -> list[str]:
             for fn in cls.body:
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                        and total[fn.name] == _reference_counts(fn)[fn.name]):
+                        and total[fn.name] == _attribute_counts(fn)[fn.name]):
                     out.append(f"{cls.name}.{fn.name}")
     return out
 
 
 def test_every_method_is_used_in_the_package():
-    """A method or property is referenced by name somewhere in the package
-    outside its own body, or is a listed test oracle."""
+    """A method or property is taken as an attribute somewhere in the
+    package outside its own body, or is a listed test oracle."""
     unused = unreferenced_methods(MODULES)
     assert sorted(set(unused) - set(ORACLE_METHODS)) == []
     assert sorted(set(ORACLE_METHODS) - set(unused)) == [], \

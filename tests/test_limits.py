@@ -4,6 +4,7 @@ import random
 import time
 from bisect import bisect_left
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from equising import (
     Verdict,
     equivalence_crosscheck,
     family_from_strings,
+    fresh_symbol,
     load_family,
     parse_poly,
     wedge3,
@@ -30,6 +32,7 @@ from equising.limits import (
     _initial,
     _regime_lead,
     _regime_plan,
+    _regime_tests,
     _staircase,
     _support,
     _sweep,
@@ -40,6 +43,8 @@ from conftest import (
     corpus_path,
     critical_exponents_all_pairs,
     direction_deviation,
+    extract_roots_by_fractions,
+    poly_from_roots,
     random_binomial_family,
     random_monomial_family,
     regime_arcs,
@@ -375,6 +380,103 @@ class TestExtractRoots:
             [Scalar.from_fraction(c) for c in coeffs], "c1")
         assert [str(r) for r in roots] == ["1", "-1/2"]
         assert unresolved == "(3)*c1^2 + (3)"
+
+    def test_seeded_polynomials_match_the_fraction_search(self):
+        # the one integer pass against Horner evaluation in Fractions:
+        # chosen roots (0, +-integers, +-p/q, multiplicities 1 to 3) times
+        # an irreducible quadratic or cubic, scaled by a rational
+        cases = seeded_root_polynomials()
+        unresolved = 0
+        for coeffs, _ in cases:
+            p = [Scalar.from_fraction(c) for c in coeffs]
+            got, want = _extract_roots(p, "c1"), extract_roots_by_fractions(p, "c1")
+            assert [str(r) for r in got[0]] == [str(r) for r in want[0]], coeffs
+            assert all(r == w for r, w in zip(got[0], want[0]))
+            assert got[1] == want[1], coeffs
+            unresolved += got[1] is not None
+        assert sum(len(roots) > 1 for _, roots in cases) > 50 and unresolved > 50
+
+    def test_seeded_roots_are_the_chosen_ones(self):
+        for coeffs, roots in seeded_root_polynomials():
+            got, _ = _extract_roots([Scalar.from_fraction(c) for c in coeffs], "c1")
+            assert sorted(r.as_fraction() for r in got) == sorted(roots), coeffs
+
+    def test_seeded_roots_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        c = sympy.Symbol("c")
+        for coeffs, _ in seeded_root_polynomials()[:100]:
+            got, _ = _extract_roots([Scalar.from_fraction(x) for x in coeffs], "c1")
+            want = sympy.Poly([sympy.Rational(x.numerator, x.denominator)
+                               for x in reversed(coeffs)], c).ground_roots()
+            assert {r.as_fraction() for r in got} == \
+                {Fraction(int(r.p), int(r.q)) for r in want if r != 0}, coeffs
+
+    @pytest.mark.parametrize("coeffs", [
+        [Fraction(3), Fraction(-2)], [0, 0, Fraction(-5, 7), Fraction(3, 4)],
+        [Fraction(4)], [0, 0, Fraction(1, 3)], [],
+    ], ids=["linear", "linear-times-c^2", "constant", "monomial", "zero"])
+    def test_linear_and_constant_inputs(self, coeffs):
+        p = [Scalar.from_fraction(x) for x in coeffs]
+        got, want = _extract_roots(p, "c1"), extract_roots_by_fractions(p, "c1")
+        assert ([str(r) for r in got[0]], got[1]) == ([str(r) for r in want[0]], want[1])
+
+    def test_inputs_over_a_generic_symbol(self):
+        g = fresh_symbol()
+        one, two = Scalar.from_fraction(1), Scalar.from_fraction(2)
+        for p in ([g, two], [Scalar.from_fraction(0), g * g - one, g],
+                  [g, one, one], [one, g, Scalar.from_fraction(0), two]):
+            got, want = _extract_roots(p, "c1"), extract_roots_by_fractions(p, "c1")
+            assert ([str(r) for r in got[0]], got[1]) == ([str(r) for r in want[0]], want[1])
+
+    def test_minors_roots_are_extracted_once_per_regime(self):
+        # both conditions hold in the limit plane and refine at c1 = 1: the
+        # minors' gcd c1^2 - c1 is searched once for (a) and (b) together,
+        # the secants' gcd c1 - 1 once for (b)
+        c = Scalar.symbol("c1")
+        zero, one = Scalar.from_fraction(0), Scalar.from_fraction(1)
+        keys = [(1, 2), (1, 3), (2, 3)]
+        calls = []
+
+        def counted(p, cname):
+            calls.append(len(p))
+            return _extract_roots(p, cname)
+
+        with mock.patch.object(limits, "_extract_roots", counted):
+            tests = _regime_tests([zero, c - one, zero], [c * (c - one), zero, zero],
+                                  keys, 3, "ab", "c1", True)
+        assert sorted(calls) == [2, 3]
+        assert [(ijk, [str(r) for r in roots], unresolved)
+                for ijk, _, roots, unresolved in tests] == [(None, ["1"], [])] * 2
+
+
+# 1 and quadratics and cubics without a rational root, so irreducible over Q
+IRREDUCIBLE = (
+    [Fraction(1)],
+    [Fraction(1), 0, Fraction(1)], [Fraction(-2), 0, Fraction(1)],
+    [Fraction(1), Fraction(1), Fraction(1)], [Fraction(-5), 0, Fraction(3)],
+    [Fraction(-2), 0, 0, Fraction(1)], [Fraction(1), Fraction(1), 0, Fraction(1)],
+    [Fraction(5), Fraction(-3), 0, Fraction(2)],
+)
+
+
+def seeded_root_polynomials(count: int = 200) -> list[tuple[list[Fraction], list[Fraction]]]:
+    """(coefficients by degree, the distinct nonzero rational roots): 1-3
+    distinct roots from 0, +-1..6 and +-p/q, q <= 4, each of multiplicity
+    1-3, times one of IRREDUCIBLE, times a rational scale."""
+    rng = random.Random(20261020)
+    pool = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 5)})
+    out = []
+    for _ in range(count):
+        roots = rng.sample(pool, rng.randint(1, 3))
+        coeffs = poly_from_roots([(r, rng.randint(1, 3)) for r in roots])
+        factor = rng.choice(IRREDUCIBLE)
+        product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(factor):
+                product[i + j] += x * y
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        out.append(([x * scale for x in product], [r for r in roots if r]))
+    return out
 
 
 def random_small_family(rng):

@@ -28,6 +28,7 @@ from equising import (
 from equising import projection
 from equising.algebra import symbol_run
 from conftest import (
+    char_exponents_two_scans,
     corpus_path,
     generic_plane_projection,
     monomial_char_exponents,
@@ -200,6 +201,13 @@ def with_scan(scan, fibers) -> list[dict]:
         return [char_exponents(*fiber).to_json() for fiber in fibers]
 
 
+def two_scans(scan, fibers) -> list[dict]:
+    """The same from the former two scans, to the first truncation and
+    then to twice it, by ``scan``: a full-order scan reads only as far as
+    it did."""
+    return [char_exponents_two_scans(*fiber, scan=scan).to_json() for fiber in fibers]
+
+
 def transversal_coordinate(fiber) -> Poly:
     """The coordinate ``char_exponents`` reparametrizes: the first one of
     least t-order."""
@@ -214,7 +222,7 @@ class TestAgainstCoeffOfScan:
         # took the binomial root of a unit series term by term
         cases = seeded_fibers()
         assert with_scan(projection._support_scan, cases) == \
-            with_scan(support_scan_by_coeff_of, cases)
+            two_scans(support_scan_by_coeff_of, cases)
 
 
 class TestAgainstFullOrderScan:
@@ -225,7 +233,7 @@ class TestAgainstFullOrderScan:
     def test_seeded_fibers(self):
         cases = seeded_fibers()
         assert with_scan(projection._support_scan, cases) == \
-            with_scan(support_scan_full_order, cases)
+            two_scans(support_scan_full_order, cases)
 
     def test_non_monomial_transversal_coordinate(self):
         # a transversal coordinate c*t^m plus a tail: u is not a unit
@@ -249,13 +257,13 @@ class TestAgainstFullOrderScan:
             if len(transversal_coordinate(fiber).terms) > 1:
                 cases.append(fiber)
         assert with_scan(projection._support_scan, cases) == \
-            with_scan(support_scan_full_order, cases)
+            two_scans(support_scan_full_order, cases)
 
     def test_corpus_families_and_their_charts(self):
         cases = [fam.fiber(value)[1:] for fam in corpus_and_chart_families()
                  for value in (fresh_symbol(), 0, Fraction(1, 2), Fraction(-2, 3))]
         assert with_scan(projection._support_scan, cases) == \
-            with_scan(support_scan_full_order, cases)
+            two_scans(support_scan_full_order, cases)
 
     def test_small_random_families(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -376,6 +384,41 @@ class TestScanPrecision:
             },
             "mismatch": ["generic", "a = 0"],
         }
+
+
+class TestOnePrecisionLoop:
+    """One scan up to twice the first truncation against the former two:
+    to the first truncation, then from 2m again up to twice it."""
+
+    def test_seeded_fibers(self):
+        cases = seeded_fibers()
+        cases += [family_from_strings(entries).fiber(value)[1:]
+                  for entries in seeded_non_monomial_families(60)
+                  for value in (0, Fraction(1, 2), fresh_symbol())]
+        assert with_scan(projection._support_scan, cases) == \
+            two_scans(projection._support_scan, cases)
+
+    @pytest.mark.parametrize("x, y, truncation", [
+        ("t^2 + t^3", "t^4 + 2*t^5 + t^6", 26),
+        ("t^2 + t^3 + t^5", "(t^2 + t^3 + t^5)^3", 62),
+    ])
+    def test_unconfirmed_sequences(self, x, y, truncation):
+        # y is a power of x, so only even powers of s appear while the
+        # support gcd is 1: no truncation confirms the sequence
+        seq = char_exponents(P(x), P(y))
+        assert (seq.display(), seq.confirmed, seq.truncation) == ("(2;)", False, truncation)
+        assert seq.to_json() == char_exponents_two_scans(P(x), P(y)).to_json()
+        with mock.patch.object(projection, "_support_scan",
+                               wraps=projection._support_scan) as scan:
+            char_exponents(P(x), P(y))
+        assert scan.call_count == 1
+
+    def test_truncation_is_twice_the_first_past_it(self):
+        # no branch has been found that confirms only past the first
+        # truncation (2*3 + 1 here), so the scan's answer is stubbed
+        for betas, truncation in (([3], 7), ([9], 14)):
+            with mock.patch.object(projection, "_support_scan", return_value=(betas, 1)):
+                assert char_exponents(P("t^2"), P("t^3")).truncation == truncation
 
 
 class TestStrongCheck:

@@ -13,7 +13,6 @@ from equising import (
     fresh_symbol,
     load_family,
     nash_modification,
-    t_order,
     whitney_check,
     zariski_check,
 )
@@ -23,6 +22,7 @@ from conftest import (
     corpus_path,
     fiber_multiplicity,
     generic_plane_projection,
+    poly_diff,
     random_binomial_family,
     random_monomial_family,
 )
@@ -36,8 +36,8 @@ def projection_polar(family, basepoint) -> dict:
     cofactor is nonzero, which confines the critical locus to the axis."""
     fam, _, _ = family.centered(basepoint)
     x, y = generic_plane_projection(list(fam.entries))
-    jac = x.diff("a") * y.diff("t") - y.diff("a") * x.diff("t")
-    k = int(t_order(jac))
+    jac = poly_diff(x, "a") * poly_diff(y, "t") - poly_diff(y, "a") * poly_diff(x, "t")
+    k = int(jac.min_deg("t"))
     unit = constant_value(jac.coeff_of("t", k))
     return {"empty": not unit.is_zero(), "vanishing_order": k,
             "unit_at_origin": str(unit)}
