@@ -14,6 +14,12 @@ Three layers, bottom up:
 * ``SeriesT``  -- truncated power series over Scalar, with composition
   and reversion by Lagrange inversion, used for exact reparametrizations.
 
+Underneath, ``_add_terms``, ``_mul_terms`` and ``_pow_terms`` are the one
+sum, product and power of term dicts {monomial: coefficient}: of ints in a
+Scalar's numerator and denominator, Scalars in a Poly, and ints and Fractions
+in the parser (``parse_poly`` makes its Scalars once).  A falsy coefficient
+is zero and dropped; a result keeps its first operand's key order.
+
 No floating point, no algebraic extensions: every operation stays inside
 the fraction field.  Roots that would leave the field are refused by the
 callers rather than approximated.
@@ -28,6 +34,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _int_add
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
@@ -85,6 +92,66 @@ def symbol_run() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
+# term dicts (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _add_exps(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(_int_add, e1, e2))
+
+
+def _neg_terms(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
+
+
+def _add_terms(p: dict, q: dict) -> dict:
+    """p + q: q's terms added to a copy of p's, in q's order."""
+    r = dict(p)
+    for m, c in q.items():
+        if m in r:
+            s = r[m] + c
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+        else:
+            r[m] = c
+    return r
+
+
+def _mul_terms(p: dict, q: dict, mono=_add_exps) -> dict:
+    """p * q, summing the term products over p's terms, then q's; ``mono``
+    multiplies two keys (by default, exponent tuples add)."""
+    r: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono(m1, m2)
+            if m in r:
+                s = r[m] + c1 * c2
+                if s:
+                    r[m] = s
+                else:
+                    del r[m]
+            else:
+                # a product of nonzero coefficients is nonzero
+                r[m] = c1 * c2
+    return r
+
+
+def _pow_terms(p: dict, n: int, mono=_add_exps) -> dict:
+    """p**n for n >= 1 by square and multiply, the result starting from
+    the first factor it takes (p itself when n == 1)."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else _mul_terms(out, p, mono)
+        n >>= 1
+        if not n:
+            return out
+        p = _mul_terms(p, p, mono)
+
+
+# ---------------------------------------------------------------------------
 # integer-coefficient polynomials in named symbols (numerators/denominators)
 # ---------------------------------------------------------------------------
 #
@@ -132,37 +199,13 @@ def _lex_lead(p: SPoly) -> tuple[Mono, int]:
     return lead, p[lead]
 
 
-def _sp_add(p: SPoly, q: SPoly) -> SPoly:
-    r = dict(p)
-    for m, c in q.items():
-        s = r.get(m, 0) + c
-        if s:
-            r[m] = s
-        else:
-            r.pop(m, None)
-    return r
-
-
 def _sp_mul(p: SPoly, q: SPoly) -> SPoly:
     # a unit factor leaves the other operand's terms, in its order
     if q is _D1 or q == _D1:
         return dict(p)
     if p is _D1 or p == _D1:
         return dict(q)
-    r: SPoly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
-            s = r.get(m, 0) + c1 * c2
-            if s:
-                r[m] = s
-            else:
-                r.pop(m, None)
-    return r
-
-
-def _sp_neg(p: SPoly) -> SPoly:
-    return {m: -c for m, c in p.items()}
+    return _mul_terms(p, q, _mono_mul)
 
 
 def _sp_const(c: int) -> SPoly:
@@ -315,14 +358,14 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         if self.den is _D1 and o.den is _D1:
-            return Scalar(_sp_add(self.num, o.num), _D1)
-        return Scalar(_sp_add(_sp_mul(self.num, o.den), _sp_mul(o.num, self.den)),
+            return Scalar(_add_terms(self.num, o.num), _D1)
+        return Scalar(_add_terms(_sp_mul(self.num, o.den), _sp_mul(o.num, self.den)),
                       _sp_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_sp_neg(self.num), self.den)
+        return Scalar(_neg_terms(self.num), self.den)
 
     def __sub__(self, other):
         o = Scalar._coerce(other)
@@ -365,14 +408,10 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return _S1 / self ** (-n)
-        out = _S1
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            base = base * base if n else base
-        return out
+        if not n:
+            return _S1
+        den = self.den if self.den is _D1 else _pow_terms(self.den, n, _mono_mul)
+        return Scalar(_pow_terms(self.num, n, _mono_mul), den)
 
     def __eq__(self, other):
         o = Scalar._coerce(other)
@@ -380,7 +419,7 @@ class Scalar:
             return NotImplemented
         if self.den is _D1 and o.den is _D1:
             return self.num == o.num
-        return _sp_add(_sp_mul(self.num, o.den), _sp_neg(_sp_mul(o.num, self.den))) == {}
+        return not _add_terms(_sp_mul(self.num, o.den), _neg_terms(_sp_mul(o.num, self.den)))
 
     def __hash__(self):
         # the ratio of the lex-leading terms of num and den: leading terms
@@ -583,85 +622,36 @@ class Poly:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if s.num:
-                    terms[e] = s
-                else:
-                    del terms[e]
-            else:
-                terms[e] = c
-        return Poly._of(self.vars, terms)
+        return Poly._of(self.vars, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, _neg_terms(self.terms))
 
     def __sub__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                s = terms[e] - c
-                if s.num:
-                    terms[e] = s
-                else:
-                    del terms[e]
-            else:
-                terms[e] = -c
-        return Poly._of(self.vars, terms)
+        return Poly._of(self.vars, _add_terms(self.terms, _neg_terms(other.terms)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = _as_scalar(other)
-            if not c.num:
-                return Poly._of(self.vars, {})
-            return Poly._of(self.vars, {e: co * c for e, co in self.terms.items()})
-        if not isinstance(other, Poly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple([x + y for x, y in zip(e1, e2)])
-                if e in terms:
-                    s = terms[e] + c1 * c2
-                    if s.num:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-                else:
-                    # a product of nonzero Scalars is nonzero
-                    terms[e] = c1 * c2
-        return Poly._of(self.vars, terms)
+        return Poly._of(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponent")
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if not (c.den is _D1 and c.num == _D1):
-                c = c ** n
-            return Poly._of(self.vars, {tuple([x * n for x in e]): c})
-        out = Poly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            base = base * base if n else base
-        return out
+        if not n:
+            return Poly.const(self.vars, 1)
+        return Poly._of(self.vars, _pow_terms(self.terms, n))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -825,19 +815,13 @@ _MAX_TERM_PRODUCTS = 100_000
 _MAX_BITS = 1 << 16
 
 
-def _extent(p: Poly) -> tuple[int, int]:
-    """Total degree of p and the bit length of its largest numerator or
-    denominator coefficient."""
+def _extent(p: dict) -> tuple[int, int]:
+    """Total degree of a parsed term dict and the bit length of its largest
+    numerator or denominator."""
     deg = bits = 0
-    for e, c in p.terms.items():
-        d = sum(e)
-        if d > deg:
-            deg = d
-        for part in (c.num, c.den):
-            for n in part.values():
-                b = n.bit_length()
-                if b > bits:
-                    bits = b
+    for e, c in p.items():
+        deg = max(deg, sum(e))
+        bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
     return deg, bits
 
 
@@ -846,9 +830,9 @@ def _words(bits: int) -> int:
 
 
 def _power_products(k: int, n: int) -> int:
-    """Term products ``Poly.__pow__`` takes for b^n, b a sum of k terms:
-    its square-and-multiply loop on the exponents, with b^m bounded by
-    C(m+k-1, k-1) terms, the number of ways to pick m of b's terms."""
+    """Term products ``_pow_terms`` takes for b^n, b a sum of k terms, and
+    one more, of 1 by its first factor: its square-and-multiply loop, with
+    b^m bounded by C(m+k-1, k-1) terms, the ways to pick m of b's terms."""
     total, out, base = 0, 0, 1
     while n:
         if n & 1:
@@ -862,13 +846,14 @@ def _power_products(k: int, n: int) -> int:
 
 
 class _Parser:
-    """Recursive descent over one text, one method per rule.  Methods
-    rather than nested closures, so a parse leaves no reference cycle."""
+    """Recursive descent to int/Fraction term dicts, one method per rule:
+    methods, not nested closures, so a parse leaves no reference cycle."""
 
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0
         self.variables = variables
+        self.one = (0,) * len(variables)
 
     def error(self, msg: str) -> NoReturn:
         raise ParseError(msg, self.pos)
@@ -922,7 +907,7 @@ class _Parser:
                 self.pos = at
                 self.error(f"{op} exceeds the cap of {cap} {what}")
 
-    def base(self) -> tuple[Poly, int, int]:
+    def base(self) -> tuple[dict, int, int]:
         """A base with its degree and the bit length of its largest
         coefficient: read off a number or a variable, scanned for a
         parenthesized sum."""
@@ -936,14 +921,14 @@ class _Parser:
             return (inner, *_extent(inner))
         if ch.isdigit() or ch == "-":
             n = self.read_int()
+            q, bits = n, n.bit_length()
             if self.peek() == "/":
                 self.pos += 1
                 d = self.read_nat()
                 if d == 0:
                     self.error("zero denominator")
-                return (Poly.const(self.variables, Fraction(n, d)), 0,
-                        max(n.bit_length(), d.bit_length()))
-            return Poly.const(self.variables, n), 0, n.bit_length()
+                q, bits = Fraction(n, d), max(bits, d.bit_length())
+            return ({self.one: q} if q else {}), 0, bits
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (self.text[self.pos].isalnum()
@@ -953,10 +938,10 @@ class _Parser:
             if name not in self.variables:
                 self.pos = start
                 self.error(f"unknown variable {name!r}")
-            return Poly.var(self.variables, name), 1, 1
+            return {tuple([int(v == name) for v in self.variables]): 1}, 1, 1
         self.error("expected a number, variable or '('")
 
-    def factor(self) -> tuple[Poly, int, int]:
+    def factor(self) -> tuple[dict, int, int]:
         """A factor with its degree and coefficient bits, as ``base``."""
         b, deg, bits = self.base()
         if self.peek() != "^":
@@ -964,50 +949,52 @@ class _Parser:
         at = self.pos
         self.pos += 1
         n = self.read_nat()
-        k = len(b.terms)
+        k = len(b)
         # a sum has positive degree, so past the degree check n is small
         products = (_power_products(k, n) * _words(bits * n) ** 2
                     if k > 1 and deg * n <= _MAX_DEGREE else 0)
         self.check_caps(at, "power", deg * n, bits * n, products)
-        return b ** n, deg * n, bits * n
+        return (_pow_terms(b, n) if n else {self.one: 1}), deg * n, bits * n
 
-    def term(self) -> Poly:
+    def term(self) -> dict:
         f, deg, bits = self.factor()
         while self.peek() == "*":
             at = self.pos
             self.pos += 1
             g, dg, bg = self.factor()
             self.check_caps(at, "product", deg + dg, bits + bg,
-                            len(f.terms) * len(g.terms) * _words(bits) * _words(bg))
-            f, deg, bits = f * g, deg + dg, bits + bg
+                            len(f) * len(g) * _words(bits) * _words(bg))
+            f, deg, bits = _mul_terms(f, g), deg + dg, bits + bg
         return f
 
-    def expr(self) -> Poly:
+    def expr(self) -> dict:
         acc = self.term()
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                acc = acc + self.term()
+                acc = _add_terms(acc, self.term())
             elif ch == "-":
                 # binary minus: a '-' that starts a rational belongs to term()
                 self.pos += 1
-                acc = acc - self.term()
+                acc = _add_terms(acc, _neg_terms(self.term()))
             else:
                 return acc
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
-    """Parse an expression into a Poly over the given ordered variables.
+    """Parse an expression into a Poly over the given ordered variables;
+    the parsed ints and Fractions become Scalars once, here.
 
     Raises ParseError (with byte offset) on syntax errors, unknown variable
     names, or negative exponents.
     """
     parser = _Parser(text, tuple(variables))
-    out = parser.expr()
+    terms = parser.expr()
     if parser.peek():
         parser.error("trailing input")
-    return out
+    return Poly._of(parser.variables,
+                    {e: _as_scalar(c) for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1110,7 @@ class SeriesT:
         # powers past the outer series' last nonzero coefficient add nothing
         last = next((k for k in range(n - 1, 0, -1) if self.coeffs[k].num), 0)
         for k in range(1, last + 1):
-            gk = _mul_terms(gk, right, n)
+            gk = _mul_series_terms(gk, right, n)
             if not gk:  # valuation >= n
                 break
             c = self.coeffs[k]
@@ -1138,8 +1125,8 @@ class SeriesT:
         return f"{body} + O(s^{self.order})"
 
 
-def _mul_terms(left: list[tuple[int, Scalar]], right: list[tuple[int, Scalar]],
-               n: int) -> list[tuple[int, Scalar]]:
+def _mul_series_terms(left: list[tuple[int, Scalar]], right: list[tuple[int, Scalar]],
+                      n: int) -> list[tuple[int, Scalar]]:
     """Nonzero terms below s^n of the product of two series given by their
     nonzero terms, k ascending.  Each coefficient starts from zero and adds
     its products in the order of a dense loop over i, then j."""

@@ -181,7 +181,7 @@ def _rolle_exit(cert) -> int:
 def _cmd_rolle(args, family):
     rho = parse_poly(args.rho, family.ambient)
     check_coefficient_size(rho, "--rho")
-    cert = rolle_for_map(family, rho, at=args.at)
+    cert = rolle_for_map(family, rho, at=args.at or 0)
     return {"rolle": cert.to_json()}, _rolle_exit(cert)
 
 
@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--functional", type=_parse_functional, metavar="C1,C2,..",
                     help="rational coefficients of a linear functional "
                          "(parameter-free curve file)")
-    sp.add_argument("--at", type=_parse_rational, default=Fraction(0),
-                    metavar="VALUE", help="parameter value of the fiber")
+    sp.add_argument("--at", type=_parse_rational, metavar="VALUE",
+                    help="parameter value of the fiber (default 0)")
     sp.set_defaults(handler=_cmd_rolle)
 
     sp = sub.add_parser(
@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also verify implicit equations from this file")
     sp.add_argument("--rho", metavar="EXPR",
                     help="also certify this map on the base point fiber")
-    sp.add_argument("--at", type=_parse_rational, default=Fraction(0),
-                    metavar="VALUE", help="fiber for the map certificate")
+    sp.add_argument("--at", type=_parse_rational, metavar="VALUE",
+                    help="fiber for the map certificate (default 0)")
     sp.set_defaults(handler=_cmd_full_report)
     return parser
 
@@ -417,6 +417,10 @@ def _run(argv: list[str] | None) -> tuple[int, dict | None, argparse.Namespace |
     if args.command == "rolle" and bool(args.rho) == bool(args.functional):
         print("error: rolle takes exactly one of --rho (family file) or "
               "--functional (curve file)", file=sys.stderr)
+        return EXIT_ERROR, None, None
+    if getattr(args, "at", None) is not None and not args.rho:
+        print("error: --at selects the fiber of the --rho map and needs --rho",
+              file=sys.stderr)
         return EXIT_ERROR, None, None
     try:
         if args.command == "rolle" and args.functional:

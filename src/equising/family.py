@@ -51,6 +51,10 @@ class AxisVanishingError(FamilyValidationError):
 class DegenerateFiberError(FamilyValidationError):
     """A fiber that must be a curve is a single point."""
 
+    @classmethod
+    def at(cls, a_value) -> "DegenerateFiberError":
+        return cls(f"the fiber at a = {a_value} is a point, not a curve")
+
 
 class CoefficientSizeError(FamilyValidationError):
     """An input coefficient's numerator or denominator has more than
@@ -128,7 +132,7 @@ class Parametrization:
                     f"entry {name} does not vanish on the axis t = 0"
                 )
         if not any(i == 0 for e in self.entries[1:] for i, _ in e.terms):
-            raise DegenerateFiberError("the fiber at a = 0 is a point, not a curve")
+            raise DegenerateFiberError.at(0)
 
     @property
     def dim(self) -> int:
@@ -181,7 +185,10 @@ class Parametrization:
                     f"{what} has a coefficient of more than {MAX_CENTERED_DIGITS} digits")
             new.append(e.compose([shifted, t_var]))
             check_coefficient_size(new[-1], what, MAX_CENTERED_DIGITS)
-        return Parametrization(tuple(new), self.ambient, self.name)
+        try:
+            return Parametrization(tuple(new), self.ambient, self.name)
+        except DegenerateFiberError:
+            raise DegenerateFiberError.at(v) from None
 
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
         """The family recentered on an axis point, that point and its label

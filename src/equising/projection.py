@@ -155,7 +155,7 @@ def char_exponents_at(family: Parametrization, a_value) -> CharSequence:
     """Characteristic sequence of one fiber."""
     entries = family.fiber(a_value)[1:]
     if all(e.is_zero() for e in entries):
-        raise DegenerateFiberError(f"fiber at a = {a_value} is a point")
+        raise DegenerateFiberError.at(a_value)
     return char_exponents(*entries)
 
 

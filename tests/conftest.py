@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
+from typing import NoReturn
 
 from equising import (
     INFINITY,
@@ -26,7 +27,18 @@ from equising import (
     family_from_strings,
     fresh_symbol,
 )
-from equising.algebra import _mul_terms, _sp_mul, dense_divmod, dense_trim
+from equising.algebra import (
+    _MAX_BITS,
+    _MAX_DEGREE,
+    _MAX_TERM_PRODUCTS,
+    ParseError,
+    _mul_series_terms,
+    _power_products,
+    _sp_mul,
+    _words,
+    dense_divmod,
+    dense_trim,
+)
 from equising.family import DegenerateFiberError
 from equising.limits import _regime_plan, _render_cpoly, arc_leading_vector, secant_vector
 from equising.projection import CharSequence, _support_scan
@@ -38,40 +50,51 @@ def corpus_path(name: str) -> Path:
     return CORPUS / name
 
 
+def random_monomial_entries(rng: random.Random, max_extra: int = 4,
+                            max_exp: int = 8) -> list[str]:
+    """Entries a, then 2..max_extra monomials a**i * t**j."""
+    count = rng.randint(2, max_extra)
+    entries = ["a"]
+    for _ in range(count):
+        i = rng.randint(0, max_exp)
+        j = rng.randint(1, max_exp)
+        head = "t" if j == 1 else f"t^{j}"
+        if i == 1:
+            head = "a*" + head
+        elif i > 1:
+            head = f"a^{i}*" + head
+        entries.append(head)
+    return entries
+
+
 def random_monomial_family(rng: random.Random, max_extra: int = 4,
                            max_exp: int = 8) -> Parametrization:
     """A validated family with monomial entries a**i * t**j."""
     while True:
-        count = rng.randint(2, max_extra)
-        entries = ["a"]
-        for _ in range(count):
-            i = rng.randint(0, max_exp)
-            j = rng.randint(1, max_exp)
-            head = "t" if j == 1 else f"t^{j}"
-            if i == 1:
-                head = "a*" + head
-            elif i > 1:
-                head = f"a^{i}*" + head
-            entries.append(head)
         try:
-            return family_from_strings(entries)
+            return family_from_strings(random_monomial_entries(rng, max_extra, max_exp))
         except FamilyValidationError:
             continue
 
 
+def random_binomial_entries(rng: random.Random) -> list[str]:
+    """Entries a, then 2-3 entries of one or two terms c*a**i*t**j with c
+    in +-1..9, i <= 3 and 1 <= j <= 6."""
+    entries = ["a"]
+    for _ in range(rng.randint(2, 3)):
+        terms = {(rng.randint(0, 3), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 2))}
+        entries.append(" + ".join(
+            f"({rng.choice((-1, 1)) * rng.randint(1, 9)})*a^{i}*t^{j}"
+            for i, j in sorted(terms)))
+    return entries
+
+
 def random_binomial_family(rng: random.Random) -> Parametrization:
-    """A validated family of 2-3 entries, each one or two terms
-    c*a**i*t**j with c in +-1..9, i <= 3 and 1 <= j <= 6."""
+    """A validated family of :func:`random_binomial_entries`."""
     while True:
-        entries = ["a"]
-        for _ in range(rng.randint(2, 3)):
-            terms = {(rng.randint(0, 3), rng.randint(1, 6))
-                     for _ in range(rng.randint(1, 2))}
-            entries.append(" + ".join(
-                f"({rng.choice((-1, 1)) * rng.randint(1, 9)})*a^{i}*t^{j}"
-                for i, j in sorted(terms)))
         try:
-            return family_from_strings(entries)
+            return family_from_strings(random_binomial_entries(rng))
         except FamilyValidationError:
             continue
 
@@ -424,6 +447,18 @@ def scalar_mul_by_loop(x: Scalar, y: Scalar) -> Scalar:
     return Scalar(sp_mul_by_loop(x.num, y.num), sp_mul_by_loop(x.den, y.den))
 
 
+def scalar_pow_by_products(x: Scalar, n: int) -> Scalar:
+    """``x ** n``, n >= 0, by square and multiply over Scalar products,
+    starting from 1."""
+    out, base = Scalar.from_fraction(1), x
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        base = base * base if n else base
+    return out
+
+
 def _accumulate(terms, e, c):
     s = terms.get(e, _ZERO) + c
     if s.is_zero():
@@ -598,7 +633,7 @@ def series_compose_by_loop(f: SeriesT, inner: SeriesT) -> SeriesT:
     gk = [(0, Scalar.from_fraction(1))]
     last = next((k for k in range(n - 1, 0, -1) if f.coeffs[k].num), 0)
     for k in range(1, last + 1):
-        gk = _mul_terms(gk, right, n)
+        gk = _mul_series_terms(gk, right, n)
         if not gk:
             break
         c = f.coeffs[k]
@@ -664,7 +699,7 @@ def series_mul(f: SeriesT, g) -> SeriesT:
         return SeriesT(tuple([x * c for x in f.coeffs]), f.order)
     n = min(f.order, g.order)
     out = [_ZERO] * n
-    for k, c in _mul_terms(f._terms(n), g._terms(n), n):
+    for k, c in _mul_series_terms(f._terms(n), g._terms(n), n):
         out[k] = c
     return SeriesT(tuple(out), n)
 
@@ -835,3 +870,154 @@ def char_exponents_two_scans(*coords: Poly, scan=_support_scan) -> CharSequence:
         if d == floor_gcd:
             return CharSequence(m, tuple(betas), d, True, order)
     return CharSequence(m, tuple(betas), d, False, order)
+
+
+# -- the parser before it parsed into terms ------------------------------------
+# (every number and variable a Poly of Scalars, combined by the Poly
+# operators; the library's former ``_Parser``, kept as the oracle for the
+# parser that builds int/Fraction term dicts and makes its Scalars once)
+
+def _poly_extent(p: Poly) -> tuple[int, int]:
+    deg = bits = 0
+    for e, c in p.terms.items():
+        deg = max(deg, sum(e))
+        for part in (c.num, c.den):
+            for n in part.values():
+                bits = max(bits, n.bit_length())
+    return deg, bits
+
+
+class PolyParser:
+    """Recursive descent building a Poly at every rule."""
+
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.text = text
+        self.pos = 0
+        self.variables = variables
+
+    def error(self, msg: str) -> NoReturn:
+        raise ParseError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def digits(self):
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+
+    def number(self, start: int) -> int:
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            self.pos = start
+            self.error("number too long")
+
+    def read_nat(self) -> int:
+        if self.peek() == "-":
+            self.error("negative exponent")
+        start = self.pos
+        self.digits()
+        if self.pos == start:
+            self.error("expected a natural number")
+        return self.number(start)
+
+    def read_int(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        digits = self.pos
+        self.digits()
+        if self.pos == digits:
+            self.pos = start
+            self.error("expected an integer")
+        return self.number(start)
+
+    def check_caps(self, at: int, op: str, degree: int, bits: int, products: int):
+        for value, cap, what in ((degree, _MAX_DEGREE, "degree"),
+                                 (bits, _MAX_BITS, "coefficient bits"),
+                                 (products, _MAX_TERM_PRODUCTS, "term products")):
+            if value > cap:
+                self.pos = at
+                self.error(f"{op} exceeds the cap of {cap} {what}")
+
+    def base(self) -> tuple[Poly, int, int]:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return (inner, *_poly_extent(inner))
+        if ch.isdigit() or ch == "-":
+            n = self.read_int()
+            if self.peek() == "/":
+                self.pos += 1
+                d = self.read_nat()
+                if d == 0:
+                    self.error("zero denominator")
+                return (Poly.const(self.variables, Fraction(n, d)), 0,
+                        max(n.bit_length(), d.bit_length()))
+            return Poly.const(self.variables, n), 0, n.bit_length()
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                                 or self.text[self.pos] == "_"):
+                self.pos += 1
+            name = self.text[start:self.pos]
+            if name not in self.variables:
+                self.pos = start
+                self.error(f"unknown variable {name!r}")
+            return Poly.var(self.variables, name), 1, 1
+        self.error("expected a number, variable or '('")
+
+    def factor(self) -> tuple[Poly, int, int]:
+        b, deg, bits = self.base()
+        if self.peek() != "^":
+            return b, deg, bits
+        at = self.pos
+        self.pos += 1
+        n = self.read_nat()
+        k = len(b.terms)
+        products = (_power_products(k, n) * _words(bits * n) ** 2
+                    if k > 1 and deg * n <= _MAX_DEGREE else 0)
+        self.check_caps(at, "power", deg * n, bits * n, products)
+        return b ** n, deg * n, bits * n
+
+    def term(self) -> Poly:
+        f, deg, bits = self.factor()
+        while self.peek() == "*":
+            at = self.pos
+            self.pos += 1
+            g, dg, bg = self.factor()
+            self.check_caps(at, "product", deg + dg, bits + bg,
+                            len(f.terms) * len(g.terms) * _words(bits) * _words(bg))
+            f, deg, bits = f * g, deg + dg, bits + bg
+        return f
+
+    def expr(self) -> Poly:
+        acc = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                acc = acc + self.term()
+            elif ch == "-":
+                self.pos += 1
+                acc = acc - self.term()
+            else:
+                return acc
+
+
+def parse_poly_by_polys(text: str, variables) -> Poly:
+    parser = PolyParser(text, tuple(variables))
+    out = parser.expr()
+    if parser.peek():
+        parser.error("trailing input")
+    return out

@@ -22,10 +22,10 @@ from equising import (
 )
 from equising.algebra import (
     _D1,
+    _add_terms,
     _mono_key,
-    _sp_add,
+    _neg_terms,
     _sp_mul,
-    _sp_neg,
     dense_divmod,
     dense_gcd,
     fresh_symbol,
@@ -37,8 +37,11 @@ from conftest import (
     binomial_root,
     constant_value,
     eval_scalar,
+    parse_poly_by_polys,
     poly_diff,
     power_by_multiplication,
+    random_binomial_entries,
+    random_monomial_entries,
     reversion_by_root,
     scalar_symbols,
     series_add,
@@ -232,7 +235,7 @@ class TestScalar:
             for _ in range(terms):
                 m = tuple(sorted((n, rng.randint(1, 2))
                                  for n in rng.sample(names, rng.randint(0, 2))))
-                p = _sp_add(p, {m: rng.choice((-6, -3, -2, -1, 1, 2, 3, 4))})
+                p = _add_terms(p, {m: rng.choice((-6, -3, -2, -1, 1, 2, 3, 4))})
             return p
 
         def rand_scalar():
@@ -252,16 +255,16 @@ class TestScalar:
 
         def reference(op, x, y):
             if op == "+":
-                return general(_sp_add(_sp_mul(x.num, y.den), _sp_mul(y.num, x.den)),
+                return general(_add_terms(_sp_mul(x.num, y.den), _sp_mul(y.num, x.den)),
                                _sp_mul(x.den, y.den))
             if op == "-":
-                return general(_sp_add(_sp_mul(x.num, y.den), _sp_mul(_sp_neg(y.num), x.den)),
+                return general(_add_terms(_sp_mul(x.num, y.den), _sp_mul(_neg_terms(y.num), x.den)),
                                _sp_mul(x.den, y.den))
             if op == "*":
                 return general(_sp_mul(x.num, y.num), _sp_mul(x.den, y.den))
             if op == "neg":
-                return general(_sp_neg(x.num), x.den)
-            return _sp_add(_sp_mul(x.num, y.den), _sp_neg(_sp_mul(y.num, x.den))) == {}
+                return general(_neg_terms(x.num), x.den)
+            return _add_terms(_sp_mul(x.num, y.den), _neg_terms(_sp_mul(y.num, x.den))) == {}
 
         def apply(op, x, y):
             return {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
@@ -342,13 +345,45 @@ class TestSymbolRun:
         assert int(str(fresh_symbol())[1:]) == before + 1
 
 
+ROUND_TRIP_TEXTS = [
+    "a", "t^3", "a*t^5", "t^3 + t^2", "a*t + t^2",
+    "-1*a*t^2 + 3*t", "2/3*t^4 - a^2*t", "(a + t)*(a - t)",
+]
+SUPERSCRIPT_CASES = [
+    ("t^\u00b2", "expected a natural number (offset 2)"),
+    ("2\u00b2*t", "trailing input (offset 1)"),
+]
+CAP_CASES = [
+    pytest.param("t^10001", "degree", id="power-degree"),
+    pytest.param("a^5000*t^5001", "degree", id="product-degree"),
+    pytest.param("2^70000", "coefficient bits", id="power-bits"),
+    pytest.param("7^21000*7^2400", "coefficient bits", id="product-bits"),
+    # two coefficients of at most 30,000 bits: one product of 469 by 469 words
+    pytest.param("3^15000*3^15000", "term products", id="product-words"),
+    pytest.param("(a + t)^300", "term products", id="power-products"),
+    pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")*("
+                 + " + ".join(f"a^{k}" for k in range(300)) + ")", "term products",
+                 id="product-products"),
+]
+UNDER_CAP_CASES = [
+    "t^2001", "a^2000*t + t^2", "9^9999*t", "1/9^9999*t", "(a + t)^100",
+    pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")^1", id="400-terms^1"),
+    "(t + a + 1)^13", "t^10000", "a^5000*t^5000",
+]
+LONG_NUMBER_TEXTS = ("9" * 5000, "t^" + "9" * 5000, "1/" + "7" * 5000)
+# every text TestParsePrint and TestParseCaps parse
+PARSE_TEST_TEXTS = [
+    *ROUND_TRIP_TEXTS, "t + a", "t^2 + a*t + a^2", "a - t^2", "2*a", "a + x^2",
+    "t^-2", *(text for text, _ in SUPERSCRIPT_CASES), "\u0663*t", "3*t", "a + ",
+    "(a + t", "(t+a+1)^100", *(case.values[0] for case in CAP_CASES),
+    *(case.values[0] if hasattr(case, "values") else case for case in UNDER_CAP_CASES),
+    *LONG_NUMBER_TEXTS,
+]
+
+
 class TestParsePrint:
     def test_round_trip_through_grammar(self):
-        cases = [
-            "a", "t^3", "a*t^5", "t^3 + t^2", "a*t + t^2",
-            "-1*a*t^2 + 3*t", "2/3*t^4 - a^2*t", "(a + t)*(a - t)",
-        ]
-        for text in cases:
+        for text in ROUND_TRIP_TEXTS:
             p = P(text)
             again = P(p.grammar_str())
             assert again - p == Poly.zero(AT), text
@@ -373,10 +408,7 @@ class TestParsePrint:
         with pytest.raises(ParseError, match="negative exponent"):
             P("t^-2")
 
-    @pytest.mark.parametrize("text, message", [
-        ("t^\u00b2", "expected a natural number (offset 2)"),
-        ("2\u00b2*t", "trailing input (offset 1)"),
-    ])
+    @pytest.mark.parametrize("text, message", SUPERSCRIPT_CASES)
     def test_superscript_digits_are_not_numbers(self, text, message):
         # str.isdigit accepts a superscript two, which int() refuses
         with pytest.raises(ParseError) as err:
@@ -421,32 +453,17 @@ class TestParseCaps:
         assert time.perf_counter() - start < 2.0
         assert info.value.offset == 7
 
-    @pytest.mark.parametrize("text, cap", [
-        pytest.param("t^10001", "degree", id="power-degree"),
-        pytest.param("a^5000*t^5001", "degree", id="product-degree"),
-        pytest.param("2^70000", "coefficient bits", id="power-bits"),
-        pytest.param("7^21000*7^2400", "coefficient bits", id="product-bits"),
-        # two coefficients of at most 30,000 bits: one product of 469 by 469 words
-        pytest.param("3^15000*3^15000", "term products", id="product-words"),
-        pytest.param("(a + t)^300", "term products", id="power-products"),
-        pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")*("
-                     + " + ".join(f"a^{k}" for k in range(300)) + ")", "term products",
-                     id="product-products"),
-    ])
+    @pytest.mark.parametrize("text, cap", CAP_CASES)
     def test_each_cap(self, text, cap):
         with pytest.raises(ParseError, match=cap):
             P(text)
 
-    @pytest.mark.parametrize("text", [
-        "t^2001", "a^2000*t + t^2", "9^9999*t", "1/9^9999*t", "(a + t)^100",
-        pytest.param("(" + " + ".join(f"t^{k}" for k in range(400)) + ")^1", id="400-terms^1"),
-        "(t + a + 1)^13", "t^10000", "a^5000*t^5000",
-    ])
+    @pytest.mark.parametrize("text", UNDER_CAP_CASES)
     def test_under_the_caps(self, text):
         P(text)
 
     def test_number_past_the_conversion_limit(self):
-        for text in ("9" * 5000, "t^" + "9" * 5000, "1/" + "7" * 5000):
+        for text in LONG_NUMBER_TEXTS:
             with pytest.raises(ParseError, match="number too long"):
                 P(text)
 
@@ -479,6 +496,97 @@ class TestParseCaps:
             assert time.perf_counter() - start < 2.0, text
 
         finishes_or_refused()
+
+
+def parse_outcome(parse, text, variables):
+    """What a parser makes of one text: the polynomial's text, variables,
+    terms in key order and every coefficient's num/den items in order, or
+    the ParseError's message and offset."""
+    try:
+        p = parse(text, variables)
+    except ParseError as exc:
+        return exc.message, exc.offset
+    try:
+        shown = str(p)
+    except ValueError:  # a coefficient past the int-to-str conversion limit
+        shown = None
+    return shown, p.vars, [(e, list(c.num.items()), list(c.den.items()))
+                           for e, c in p.terms.items()]
+
+
+def assert_parses_alike(texts, variables=AT):
+    for text in texts:
+        want = parse_outcome(parse_poly_by_polys, text, variables)
+        assert parse_outcome(parse_poly, text, variables) == want, text[:200]
+
+
+class TestParseDifferential:
+    """The parser over int/Fraction term dicts against the one that built a
+    Poly of Scalars at every rule (conftest's ``parse_poly_by_polys``):
+    equal text, term key order and coefficient num/den order, or an equal
+    error message and offset."""
+
+    def test_corpus_entries_and_equations(self):
+        texts, equations = [], []
+        for path in sorted(CORPUS.glob("*.json")):
+            raw = json.loads(path.read_text())
+            texts += raw.get("entries", [])
+            equations += [(text, tuple(raw["vars"])) for text in raw.get("equations", [])]
+        assert len(texts) > 20 and equations
+        assert_parses_alike(texts, AT)
+        assert_parses_alike(texts, ("t",))
+        for text, variables in equations:
+            assert_parses_alike([text], variables)
+
+    def test_fuzz_shaped_entries(self):
+        rng = random.Random(2311)
+        texts = []
+        for _ in range(150):
+            texts += random_monomial_entries(rng)[1:] + random_binomial_entries(rng)[1:]
+        # binary minus between terms and between entries, plain coefficients,
+        # and differences that cancel
+        texts += [text.replace(" + ", " - ") for text in texts if " + " in text]
+        texts += [text.replace("(", "").replace(")", "") for text in texts]
+        texts += [f"{x} - {y}" for x, y in zip(texts[::2], texts[1::2])]
+        texts += [f"{x} - {x} + {y}" for x, y in zip(texts[::7], texts[1::7])]
+        assert_parses_alike(texts)
+
+    def test_parse_test_cases(self):
+        assert_parses_alike(PARSE_TEST_TEXTS)
+
+    def test_generated_text_malformed_too(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from(["a", "t"]),
+            st.integers(-10 ** 40, 10 ** 40).map(str),
+            st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda q: f"{q[0]}/{q[1]}"),
+        )
+
+        def grow(inner):
+            return st.one_of(
+                st.tuples(inner, st.sampled_from([" + ", " - ", "-", "*"]), inner).map("".join),
+                st.tuples(inner, st.sampled_from(["+", "-"]), inner)
+                .map(lambda x: f"({x[0]} {x[1]} {x[2]})"),
+                st.tuples(inner, st.integers(0, 10 ** 6) | st.integers(0, 40))
+                .map(lambda x: f"({x[0]})^{x[1]}"),
+            )
+
+        well_formed = st.recursive(leaves, grow, max_leaves=10)
+        bad = st.sampled_from(["t^-2", "t^\u00b2", "\u0663*t", "1/0", "(", ")", "x", "_",
+                               "^", "*", "-", "/", "9" * 5000, "1/" + "7" * 5000])
+        # a well-formed text with one bad token inserted, unbalanced
+        # parentheses among them
+        malformed = st.tuples(well_formed, bad, st.integers(0, 10 ** 6)).map(
+            lambda x: x[0][:x[2] % (len(x[0]) + 1)] + x[1] + x[0][x[2] % (len(x[0]) + 1):])
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.one_of(well_formed, malformed))
+        def alike(text):
+            assert_parses_alike([text])
+
+        alike()
+
 
 class TestPoly:
     def test_ring_identities_random(self):

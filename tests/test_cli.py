@@ -374,6 +374,36 @@ class TestErrors:
                        "--rho", "y", "--functional", "1,1,1,1")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["full-report", str(corpus_path("family-467.json")), "--at", "5"],
+        ["rolle", str(corpus_path("cusp-curve.json")), "--functional=-1,1", "--at", "7"],
+    ], ids=["full-report", "rolle-functional"])
+    def test_at_without_rho_is_refused(self, capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --at selects the fiber of the --rho map and needs --rho\n"
+
+    def test_rolle_rho_without_at_is_the_fiber_at_zero(self, tmp_path):
+        reports = []
+        for extra in ([], ["--at", "0"]):
+            out = tmp_path / f"rolle{len(extra)}.json"
+            assert cli.main(["rolle", str(corpus_path("family-345.json")), "--rho", "y - z",
+                             *extra, "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["check-zariski", "check-whitney", "crosscheck",
+                                         "blowup", "nash", "full-report", "strong"])
+    def test_point_fiber_names_the_base_point(self, tmp_path, capsys, command):
+        # a curve at a = 0 and a point at a = 1
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"entries": ["a", "a*t^2 - t^2", "a*t^3 - t^3"]}))
+        assert cli.main([command, str(family), "--basepoint", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the fiber at a = 1 is a point, not a curve\n"
+
     def test_rolle_constant_map(self):
         proc = run_cli("rolle", corpus_path("family-345.json"), "--rho", "x")
         assert proc.returncode == 1

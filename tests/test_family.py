@@ -242,7 +242,8 @@ class TestGeometry:
                     (fam.entry_strings(), point)
         # a base point whose fiber is a point is refused on recentering
         fam = family_from_strings(["a", "a*t - t", "a*t^2 - t^2"])
-        with pytest.raises(DegenerateFiberError):
+        with pytest.raises(DegenerateFiberError,
+                           match="^the fiber at a = 1 is a point, not a curve$"):
             fam.centered(1)
 
     def test_multiplicity_and_equimultiplicity(self):

@@ -55,6 +55,7 @@ from conftest import (
     random_monomial_family,
     scalar_div_general,
     scalar_mul_by_loop,
+    scalar_pow_by_products,
     newton_reversion,
     series_compose_by_loop,
     series_from_coeffs,
@@ -197,6 +198,15 @@ class TestScalarKernels:
                 assert all(got.values())
                 # a new dict, never an operand, so no result aliases _D1
                 assert got is not a and got is not b
+
+    def test_scalar_powers_match_square_and_multiply(self):
+        rng = random.Random(1823)
+        for _ in range(200):
+            x = random_scalar(rng)
+            for n in range(7):
+                assert_same_scalar(x ** n, scalar_pow_by_products(x, n))
+            if x:
+                assert_same_scalar(x ** -2, 1 / scalar_pow_by_products(x, 2))
 
     def test_scalar_products_match_the_loop(self):
         rng = random.Random(1813)
