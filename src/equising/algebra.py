@@ -31,10 +31,9 @@ import itertools
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd as _int_gcd, lcm as _int_lcm
-from operator import add as _int_add
+from operator import add as _int_add, attrgetter
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 __all__ = [
@@ -1005,11 +1004,60 @@ AT = ("a", "t")
 
 
 # ---------------------------------------------------------------------------
+# result records
+# ---------------------------------------------------------------------------
+
+
+def _record_eq(a, b):
+    return a._values == b._values if b.__class__ is a.__class__ else NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self._values)
+
+
+def _record_repr(self) -> str:
+    inner = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._values)])
+    return f"{self.__class__.__qualname__}({inner})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls=None, *, frozen=True):
+    """Class decorator for the result records, in place of ``dataclass``,
+    whose import loads ``inspect``, ``ast``, ``dis`` and ``tokenize`` and
+    which ``exec``s 5-6 methods a class.  Only ``__init__`` is generated: it
+    takes the annotated fields (two or more; class values are defaults) and
+    calls any ``__post_init__``.  Equality, hash, repr and ``frozen`` are shared."""
+    if cls is None:
+        return lambda c: _record(c, frozen=frozen)
+    own = cls.__dict__
+    fields = tuple(own["__annotations__"])
+    params = ", ".join([f"{f}=_own[{f!r}]" if f in own else f for f in fields])
+    body = [f"_set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    namespace = {"_own": own, "_set": object.__setattr__}
+    exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body)
+         + f"\n__init__.__qualname__ = '{cls.__qualname__}.__init__'", namespace)
+    methods = {"__init__": namespace["__init__"], "__eq__": _record_eq,
+               "__repr__": _record_repr, "__hash__": _record_hash if frozen else None,
+               "_fields": fields, "_values": property(attrgetter(*fields))}
+    if frozen:
+        methods.update(__setattr__=_frozen, __delattr__=_frozen)
+    for name in methods.keys() - own.keys():  # a method of the class is kept
+        setattr(cls, name, methods[name])
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # test arcs
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class Arc:
     """Test arc a = a0 + c1*t**theta1 + c2*t**theta2 + ...
 
@@ -1055,7 +1103,7 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class SeriesT:
     """Power series over Scalar truncated at ``order`` (exclusive).
 

@@ -13,12 +13,11 @@ fibers, the tangent-plane minors, and the entries' supports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import AT, ParseError, Poly, Scalar, fresh_symbol, parse_poly
+from .algebra import AT, ParseError, Poly, Scalar, _record, fresh_symbol, parse_poly
 
 __all__ = [
     "Parametrization",
@@ -92,7 +91,7 @@ def _default_ambient(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@_record
 class Parametrization:
     """Validated family (a, f2, ..., fN) with named ambient coordinates.
 
@@ -104,12 +103,9 @@ class Parametrization:
     entries: tuple[Poly, ...]
     ambient: tuple[str, ...] = ()
     name: str = ""
-    # the last recentering, (printed base point, recentered family): the
-    # checks of one report center on one point and share it
-    _last_center: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_last_center", None)  # not a field: see centered()
         if len(self.entries) < 2:
             raise FamilyValidationError("need at least two coordinates")
         ambient = self.ambient or _default_ambient(len(self.entries))
@@ -353,7 +349,7 @@ def _strings(data: dict, key: str, path: Path, default=None) -> list[str]:
     return list(value)
 
 
-@dataclass(frozen=True)
+@_record
 class EquationCheck:
     """Outcome of substituting the family into one implicit equation."""
 

@@ -39,7 +39,6 @@ reported Inconclusive with the obstruction spelled out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,6 +49,7 @@ from .algebra import (
     Arc,
     Poly,
     Scalar,
+    _record,
     dense_gcd,
     dense_trim,
     substitute_arc,
@@ -92,7 +92,7 @@ def _merge(v1: Verdict, v2: Verdict) -> Verdict:
 _ZERO, _ONE = Scalar.from_fraction(0), Scalar.from_fraction(1)
 
 
-@dataclass(frozen=True)
+@_record
 class ArcWitness:
     """A concrete arc along which a containment fails.
 
@@ -108,7 +108,7 @@ class ArcWitness:
     coefficient: str
 
 
-@dataclass(frozen=True)
+@_record
 class RegimeRecord:
     """One exponent regime of a sweep, for reporting."""
 
@@ -131,7 +131,7 @@ class RegimeRecord:
         return out
 
 
-@dataclass(frozen=True)
+@_record
 class WhitneyResult:
     """Outcome of one regularity condition at one base point."""
 
@@ -156,7 +156,7 @@ class WhitneyResult:
         return out
 
 
-@dataclass(frozen=True)
+@_record
 class WhitneyJoint:
     """Conditions (a) and (b) together; Refuted dominates Inconclusive."""
 
@@ -378,11 +378,11 @@ _WITNESS_TRIALS = (
 )
 
 
-@dataclass
+@_record(frozen=False)
 class _SweepState:
+    reasons: list[str]
     verdict: Verdict = Verdict.VERIFIED
     witness: ArcWitness | None = None
-    reasons: list[str] = field(default_factory=list)
 
     def refute(self, witness: ArcWitness | None):
         self.verdict = _merge(self.verdict, Verdict.REFUTED)
@@ -433,7 +433,7 @@ def _sweep(
     """Sweep every condition in ``modes`` ("a", "b") at once; one
     (state, records) pair per condition, in the order of ``modes``.
     ``prefix`` is the arc already fixed above this level."""
-    out = [(_SweepState(), []) for _ in modes]
+    out = [(_SweepState([]), []) for _ in modes]
     keys = sorted(omega)
     om_polys = [omega[k] for k in keys]
     # the Newton polygon of this level, one staircase per side

@@ -17,9 +17,7 @@ exact product certificate for every dropped coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import AT, INFINITY, Poly, Scalar
+from .algebra import AT, INFINITY, Poly, Scalar, _record
 from .family import Parametrization
 
 __all__ = [
@@ -45,7 +43,7 @@ class NonPolynomialChartError(ValueError):
     polynomial setting this package works in."""
 
 
-@dataclass(frozen=True)
+@_record
 class DroppedCoordinate:
     """A pruned coordinate together with the identity that justifies it."""
 
@@ -60,7 +58,7 @@ class DroppedCoordinate:
         return out
 
 
-@dataclass(frozen=True)
+@_record
 class PruneResult:
     family: Parametrization
     dropped: tuple[DroppedCoordinate, ...]
@@ -78,7 +76,7 @@ class PruneResult:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class ModificationResult:
     kind: str               # "blowup" | "nash"
     total: Parametrization
@@ -102,7 +100,7 @@ class ModificationResult:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class FactorizationResult:
     """Whether the original coordinates are polynomial in the modified ones."""
 

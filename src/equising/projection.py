@@ -38,7 +38,6 @@ the generic fiber and every special fiber of interest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 
@@ -46,6 +45,7 @@ from .algebra import (
     Poly,
     Scalar,
     SeriesT,
+    _record,
     fresh_symbol,
     series_reversion,
 )
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class CharSequence:
     """Multiplicity and characteristic exponents of a branch.
 
@@ -159,7 +159,7 @@ def char_exponents_at(family: Parametrization, a_value) -> CharSequence:
     return char_exponents(*entries)
 
 
-@dataclass(frozen=True)
+@_record
 class StrongResult:
     """Comparison of characteristic sequences across fibers."""
 

@@ -26,12 +26,11 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import Poly, Scalar, dense_divmod, dense_gcd, dense_trim
+from .algebra import Poly, Scalar, _record, dense_divmod, dense_gcd, dense_trim
 from .family import (
     MAX_CENTERED_DIGITS,
     FamilyValidationError,
@@ -101,7 +100,7 @@ def _render(c: Sequence[Fraction]) -> str:
     return Poly(("t",), terms).grammar_str() if terms else "0"
 
 
-@dataclass(frozen=True)
+@_record
 class RolleCertificate:
     """Exact root-count bookkeeping plus a proof of separation.
 

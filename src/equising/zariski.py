@@ -29,8 +29,7 @@ reports whether the verdicts agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .algebra import _record
 from .family import Parametrization, resolve_basepoint
 from .limits import Verdict, WhitneyJoint, whitney_check
 
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class ZariskiResult:
     verdict: Verdict
     equimultiple: bool
@@ -60,7 +59,7 @@ class ZariskiResult:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class CrosscheckResult:
     """Side-by-side verdicts of the two tests.
 

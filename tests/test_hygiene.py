@@ -1,14 +1,18 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level definition is used in the package or exported, and
-every method is taken as an attribute somewhere in the package.
+every method is taken as an attribute somewhere in the package; and
+importing the command line leaves the heavy standard-library modules out.
 
-An ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
+Except for the last, an ``ast`` scan of ``src/equising/*.py``.  A name counts as used when it
 is read anywhere in the module, appears in a quoted annotation, or is
 listed in the module's ``__all__`` (re-exports).  ``__future__`` imports
 are directives, not names, and are skipped.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -147,3 +151,15 @@ def test_every_method_is_used_in_the_package():
     assert sorted(set(unused) - set(ORACLE_METHODS)) == []
     assert sorted(set(ORACLE_METHODS) - set(unused)) == [], \
         "an oracle gained a caller in the package: drop it from ORACLE_METHODS"
+
+
+def test_cli_import_skips_dataclasses_and_its_imports():
+    """``import equising.cli`` in a fresh process without ``site`` loads
+    none of ``dataclasses`` and the modules it would pull in, which cost a
+    cold start 7-12 ms and nothing else here needs."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, equising.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
