@@ -66,6 +66,7 @@ class CoefficientSizeError(FamilyValidationError):
 MAX_COEFF_DIGITS = 1000
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 MAX_CENTERED_DIGITS = 4300 // 3  # once recentered, where products of three still print
+_CENTERED_BITS = (10 ** MAX_CENTERED_DIGITS).bit_length()
 
 
 def resolve_basepoint(basepoint) -> tuple[Scalar, str]:
@@ -171,20 +172,24 @@ class Parametrization:
         v = a_value if isinstance(a_value, Scalar) else Scalar.from_fraction(a_value)
         shifted = Poly.var(AT, "a") + Poly.const(AT, v)
         t_var = Poly.var(AT, "t")
-        limit = (10 ** MAX_CENTERED_DIGITS).bit_length()
         new = [self.entries[0]]
         for name, e in zip(self.ambient[1:], self.entries[1:]):
             what = f"entry {name} recentered on the base point"
-            if (v.is_rational() and all(c.is_rational() for c in e.terms.values())
-                    and _proven_value_bits(e, v.as_fraction()) >= limit):
-                raise CoefficientSizeError(
-                    f"{what} has a coefficient of more than {MAX_CENTERED_DIGITS} digits")
+            _refuse_proven_large(e, v, what)
             new.append(e.compose([shifted, t_var]))
             check_coefficient_size(new[-1], what, MAX_CENTERED_DIGITS)
         try:
             return Parametrization(tuple(new), self.ambient, self.name)
         except DegenerateFiberError:
             raise DegenerateFiberError.at(v) from None
+
+    def check_fiber_size(self, a_value: Scalar | Fraction | int, where: str) -> None:
+        """Refuse, before the fiber at ``a_value`` is formed, when bit
+        lengths prove it would have a coefficient that :meth:`recenter`
+        refuses at that point; each entry is named, followed by ``where``."""
+        v = a_value if isinstance(a_value, Scalar) else Scalar.from_fraction(a_value)
+        for name, e in zip(self.ambient[1:], self.entries[1:]):
+            _refuse_proven_large(e, v, f"entry {name} {where}")
 
     def centered(self, basepoint) -> tuple["Parametrization", Scalar, str]:
         """The family recentered on an axis point, that point and its label
@@ -289,6 +294,16 @@ def check_coefficient_size(p: Poly, what: str, digits: int = MAX_COEFF_DIGITS) -
            for n in (*val.num.values(), *val.den.values())):
         raise CoefficientSizeError(
             f"{what} has a coefficient of more than {digits} digits")
+
+
+def _refuse_proven_large(entry: Poly, v: Scalar, what: str) -> None:
+    """Refuse ``entry``, naming it ``what``, when ``v`` is a nonzero
+    rational and bit lengths prove that the entry at a = v has a
+    coefficient of more than MAX_CENTERED_DIGITS digits."""
+    if (v.num and v.is_rational() and all(c.is_rational() for c in entry.terms.values())
+            and _proven_value_bits(entry, v.as_fraction()) >= _CENTERED_BITS):
+        raise CoefficientSizeError(
+            f"{what} has a coefficient of more than {MAX_CENTERED_DIGITS} digits")
 
 
 def _proven_value_bits(entry: Poly, a0: Fraction) -> int:

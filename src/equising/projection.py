@@ -21,7 +21,9 @@ gcd drops.  The arithmetic stays over Q, or Q(a) at the generic fiber.
 With the coordinate written xm*t^m*u(t), u(0) = 1, t(s) solves
 t^m*u(t) = s^m, and Lagrange inversion gives it in one step over the
 terms of u: its coefficient at s^k is that of t^(k-1) in u^(-k/m),
-divided by k.
+divided by k.  When that coordinate is one term xm*t^m, the
+reparametrization is the identity t = s at every precision: no series is
+formed, and the exponents are read off the terms of the others.
 
 The scan works with truncated series, so it certifies its own
 completeness: the gcd of all support exponents of the coordinates is an
@@ -94,15 +96,35 @@ class CharSequence:
         }
 
 
+def _gcd_walk(exponents, d: int, floor_gcd: int) -> tuple[list[int], int]:
+    """Walk ascending support exponents from the running gcd ``d`` = m:
+    each exponent that ``d`` does not divide is characteristic and lowers
+    ``d``.  The walk stops once ``d`` reaches ``floor_gcd``."""
+    betas: list[int] = []
+    for j in exponents:
+        if d == floor_gcd:
+            break
+        if j % d:
+            betas.append(j)
+            d = _gcd(d, j)
+    return betas, d
+
+
 def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
                   floor_gcd: int) -> tuple[list[int], int]:
     """Reparametrize so x is a constant times s^m, then scan the union of
     the other coordinates' supports below s^order.
 
-    The series are computed at a working precision k that starts at 2m
-    and doubles up to ``order``.  Every coefficient below s^k is exact, so
-    a scan that stops below k reads what it would read at full order.
+    For a one-term x = xm*t^m the reparametrization is the identity t = s:
+    the exponents are the other coordinates' own, read off their terms with
+    no series.  Otherwise the series are computed at a working precision k
+    that starts at 2m and doubles up to ``order``.  Every coefficient below
+    s^k is exact, so a scan that stops below k reads what it would read at
+    full order.
     ``floor_gcd`` divides every exponent read: the running gcd stops there."""
+    if len(x.terms) == 1:
+        return _gcd_walk(sorted({j for y in others for (j,) in y.terms if j < order}),
+                         m, floor_gcd)
     xm = x.terms[(m,)]
     x_coeffs = SeriesT.from_poly(x, m + order).coeffs[m:]
     k = min(order, 2 * m)
@@ -112,14 +134,8 @@ def _support_scan(x: Poly, others: list[Poly], m: int, order: int,
         w = series_reversion(u, m)
         t_of_s = SeriesT((Scalar({}),) + w.coeffs, k)
         ys = [SeriesT.from_poly(y, k).compose(t_of_s) for y in others]
-        d = m
-        betas: list[int] = []
-        for j in range(1, k):
-            if d == floor_gcd:
-                break
-            if j % d and any(y.coeffs[j].num for y in ys):
-                betas.append(j)
-                d = _gcd(d, j)
+        betas, d = _gcd_walk((j for j in range(1, k) if any(y.coeffs[j].num for y in ys)),
+                             m, floor_gcd)
         if d == floor_gcd or k == order:
             return betas, d
         k = min(order, 2 * k)
@@ -190,14 +206,19 @@ def strong_equisingularity_check(
 
     Multiplicity disagreements refute outright.  Exponent comparisons
     refute or verify only between confirmed sequences; an unconfirmed scan
-    leaves the check Inconclusive instead of guessing.
+    leaves the check Inconclusive instead of guessing.  Before any fiber
+    is formed, a rational one is refused with a CoefficientSizeError when
+    bit lengths prove it has a coefficient that recentering would refuse.
     """
     a0, _ = resolve_basepoint(basepoint)
-    generic = char_exponents_at(family, fresh_symbol())
     base_label = f"a = {a0}" if a0.is_rational() else "basepoint (generic)"
     labels_values = [(base_label, a0)]
     for v in special_a:
         labels_values.append((f"a = {Fraction(v)}", Fraction(v)))
+    # refused before any fiber is formed, the generic one included
+    for k, (_, value) in enumerate(labels_values):
+        family.check_fiber_size(value, f"at special value {k}" if k else "at the base point")
+    generic = char_exponents_at(family, fresh_symbol())
 
     sequences: list[tuple[str, CharSequence]] = [("generic", generic)]
     verdict = Verdict.VERIFIED

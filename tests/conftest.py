@@ -38,6 +38,7 @@ from equising.algebra import (
     _words,
     dense_divmod,
     dense_trim,
+    series_reversion,
 )
 from equising.family import DegenerateFiberError
 from equising.limits import _regime_plan, _render_cpoly, arc_leading_vector, secant_vector
@@ -870,6 +871,36 @@ def char_exponents_two_scans(*coords: Poly, scan=_support_scan) -> CharSequence:
         if d == floor_gcd:
             return CharSequence(m, tuple(betas), d, True, order)
     return CharSequence(m, tuple(betas), d, False, order)
+
+
+# -- the strong check's scan before it read one-term x off the supports -----
+# (every transversal coordinate reparametrized through series, the unit
+# reversion and the compose by s included; the library's former code, kept
+# as the oracle for the support walk that replaced it)
+
+def support_scan_by_series(x: Poly, others: list[Poly], m: int, order: int,
+                           floor_gcd: int) -> tuple[list[int], int]:
+    """``projection._support_scan`` building series, reversion and compose
+    for every x, a one-term x too, at doubling precision."""
+    xm = x.terms[(m,)]
+    x_coeffs = SeriesT.from_poly(x, m + order).coeffs[m:]
+    k = min(order, 2 * m)
+    while True:
+        u = SeriesT(tuple([c / xm if c.num else c for c in x_coeffs[:k]]), k)
+        w = series_reversion(u, m)
+        t_of_s = SeriesT((_ZERO,) + w.coeffs, k)
+        ys = [SeriesT.from_poly(y, k).compose(t_of_s) for y in others]
+        d = m
+        betas: list[int] = []
+        for j in range(1, k):
+            if d == floor_gcd:
+                break
+            if j % d and any(y.coeffs[j].num for y in ys):
+                betas.append(j)
+                d = gcd(d, j)
+        if d == floor_gcd or k == order:
+            return betas, d
+        k = min(order, 2 * k)
 
 
 # -- the parser before it parsed into terms ------------------------------------

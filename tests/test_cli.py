@@ -614,6 +614,35 @@ class TestHugeCoefficients:
         assert captured.err == ("error: entry z recentered on the base point has a "
                                 f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
 
+    @pytest.mark.parametrize("command", ["strong", "char-exponents"])
+    @pytest.mark.parametrize("flag, where", [("--basepoint", "the base point"),
+                                             ("--special-a", "special value 1")])
+    def test_large_fiber_of_the_strong_check_is_refused_before_it_is_formed(
+            self, tmp_path, capsys, command, flag, where):
+        # forming a0^9990 at a 1,000-digit a0 for the fiber ran 10 s and
+        # exited 0; the bound that refuses recentering refuses the fiber
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2", "a^9990*t^3"]}))
+        start = time.perf_counter()
+        code = cli.main([command, str(family), flag, "1" + "0" * 999])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: entry z at {where} has a "
+                                f"coefficient of more than {MAX_CENTERED_DIGITS} digits\n")
+
+    def test_map_that_cancels_a_large_fiber_coefficient_is_certified(self, tmp_path):
+        # the fiber at --at has a coefficient past the bound, but y - z
+        # cancels it: rolle forms the fiber and certifies the small map
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"entries": ["a", "t^2 + a^2*t^3", "a^2*t^3 + t^5"]}))
+        out = tmp_path / "rolle.json"
+        argv = ["rolle", str(family), "--rho", "y - z", "--at", "1" + "0" * 999, "--out", str(out)]
+        assert cli.main(argv) == 0
+        cert = json.loads(out.read_text())["rolle"]
+        assert (cert["map_poly"], cert["separation_ok"]) == ("-1*t^5 + t^2", True)
+
     @pytest.mark.parametrize("command", ["rolle", "full-report"])
     def test_map_past_the_print_limit_at_a_value_is_refused(self, tmp_path, capsys, command):
         # the same a^5 on the fiber at a 1,000-digit --at: the composed map

@@ -4,6 +4,7 @@ comparison."""
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -36,6 +37,7 @@ from conftest import (
     random_monomial_family,
     support_scan_by_coeff_of,
     support_scan_by_root,
+    support_scan_by_series,
     support_scan_full_order,
 )
 
@@ -362,6 +364,98 @@ class TestAgainstRootThenNewton:
         start = time.perf_counter()
         strong_equisingularity_check(family, special_a=(Fraction(1, 2),))
         assert time.perf_counter() - start < 0.3
+
+
+# one-term transversal coordinates whose coefficient has several terms in
+# Q(g) at the generic fiber, or is rational or negative
+ONE_TERM_FAMILIES = [
+    ["a", "(a^2+3)*t^4", "a*t^6 + t^9", "t^11"],
+    ["a", "(a+1)^3*t^6", "(a - 2)*t^8 + t^9", "t^15 - 2/5*a*t^13"],
+    ["a", "-3/7*t^4", "5/2*a*t^6 - t^10", "(a-1)^2*t^13"],
+    ["a", "-1/2*(a^2 + a + 1)*t^2", "-7/3*t^4 + a*t^5"],
+    ["a", "(a^3 - 5/4)*t^3", "-1*t^6 + a^2*t^7 - 1/9*t^8"],
+]
+
+
+def one_term_fibers() -> list[list[Poly]]:
+    """Seeded monomial families at the generic fiber and at a = 0, and
+    ``ONE_TERM_FAMILIES`` at those and at two rational values."""
+    rng = random.Random(20261025)
+    cases = []
+    for _ in range(150):
+        fam = random_monomial_family(rng)
+        cases += [fam.fiber(fresh_symbol())[1:], fam.fiber(0)[1:]]
+    for entries in ONE_TERM_FAMILIES:
+        fam = family_from_strings(entries)
+        cases += [fam.fiber(v)[1:] for v in (fresh_symbol(), 0, Fraction(1, 2), Fraction(-2))]
+    return cases
+
+
+class TestOneTermTransversal:
+    """The walk over a one-term x's supports against the series path it
+    replaced, which reparametrized by the unit reversion and composed
+    with s."""
+
+    def test_seeded_and_chosen_fibers(self):
+        cases = one_term_fibers()
+        assert all(len(transversal_coordinate(fiber).terms) == 1 for fiber in cases)
+        assert with_scan(projection._support_scan, cases) == \
+            with_scan(support_scan_by_series, cases)
+
+    def test_multi_term_coefficient_in_q_of_g(self):
+        fam = family_from_strings(ONE_TERM_FAMILIES[0])
+        x = transversal_coordinate(fam.fiber(fresh_symbol())[1:])
+        assert len(x.terms) == 1 and len(x.terms[(4,)].num) == 2
+
+    def test_random_supports(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.sampled_from([1, -1, 2, -5, Fraction(3, 7), Fraction(-2, 9)])
+
+        @st.composite
+        def supports(draw):
+            m = draw(st.integers(2, 8))
+            others = draw(st.lists(st.dictionaries(st.integers(m, m + 30), coeff,
+                                                   min_size=1, max_size=5),
+                                   min_size=1, max_size=3))
+            top = max(j for y in others for j in y)
+            order = draw(st.integers(1, 2 * (2 * max(top, m) + 1)))
+            return m, draw(coeff), others, order
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(supports())
+        def check(case):
+            m, xm, others, order = case
+            x = Poly(T, {(m,): xm})
+            ys = [Poly(T, {(j,): c for j, c in y.items()}) for y in others]
+            floor_gcd = gcd(m, *(j for y in others for j in y))
+            assert projection._support_scan(x, ys, m, order, floor_gcd) == \
+                support_scan_by_series(x, ys, m, order, floor_gcd), case
+            assert with_scan(projection._support_scan, [[x, *ys]]) == \
+                with_scan(support_scan_by_series, [[x, *ys]]), case
+
+        check()
+
+
+class TestReversionCalls:
+    """Only a transversal coordinate of more than one term is reparametrized
+    through series."""
+
+    @staticmethod
+    def reversions(families, basepoints) -> int:
+        with mock.patch.object(projection, "series_reversion",
+                               wraps=projection.series_reversion) as rev:
+            for fam in families:
+                for basepoint in basepoints:
+                    strong_equisingularity_check(fam, basepoint)
+        return rev.call_count
+
+    def test_corpus_families_and_their_charts_never_reverse(self):
+        assert self.reversions(corpus_and_chart_families(), (0, "generic")) == 0
+
+    def test_two_term_transversal_coordinate_reverses(self):
+        fam = family_from_strings(["a", "t^2 + t^3", "t^5"])
+        assert self.reversions([fam], (0, "generic")) > 0
 
 
 class TestScanPrecision:
