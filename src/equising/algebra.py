@@ -28,6 +28,7 @@ callers rather than approximated.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -981,19 +982,70 @@ class _Parser:
                 return acc
 
 
+# One term of a sum of monomials c*v1^e1*...*vk^ek, for any variables: a
+# binary sign (none before the first term), an int or n/d coefficient, bare
+# or in parentheses, and up to four factors, a name with an exponent each.
+# Only text the parser reads without an error or a cap matches: ' ' is the
+# only whitespace, a '-' touches its digits, a denominator is nonzero,
+# numbers have at most 18 digits and exponents 3 (4 * 999 < _MAX_DEGREE).
+# The lookbehind makes the term nonempty; a sign or the end follows it.
+_FACTOR = r"([A-Za-z_]\w*)(?: *\^ *([0-9]{1,3}))?"
+_TERM = re.compile(
+    r"(?:\A|(?!\A) *([+-])) *"
+    r"(?:(\( *)?(-?[0-9]{1,18})(?:/(?=[0-9]*[1-9])([0-9]{1,18}))?(?(2) *\)))?"
+    rf"(?:(?(3) *\* *){_FACTOR}"
+    rf"(?: *\* *{_FACTOR}(?: *\* *{_FACTOR}(?: *\* *{_FACTOR})?)?)?)?"
+    r"(?<=[\w)])(?:(?= *[+-])| *\Z)", re.ASCII)
+
+
+def _sum_of_monomials(text: str, variables: tuple[str, ...]) -> dict | None:
+    """The int/Fraction term dict of ``text`` read one ``_TERM`` match per
+    term, its terms summed with ``_add_terms`` in text order, as the parser
+    sums them; None when the text is not such a sum, or a term's names are
+    not variables in the variables' order, or a variable name repeats (the
+    parser reads such a name as every variable of that name)."""
+    if len(set(variables)) < len(variables):
+        return None
+    terms: dict = {}
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None:
+            return None
+        sign, _, num, den, *factors = m.groups()
+        exps, last = [0] * len(variables), -1
+        for name, e in zip(factors[::2], factors[1::2]):
+            if name is None:
+                break
+            i = variables.index(name) if name in variables else -1
+            if i <= last:
+                return None
+            exps[i], last = int(e or 1), i
+        c = int(num or 1) if den is None else Fraction(int(num), int(den))
+        if c:
+            terms = _add_terms(terms, {tuple(exps): -c if sign == "-" else c})
+        pos = m.end()
+        if pos == len(text):
+            return terms
+
+
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse an expression into a Poly over the given ordered variables;
     the parsed ints and Fractions become Scalars once, here.
 
-    Raises ParseError (with byte offset) on syntax errors, unknown variable
-    names, or negative exponents.
+    A sum of monomials is read with one regular-expression match per term
+    (``_sum_of_monomials``); any other text goes through the recursive
+    parser, which alone applies the caps and raises ParseError (with byte
+    offset) on syntax errors, unknown variable names, or negative exponents.
     """
-    parser = _Parser(text, tuple(variables))
-    terms = parser.expr()
-    if parser.peek():
-        parser.error("trailing input")
-    return Poly._of(parser.variables,
-                    {e: _as_scalar(c) for e, c in terms.items()})
+    variables = tuple(variables)
+    terms = _sum_of_monomials(text, variables)
+    if terms is None:
+        parser = _Parser(text, variables)
+        terms = parser.expr()
+        if parser.peek():
+            parser.error("trailing input")
+    return Poly._of(variables, {e: _as_scalar(c) for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

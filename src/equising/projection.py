@@ -168,7 +168,15 @@ def char_exponents(*coords: Poly) -> CharSequence:
 
 
 def char_exponents_at(family: Parametrization, a_value) -> CharSequence:
-    """Characteristic sequence of one fiber."""
+    """Characteristic sequence of one fiber.  A rational ``a_value`` is
+    refused with a CoefficientSizeError before the fiber is formed when bit
+    lengths prove it has a coefficient that recentering would refuse."""
+    family.check_fiber_size(a_value, "at the given value")
+    return _fiber_char_exponents(family, a_value)
+
+
+def _fiber_char_exponents(family: Parametrization, a_value) -> CharSequence:
+    """Characteristic sequence of one fiber, formed with no size check."""
     entries = family.fiber(a_value)[1:]
     if all(e.is_zero() for e in entries):
         raise DegenerateFiberError.at(a_value)
@@ -218,14 +226,14 @@ def strong_equisingularity_check(
     # refused before any fiber is formed, the generic one included
     for k, (_, value) in enumerate(labels_values):
         family.check_fiber_size(value, f"at special value {k}" if k else "at the base point")
-    generic = char_exponents_at(family, fresh_symbol())
+    generic = _fiber_char_exponents(family, fresh_symbol())
 
     sequences: list[tuple[str, CharSequence]] = [("generic", generic)]
     verdict = Verdict.VERIFIED
     mismatch = None
     reasons: list[str] = []
     for label, value in labels_values:
-        seq = char_exponents_at(family, value)
+        seq = _fiber_char_exponents(family, value)
         sequences.append((label, seq))
         if seq.beta0 != generic.beta0:
             verdict = Verdict.REFUTED

@@ -20,6 +20,7 @@ from equising import (
     series_reversion,
     wedge3,
 )
+from equising import algebra
 from equising.algebra import (
     _D1,
     _add_terms,
@@ -371,6 +372,15 @@ UNDER_CAP_CASES = [
     "(t + a + 1)^13", "t^10000", "a^5000*t^5000",
 ]
 LONG_NUMBER_TEXTS = ("9" * 5000, "t^" + "9" * 5000, "1/" + "7" * 5000)
+# texts the one-match-per-term path declines, so the recursive parser reads,
+# caps or refuses them: a '-' that is not part of a rational, names out of
+# order, repeated or unknown, too many digits, a zero denominator, digits
+# that are not ASCII, whitespace other than ' ', and spaces around '/'
+DECLINED_TEXTS = [
+    "-t", "- 5*t", "t - - 5*t", "t*a", "t*t", "a2*t", "t^1000", "t^10001",
+    "1" * 19 + "*t", "9" * 5000 + "*t", "1/0*t", "t^\u00b2", "\u0663*t",
+    "t\t+ a", "t +\na", "3 / 4*t",
+]
 # every text TestParsePrint and TestParseCaps parse
 PARSE_TEST_TEXTS = [
     *ROUND_TRIP_TEXTS, "t + a", "t^2 + a*t + a^2", "a - t^2", "2*a", "a + x^2",
@@ -514,6 +524,40 @@ def parse_outcome(parse, text, variables):
                            for e, c in p.terms.items()]
 
 
+def fuzz_shaped_texts() -> list[str]:
+    """Entries as the fuzz tests draw them, with binary minus between terms
+    and between entries, plain coefficients, and differences that cancel."""
+    rng = random.Random(2311)
+    texts = []
+    for _ in range(150):
+        texts += random_monomial_entries(rng)[1:] + random_binomial_entries(rng)[1:]
+    texts += [text.replace(" + ", " - ") for text in texts if " + " in text]
+    texts += [text.replace("(", "").replace(")", "") for text in texts]
+    texts += [f"{x} - {y}" for x, y in zip(texts[::2], texts[1::2])]
+    texts += [f"{x} - {x} + {y}" for x, y in zip(texts[::7], texts[1::7])]
+    return texts
+
+
+@pytest.fixture
+def no_recursive_parser(monkeypatch):
+    """Fail any parse that leaves the one-match-per-term path: a path that
+    declined everything would pass every differential test."""
+    def refuse(self, text, variables):
+        raise AssertionError(f"recursive parser reached on {text!r}")
+
+    monkeypatch.setattr(algebra._Parser, "__init__", refuse)
+
+
+def corpus_texts() -> tuple[list[str], list[tuple[str, tuple[str, ...]]]]:
+    """Every corpus entry, and every equation with its variables."""
+    texts, equations = [], []
+    for path in sorted(CORPUS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        texts += raw.get("entries", [])
+        equations += [(text, tuple(raw["vars"])) for text in raw.get("equations", [])]
+    return texts, equations
+
+
 def assert_parses_alike(texts, variables=AT):
     for text in texts:
         want = parse_outcome(parse_poly_by_polys, text, variables)
@@ -527,29 +571,73 @@ class TestParseDifferential:
     error message and offset."""
 
     def test_corpus_entries_and_equations(self):
-        texts, equations = [], []
-        for path in sorted(CORPUS.glob("*.json")):
-            raw = json.loads(path.read_text())
-            texts += raw.get("entries", [])
-            equations += [(text, tuple(raw["vars"])) for text in raw.get("equations", [])]
+        texts, equations = corpus_texts()
         assert len(texts) > 20 and equations
         assert_parses_alike(texts, AT)
         assert_parses_alike(texts, ("t",))
         for text, variables in equations:
             assert_parses_alike([text], variables)
 
-    def test_fuzz_shaped_entries(self):
-        rng = random.Random(2311)
-        texts = []
-        for _ in range(150):
-            texts += random_monomial_entries(rng)[1:] + random_binomial_entries(rng)[1:]
-        # binary minus between terms and between entries, plain coefficients,
-        # and differences that cancel
-        texts += [text.replace(" + ", " - ") for text in texts if " + " in text]
-        texts += [text.replace("(", "").replace(")", "") for text in texts]
-        texts += [f"{x} - {y}" for x, y in zip(texts[::2], texts[1::2])]
-        texts += [f"{x} - {x} + {y}" for x, y in zip(texts[::7], texts[1::7])]
-        assert_parses_alike(texts)
+    def test_fuzz_shaped_entries(self, no_recursive_parser):
+        assert_parses_alike(fuzz_shaped_texts())
+
+    def test_corpus_sums_of_monomials_take_one_match_per_term(self, no_recursive_parser):
+        texts, equations = corpus_texts()
+        assert_parses_alike(texts, AT)
+        for text, variables in equations:
+            assert_parses_alike([text], variables)
+
+    def test_generated_sums_of_monomials(self, no_recursive_parser):
+        # every shape the one-match-per-term path reads: bare, negative,
+        # parenthesized and rational coefficients, binary signs before
+        # negative coefficients, spaces around '*', '^' and the signs, zero
+        # exponents and coefficients, cancelling and repeated monomials, and
+        # the caps' edges (3-digit exponents, 18-digit numbers)
+        rng = random.Random(2609)
+        xyzw = ("x", "y", "z", "w")
+
+        def number():
+            return str(rng.choice([rng.randint(0, 9), rng.randint(0, 10 ** 18 - 1)]))
+
+        def coefficient():
+            c = rng.choice(["", "-"]) + number()
+            if rng.random() < 0.4:
+                c += "/" + str(rng.randint(1, 10 ** rng.randint(1, 18) - 1))
+            if rng.random() < 0.3:
+                c = f"({' ' * rng.randint(0, 1)}{c}{' ' * rng.randint(0, 1)})"
+            return c
+
+        def gap():
+            return " " * rng.choice([0, 0, 1, 2])
+
+        def term(variables):
+            factors = [coefficient()] if rng.random() < 0.7 else []
+            for v in variables:
+                if rng.random() < 0.5:
+                    e = rng.choice(["", "", "0", str(rng.randint(1, 9)), str(rng.randint(0, 999))])
+                    factors.append(v + (f"{gap()}^{gap()}{e}" if e else ""))
+            return f"{gap()}*{gap()}".join(factors or [coefficient()])
+
+        for variables in (AT, xyzw, ("t",)):
+            texts = []
+            for _ in range(400):
+                terms = [term(variables) for _ in range(rng.randint(1, 5))]
+                terms += rng.sample(terms, rng.randint(0, len(terms)))
+                text = gap() + terms[0]
+                for t in terms[1:]:
+                    text += f"{gap()}{rng.choice('+-')}{gap()}{t}"
+                texts.append(text + gap())
+            assert_parses_alike(texts, variables)
+
+    @pytest.mark.parametrize("text", DECLINED_TEXTS)
+    def test_declined_texts_parse_alike(self, text):
+        assert algebra._sum_of_monomials(text, AT) is None
+        assert_parses_alike([text])
+
+    def test_repeated_variable_names_decline(self):
+        # the recursive parser reads a repeated name as each variable of
+        # that name, which one exponent per match cannot say
+        assert algebra._sum_of_monomials("y^2 - y", ("y", "y")) is None
 
     def test_parse_test_cases(self):
         assert_parses_alike(PARSE_TEST_TEXTS)
@@ -574,7 +662,10 @@ class TestParseDifferential:
 
         well_formed = st.recursive(leaves, grow, max_leaves=10)
         bad = st.sampled_from(["t^-2", "t^\u00b2", "\u0663*t", "1/0", "(", ")", "x", "_",
-                               "^", "*", "-", "/", "9" * 5000, "1/" + "7" * 5000])
+                               "^", "*", "-", "/", "9" * 5000, "1/" + "7" * 5000,
+                               # what the one-match-per-term path declines
+                               "-t", "- 5*", " - - 5*t", "*t*a", "*t*t", "a2", "t^1000",
+                               "1" * 19, "\t", "\n", " / "])
         # a well-formed text with one bad token inserted, unbalanced
         # parentheses among them
         malformed = st.tuples(well_formed, bad, st.integers(0, 10 ** 6)).map(
@@ -586,6 +677,35 @@ class TestParseDifferential:
             assert_parses_alike([text])
 
         alike()
+
+
+class TestParseAgainstSympy:
+    """Sums of monomials read one match per term, against sympy's
+    polynomial of the same expression (with '^' written '**')."""
+
+    @staticmethod
+    def assert_matches_sympy(sympy, texts, variables):
+        symbols = [sympy.Symbol(v) for v in variables]
+        names = dict(zip(variables, symbols))
+        for text in texts:
+            got = {e: c.as_fraction() for e, c in parse_poly(text, variables).terms.items()}
+            want = sympy.Poly(sympy.parse_expr(text.replace("^", "**"), local_dict=names),
+                              *symbols)
+            assert got == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms()
+                           if c}, text
+
+    def test_fuzz_shaped_entries(self, no_recursive_parser):
+        sympy = pytest.importorskip("sympy")
+        texts = random.Random(5).sample(fuzz_shaped_texts(), 500)
+        self.assert_matches_sympy(sympy, texts, AT)
+
+    def test_equations_and_maps(self, no_recursive_parser):
+        sympy = pytest.importorskip("sympy")
+        texts = ["y - z", "y^3 - z^2", "x*z - y^2", "-2*x + 3/4*y - z",
+                 "(-1/2)*x^2*y*z^3 + 7 - 7", "y*z - 0*z - 5/10*x^999"]
+        self.assert_matches_sympy(sympy, texts, ("x", "y", "z"))
+        raw = json.loads((CORPUS / "family-345.eqs.json").read_text())
+        self.assert_matches_sympy(sympy, raw["equations"], tuple(raw["vars"]))
 
 
 class TestPoly:

@@ -27,6 +27,7 @@ from equising import (
     strong_equisingularity_check,
 )
 from equising import projection
+from equising.family import MAX_CENTERED_DIGITS, CoefficientSizeError
 from equising.algebra import symbol_run
 from conftest import (
     char_exponents_two_scans,
@@ -560,6 +561,25 @@ class TestStrongCheck:
         bydict = dict(res.sequences)
         assert bydict["generic"].beta0 == 2
         assert bydict["a = 0"].beta0 == 3
+
+
+class TestFiberSizeBound:
+    def test_a_proven_large_fiber_is_refused_before_it_is_formed(self):
+        # forming a0^9990 at a 1,000-digit a0 ran 22 s before the sequence
+        # (2; 3) came back
+        family = family_from_strings(["a", "t^2", "a^9990*t^3"])
+        start = time.perf_counter()
+        with pytest.raises(CoefficientSizeError,
+                           match=f"^entry z at the given value has a coefficient of "
+                                 f"more than {MAX_CENTERED_DIGITS} digits$"):
+            char_exponents_at(family, 10 ** 999)
+        assert time.perf_counter() - start < 1.0
+
+    def test_small_and_generic_values_are_not_refused(self):
+        family = family_from_strings(["a", "t^2", "a^9990*t^3"])
+        assert char_exponents_at(family, 0).display() == "(2;)"
+        for value in (Fraction(-1, 2), 2, fresh_symbol()):
+            assert char_exponents_at(family, value).display() == "(2; 3)"
 
 
 class TestHighDegree:
