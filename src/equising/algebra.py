@@ -3,10 +3,13 @@
 Three layers, bottom up:
 
 * ``Scalar``   -- the field of fractions of polynomials with integer
-  coefficients in named transcendental symbols.  A "generic" symbol stands
-  for a sufficiently general complex number, so a Scalar is zero exactly
-  when its numerator is the zero polynomial.  That convention turns
-  "nonzero for a generic choice of coefficients" into a decidable test.
+  coefficients in one named transcendental symbol, kept in lowest terms.
+  A "generic" symbol stands for a sufficiently general complex number, so
+  a Scalar is zero exactly when its numerator is the zero polynomial.
+  That convention turns "nonzero for a generic choice of coefficients"
+  into a decidable test.  The checks never need two symbols in one value:
+  a generic base point and an arc coefficient do not meet (see
+  ``limits._sweep``), and each fiber of the strong check has its own.
 * ``Poly``     -- sparse multivariate polynomials over Scalar with a fixed
   ordered tuple of variable names.  The two-variable case over ``(a, t)``
   is the workhorse (``a`` the family parameter, ``t`` the curve parameter);
@@ -15,10 +18,12 @@ Three layers, bottom up:
   and reversion by Lagrange inversion, used for exact reparametrizations.
 
 Underneath, ``_add_terms``, ``_mul_terms`` and ``_pow_terms`` are the one
-sum, product and power of term dicts {monomial: coefficient}: of ints in a
-Scalar's numerator and denominator, Scalars in a Poly, and ints and Fractions
-in the parser (``parse_poly`` makes its Scalars once).  A falsy coefficient
-is zero and dropped; a result keeps its first operand's key order.
+sum, product and power of term dicts {monomial: coefficient}: of ints keyed
+by exponent in a Scalar's numerator and denominator, Scalars keyed by
+exponent tuple in a Poly, and ints and Fractions in the parser
+(``parse_poly`` makes its Scalars once).  A falsy coefficient is zero and
+dropped; a result keeps its first operand's key order.  ``_add_into`` is
+the sum in place, for the parser's running sums.
 
 No floating point, no algebraic extensions: every operation stays inside
 the fraction field.  Roots that would leave the field are refused by the
@@ -104,9 +109,8 @@ def _neg_terms(p: dict) -> dict:
     return {m: -c for m, c in p.items()}
 
 
-def _add_terms(p: dict, q: dict) -> dict:
-    """p + q: q's terms added to a copy of p's, in q's order."""
-    r = dict(p)
+def _add_into(r: dict, q: dict) -> dict:
+    """r += q in place: q's terms added to r's, in q's order; returns r."""
     for m, c in q.items():
         if m in r:
             s = r[m] + c
@@ -117,6 +121,11 @@ def _add_terms(p: dict, q: dict) -> dict:
         else:
             r[m] = c
     return r
+
+
+def _add_terms(p: dict, q: dict) -> dict:
+    """p + q: q's terms added to a copy of p's, in q's order."""
+    return _add_into(dict(p), q)
 
 
 def _mul_terms(p: dict, q: dict, mono=_add_exps) -> dict:
@@ -152,96 +161,82 @@ def _pow_terms(p: dict, n: int, mono=_add_exps) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient polynomials in named symbols (numerators/denominators)
+# int polynomials in one symbol (numerators and denominators)
 # ---------------------------------------------------------------------------
 #
-# A monomial is a sorted tuple of (name, exponent) pairs; a polynomial is a
-# dict mapping monomials to nonzero ints.
+# A polynomial is a dict mapping exponents of the symbol to nonzero ints;
+# monomials multiply by adding exponents.
 
-Mono = tuple[tuple[str, int], ...]
-SPoly = dict[Mono, int]
-
-_ONE_M: Mono = ()
 # the denominator of every Scalar whose denominator is 1: shared, so never
 # mutated
-_D1: SPoly = {_ONE_M: 1}
+_D1: dict[int, int] = {0: 1}
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) == 1 and len(m2) == 1:
-        (n1, e1), = m1
-        (n2, e2), = m2
-        if n1 == n2:
-            # a quotient's exponents can cancel: c^2 * c^-2 is the monomial ()
-            return ((n1, e1 + e2),) if e1 + e2 else _ONE_M
-        return m1 + m2 if n1 < n2 else m2 + m1
-    d = dict(m1)
-    for name, e in m2:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted((k, v) for k, v in d.items() if v))
-
-
-def _mono_key(m: Mono):
-    # graded order: total degree, then the name/exponent tuple
-    return (sum(e for _, e in m), m)
-
-
-def _lex_lead(p: SPoly) -> tuple[Mono, int]:
-    """Leading term of a nonzero polynomial under lex order with names
-    ascending from the most significant: a monomial order, which
-    ``_mono_key``'s tie-break is not."""
-    names = sorted({name for m in p for name, _ in m})
-    lead = max(p, key=lambda m: [dict(m).get(name, 0) for name in names])
-    return lead, p[lead]
-
-
-def _sp_mul(p: SPoly, q: SPoly) -> SPoly:
+def _sp_mul(p: dict, q: dict) -> dict:
     # a unit factor leaves the other operand's terms, in its order
     if q is _D1 or q == _D1:
         return dict(p)
     if p is _D1 or p == _D1:
         return dict(q)
-    return _mul_terms(p, q, _mono_mul)
+    return _mul_terms(p, q, _int_add)
 
 
-def _sp_const(c: int) -> SPoly:
-    return {_ONE_M: c} if c else {}
-
-
-def _sp_str(p: SPoly) -> str:
-    if not p:
-        return "0"
+def _sp_str(p: dict, sym: str) -> str:
+    """A nonzero polynomial in ``sym``, its terms by descending degree."""
     parts = []
-    for m in sorted(p, key=_mono_key, reverse=True):
-        c = p[m]
-        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
-        if not body:
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = body
-        else:
-            term = f"{abs(c)}*{body}"
+    for e in sorted(p, reverse=True):
+        c = p[e]
+        body = sym if e == 1 else f"{sym}^{e}"
+        term = str(abs(c)) if not e else body if abs(c) == 1 else f"{abs(c)}*{body}"
         parts.append(("- " if c < 0 else "+ ") + term)
     out = " ".join(parts)
     return "-" + out[2:] if out.startswith("- ") else out[2:]
 
 
-def _strip_common(num: SPoly, den: SPoly) -> tuple[SPoly, SPoly]:
-    """Divide num and den by the largest monomial dividing all their terms."""
-    monos = [dict(m) for m in itertools.chain(num, den)]
-    common = {name: min(d.get(name, 0) for d in monos) for name in monos[0]}
-    if not any(common.values()):
-        return num, den
+def _digits(v: int, x: int) -> dict:
+    """The int polynomial whose coefficients are the base-x digits of v,
+    each in [-x/2, x/2); its value at x is v."""
+    p, e = {}, 0
+    while v:
+        c = (v + x // 2) % x - x // 2
+        if c:
+            p[e] = c
+        v, e = (v - c) // x, e + 1
+    return p
 
-    def strip(m: Mono) -> Mono:
-        # names stay sorted; a name whose exponent drops to 0 leaves
-        return tuple((k, e - common.get(k, 0)) for k, e in m if e != common.get(k, 0))
 
-    return {strip(m): c for m, c in num.items()}, {strip(m): c for m, c in den.items()}
+def _cancel_gcd(num: dict, den: dict) -> tuple[dict, dict]:
+    """num and den divided by their gcd D, by the heuristic gcd of Char,
+    Geddes and Gonnet, exact as follows.  Take x even and at least 2*m + 2,
+    m the largest coefficient.  Every root of num has modulus below
+    m + 1 <= x/2, so |f(x)| > x/2 for each nonconstant factor f of D, and
+    f(x) divides g = gcd(num(x), den(x)).  So g <= x/2 means D = 1.  Else
+    let h be the digits of g over their content q.  If h divides num and
+    den, as the cofactors' digits confirm, then D = h*f with f(x) dividing
+    q <= x/2, so f is constant.  A failed check squares x."""
+    x = 2 * max(map(abs, (*num.values(), *den.values()))) + 2
+    while True:
+        vn = sum(c * x ** e for e, c in num.items())
+        vd = sum(c * x ** e for e, c in den.items())
+        g = _int_gcd(vn, vd)
+        if 2 * g <= x:
+            return num, den
+        h = _digits(g, x)
+        q = _int_gcd(*h.values())
+        h = {e: c // q for e, c in h.items()}
+        cn, cd = _digits(vn * q // g, x), _digits(vd * q // g, x)
+        if _mul_terms(h, cn, _int_add) == num and _mul_terms(h, cd, _int_add) == den:
+            return cn, cd
+        x *= x
+
+
+def _one_symbol(s1: str | None, s2: str | None) -> str | None:
+    """The symbol of a result of operands in s1 and s2 (None: rational)."""
+    if s1 is None or s1 == s2:
+        return s2
+    if s2 is None:
+        return s1
+    raise ValueError(f"arithmetic mixes the symbols {s1} and {s2}")
 
 
 class ParseError(ValueError):
@@ -263,67 +258,78 @@ class ParseError(ValueError):
 
 
 class Scalar:
-    """Exact ratio of integer-coefficient polynomials in generic symbols.
+    """Exact ratio of int polynomials in at most one generic symbol.
 
-    Numerator and denominator store jointly coprime int coefficients.  Zero
-    testing looks only at the numerator; equality cross-multiplies, so no
-    polynomial gcd is ever required.  Normalization is light: common
-    monomial factors and integer content are cancelled and the denominator's
-    leading coefficient is made positive, which keeps printing canonical.
-    A rational enters through :meth:`from_fraction`.
+    ``num`` and ``den`` map exponents of the symbol ``sym`` to ints; a
+    rational has no symbol (``sym`` is None) and only the exponent 0.
+    Values are kept in lowest terms: the common power of the symbol is
+    cancelled, then, when both sides still have two or more terms, their
+    gcd (``_cancel_gcd``); the coefficients are jointly coprime, with a
+    positive leading coefficient in the denominator.  So one value has one
+    form: ``==`` compares forms, the hash is taken from the form, and a
+    rational hashes as its Fraction.  Arithmetic that mixes two different
+    symbols raises ValueError.  A rational enters through
+    :meth:`from_fraction`.
 
-    Every Scalar whose normalized denominator is 1, zero included, holds
-    the one shared dict ``_D1`` as ``den``, so a unit denominator is
-    tested with ``is``.  When both operands hold it, ``+``, ``*`` and
-    ``==`` work on the numerators alone, and a product with 1 is the
-    other factor itself: the general path would leave the same dicts, in
-    the same key order.  ``_D1`` must never be mutated, and no Scalar's
-    ``num`` or ``den`` either.
+    Every Scalar whose denominator is 1, zero included, holds the one
+    shared dict ``_D1`` as ``den``, so a unit denominator is tested with
+    ``is``.  When both operands hold it, ``+`` and ``*`` work on the
+    numerators alone, and a product with 1 is the other factor itself:
+    the general path would leave the same dicts, in the same key order.
+    ``_D1`` must never be mutated, and no Scalar's ``num`` or ``den``
+    either.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "sym")
 
-    def __init__(self, num: SPoly, den: SPoly | None = None):
+    def __init__(self, num: dict[int, int], den: dict[int, int] | None = None,
+                 sym: str | None = None):
         if den is None or den is _D1:
-            # an int polynomial over 1 is already normalized
-            self.num: SPoly = num
-            self.den: SPoly = _D1
+            # an int polynomial over 1 is in lowest terms
+            self.num: dict[int, int] = num
+            self.den: dict[int, int] = _D1
+            self.sym: str | None = sym if any(num) else None
             return
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            self.num = {}
-            self.den = _D1
+            self.num, self.den, self.sym = {}, _D1, None
             return
-        # cancel the common monomial factor of num and den; there is none
-        # when either holds the constant monomial
-        if _ONE_M not in num and _ONE_M not in den:
-            num, den = _strip_common(num, den)
+        if sym is not None:
+            k = min(min(num), min(den))
+            if k:
+                num = {e - k: c for e, c in num.items()}
+                den = {e - k: c for e, c in den.items()}
+            if len(num) > 1 and len(den) > 1:
+                num, den = _cancel_gcd(num, den)
+            if not any(num) and not any(den):
+                sym = None
         # integer content: make the coefficients jointly coprime, with a
         # positive leading coefficient in the denominator
         g = _int_gcd(*num.values(), *den.values())
-        if den[max(den, key=_mono_key)] < 0:
+        if den[max(den)] < 0:
             g = -g
         if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den = {m: c // g for m, c in den.items()}
+            num = {e: c // g for e, c in num.items()}
+            den = {e: c // g for e, c in den.items()}
         self.num = num
         self.den = _D1 if den == _D1 else den
+        self.sym = sym
 
     def __reduce__(self):
         # copies and pickles rebuild through __init__, which restores _D1
-        return Scalar, (self.num, self.den)
+        return Scalar, (self.num, self.den, self.sym)
 
     # -- constructors --
 
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
         q = Fraction(q)
-        return cls(_sp_const(q.numerator), _sp_const(q.denominator))
+        return cls({0: q.numerator} if q else {}, {0: q.denominator})
 
     @classmethod
     def symbol(cls, name: str) -> "Scalar":
-        return cls({((name, 1),): 1})
+        return cls({1: 1}, None, name)
 
     # -- predicates --
 
@@ -334,12 +340,12 @@ class Scalar:
         return bool(self.num)
 
     def is_rational(self) -> bool:
-        return all(m == _ONE_M for m in self.num) and all(m == _ONE_M for m in self.den)
+        return self.sym is None
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self.sym is not None:
             raise ValueError(f"scalar {self} is not rational")
-        return Fraction(self.num.get(_ONE_M, 0), self.den[_ONE_M])
+        return Fraction(self.num.get(0, 0), self.den[0])
 
     # -- arithmetic --
 
@@ -348,7 +354,7 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, int):
-            return Scalar(_sp_const(x))
+            return Scalar({0: x} if x else {})
         if isinstance(x, Fraction):
             return Scalar.from_fraction(x)
         return NotImplemented  # type: ignore[return-value]
@@ -357,15 +363,16 @@ class Scalar:
         o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        sym = _one_symbol(self.sym, o.sym)
         if self.den is _D1 and o.den is _D1:
-            return Scalar(_add_terms(self.num, o.num), _D1)
+            return Scalar(_add_terms(self.num, o.num), _D1, sym)
         return Scalar(_add_terms(_sp_mul(self.num, o.den), _sp_mul(o.num, self.den)),
-                      _sp_mul(self.den, o.den))
+                      _sp_mul(self.den, o.den), sym)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_neg_terms(self.num), self.den)
+        return Scalar(_neg_terms(self.num), self.den, self.sym)
 
     def __sub__(self, other):
         o = Scalar._coerce(other)
@@ -380,14 +387,15 @@ class Scalar:
         o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        sym = _one_symbol(self.sym, o.sym)
         if self.den is _D1 and o.den is _D1:
             # a unit factor: the general path would copy the other one
             if o.num == _D1:
                 return self
             if self.num == _D1:
                 return o
-            return Scalar(_sp_mul(self.num, o.num), _D1)
-        return Scalar(_sp_mul(self.num, o.num), _sp_mul(self.den, o.den))
+            return Scalar(_sp_mul(self.num, o.num), _D1, sym)
+        return Scalar(_sp_mul(self.num, o.num), _sp_mul(self.den, o.den), sym)
 
     __rmul__ = __mul__
 
@@ -397,84 +405,66 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        sym = _one_symbol(self.sym, o.sym)
         if o.den is _D1 and o.num == _D1:
             return self  # as in __mul__: the general path would copy it
-        return Scalar(_sp_mul(self.num, o.den), _sp_mul(self.den, o.num))
+        return Scalar(_sp_mul(self.num, o.den), _sp_mul(self.den, o.num), sym)
 
     def __rtruediv__(self, other):
-        o = Scalar._coerce(other)
-        return o / self
+        return Scalar._coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
             return _S1 / self ** (-n)
         if not n:
             return _S1
-        den = self.den if self.den is _D1 else _pow_terms(self.den, n, _mono_mul)
-        return Scalar(_pow_terms(self.num, n, _mono_mul), den)
+        den = self.den if self.den is _D1 else _pow_terms(self.den, n, _int_add)
+        return Scalar(_pow_terms(self.num, n, _int_add), den, self.sym)
 
     def __eq__(self, other):
-        o = Scalar._coerce(other)
+        o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den is _D1 and o.den is _D1:
-            return self.num == o.num
-        return not _add_terms(_sp_mul(self.num, o.den), _neg_terms(_sp_mul(o.num, self.den)))
+        return self.sym == o.sym and self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # the ratio of the lex-leading terms of num and den: leading terms
-        # multiply, so every representation of a value has the same ratio,
-        # and a rational value hashes as its Fraction
-        if not self.num:
-            return hash(0)
-        (n, cn), (d, cd) = _lex_lead(self.num), _lex_lead(self.den)
-        mono = _mono_mul(n, tuple((name, -e) for name, e in d))
-        return hash((Fraction(cn, cd), mono) if mono else Fraction(cn, cd))
+        if self.sym is None:
+            return hash(Fraction(self.num.get(0, 0), self.den[0]))
+        return hash((self.sym, frozenset(self.num.items()), frozenset(self.den.items())))
 
     def subs(self, name: str, value: "Scalar | Fraction | int") -> "Scalar":
-        """Substitute a rational or Scalar value for a symbol."""
-        v = Scalar._coerce(value)
+        """Substitute a rational or Scalar value for the symbol ``name``."""
+        if self.sym != name:
+            return self
+        v = _as_scalar(value)
 
-        def sub_poly(p: SPoly) -> Scalar:
+        def at(p: dict) -> Scalar:
             acc = _S0
-            for m, c in p.items():
-                term = Scalar(_sp_const(c))
-                for sym, e in m:
-                    term = term * (v if sym == name else Scalar.symbol(sym)) ** e
-                acc = acc + term
+            for e, c in p.items():
+                acc = acc + v ** e * c
             return acc
 
-        if self.den is _D1:
-            return sub_poly(self.num)
-        return sub_poly(self.num) / sub_poly(self.den)
+        return at(self.num) if self.den is _D1 else at(self.num) / at(self.den)
 
     def coeffs_in(self, name: str) -> list["Scalar"]:
-        """Coefficients of the numerator as a polynomial in one symbol.
-
-        Requires the denominator to be free of that symbol; the returned
-        list is degree-indexed and each entry is divided by the denominator.
-        """
-        if any(s == name for m in self.den for s, _ in m):
+        """Coefficients of the value as a polynomial in the symbol ``name``,
+        degree-indexed: the value itself when ``name`` is not its symbol.
+        Requires the denominator to be free of ``name``."""
+        if self.sym != name:
+            return [self]
+        if any(self.den):
             raise ValueError(f"denominator involves {name}")
-        buckets: dict[int, SPoly] = {}
-        for m, c in self.num.items():
-            d = dict(m)
-            e = d.pop(name, 0)
-            # distinct monomials with one exponent of name differ in the rest
-            buckets.setdefault(e, {})[tuple(sorted(d.items()))] = c
-        deg = max(buckets, default=0)
-        if self.den is _D1:
-            return [Scalar(buckets.get(k, {})) for k in range(deg + 1)]
-        den = Scalar(dict(self.den))
-        return [Scalar(buckets.get(k, {})) / den for k in range(deg + 1)]
+        d = self.den[0]
+        return [Scalar.from_fraction(Fraction(self.num.get(k, 0), d))
+                for k in range(max(self.num) + 1)]
 
     def __str__(self):
-        if self.is_rational():
+        if self.sym is None:
             return str(self.as_fraction())
-        ns = _sp_str(self.num)
+        ns = _sp_str(self.num, self.sym)
         if self.den is _D1:
             return ns
-        return f"({ns})/({_sp_str(self.den)})"
+        return f"({ns})/({_sp_str(self.den, self.sym)})"
 
     __repr__ = __str__
 
@@ -968,16 +958,17 @@ class _Parser:
         return f
 
     def expr(self) -> dict:
+        # every rule returns a dict of its own, so the sum grows in place
         acc = self.term()
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                acc = _add_terms(acc, self.term())
+                _add_into(acc, self.term())
             elif ch == "-":
                 # binary minus: a '-' that starts a rational belongs to term()
                 self.pos += 1
-                acc = _add_terms(acc, _neg_terms(self.term()))
+                _add_into(acc, _neg_terms(self.term()))
             else:
                 return acc
 
@@ -1000,7 +991,7 @@ _TERM = re.compile(
 
 def _sum_of_monomials(text: str, variables: tuple[str, ...]) -> dict | None:
     """The int/Fraction term dict of ``text`` read one ``_TERM`` match per
-    term, its terms summed with ``_add_terms`` in text order, as the parser
+    term, its terms summed with ``_add_into`` in text order, as the parser
     sums them; None when the text is not such a sum, or a term's names are
     not variables in the variables' order, or a variable name repeats (the
     parser reads such a name as every variable of that name)."""
@@ -1023,7 +1014,7 @@ def _sum_of_monomials(text: str, variables: tuple[str, ...]) -> dict | None:
             exps[i], last = int(e or 1), i
         c = int(num or 1) if den is None else Fraction(int(num), int(den))
         if c:
-            terms = _add_terms(terms, {tuple(exps): -c if sign == "-" else c})
+            _add_into(terms, {tuple(exps): -c if sign == "-" else c})
         pos = m.end()
         if pos == len(text):
             return terms
@@ -1134,7 +1125,9 @@ def substitute_arc(p: Poly, arc: Arc) -> Poly:
 
     Returns a polynomial in the single variable ``s`` where t = s**Q and
     a = a0 + sum of c_k * s**(e_k * Q), Q clearing all exponent denominators.
-    Symbolic coefficients become Scalar symbols c1, c2, ...
+    Symbolic coefficients become Scalar symbols c1, c2, ...; a Scalar holds
+    one symbol, so two of them, or one beside a generic symbol, raise
+    ValueError.
     """
     segs = arc.segments
     q = _int_lcm(*(e.denominator for e, _ in segs))

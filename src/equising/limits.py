@@ -441,6 +441,11 @@ def _sweep(
     om_stair = _staircase({ij for o in om_polys for ij in o.terms})
     crits = sorted(th for th in _breakpoints(vec_stair) | _breakpoints(om_stair)
                    if th > w_min)
+    # c never meets a generic base point g in one Scalar: recentering on g
+    # gives every term val*a^i*t^j of the entries and minors an a-free
+    # companion val*g^i*t^j, so each staircase is one vertex with i = 0,
+    # with no breakpoints and no refinements, and every leading coefficient
+    # is free of c.  A rational base point keeps rational coefficients.
     cname = f"c{len(prefix.segments) + 1}"
     csym = Scalar.symbol(cname)
 

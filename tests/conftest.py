@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 from typing import NoReturn
 
@@ -31,8 +31,13 @@ from equising.algebra import (
     _MAX_BITS,
     _MAX_DEGREE,
     _MAX_TERM_PRODUCTS,
+    _D1,
     ParseError,
+    _add_terms,
     _mul_series_terms,
+    _mul_terms,
+    _neg_terms,
+    _pow_terms,
     _power_products,
     _sp_mul,
     _words,
@@ -45,6 +50,294 @@ from equising.limits import _regime_plan, _render_cpoly, arc_leading_vector, sec
 from equising.projection import CharSequence, _support_scan
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+# -- the multi-symbol Scalar ---------------------------------------------------
+# (the library's former Scalar: ratios of int polynomials in any number of
+# named symbols, with common monomials and integer content cancelled but no
+# polynomial gcd, equality by cross-multiplication and a lex-lead hash; kept
+# as the oracle for the one-symbol Scalar and for the tests that build values
+# in several symbols.  Library Scalars, ints and Fractions coerce into it,
+# and it enters Polys through ``Poly._of``, as :func:`multi_poly` does.)
+
+Mono = tuple[tuple[str, int], ...]
+ONE_M: Mono = ()
+# the denominator of every MultiScalar whose denominator is 1
+MULTI_D1: dict = {ONE_M: 1}
+
+
+def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for name, e in m2:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted((k, v) for k, v in d.items() if v))
+
+
+def mono_key(m: Mono):
+    # graded order: total degree, then the name/exponent tuple
+    return (sum(e for _, e in m), m)
+
+
+def lex_lead(p: dict) -> tuple[Mono, int]:
+    """Leading term under lex order with names ascending from the most
+    significant: a monomial order, which ``mono_key``'s tie-break is not."""
+    names = sorted({name for m in p for name, _ in m})
+    lead = max(p, key=lambda m: [dict(m).get(name, 0) for name in names])
+    return lead, p[lead]
+
+
+def multi_mul(p: dict, q: dict) -> dict:
+    if q is MULTI_D1 or q == MULTI_D1:
+        return dict(p)
+    if p is MULTI_D1 or p == MULTI_D1:
+        return dict(q)
+    return _mul_terms(p, q, mono_mul)
+
+
+def multi_str(p: dict) -> str:
+    if not p:
+        return "0"
+    parts = []
+    for m in sorted(p, key=mono_key, reverse=True):
+        c = p[m]
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
+        term = str(abs(c)) if not body else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        parts.append(("- " if c < 0 else "+ ") + term)
+    out = " ".join(parts)
+    return "-" + out[2:] if out.startswith("- ") else out[2:]
+
+
+def strip_common(num: dict, den: dict) -> tuple[dict, dict]:
+    """Divide num and den by the largest monomial dividing all their terms."""
+    monos = [dict(m) for m in itertools.chain(num, den)]
+    common = {name: min(d.get(name, 0) for d in monos) for name in monos[0]}
+    if not any(common.values()):
+        return num, den
+
+    def strip(m: Mono) -> Mono:
+        return tuple((k, e - common.get(k, 0)) for k, e in m if e != common.get(k, 0))
+
+    return {strip(m): c for m, c in num.items()}, {strip(m): c for m, c in den.items()}
+
+
+class MultiScalar:
+    """Exact ratio of int polynomials in any number of named symbols."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict, den: dict | None = None):
+        if den is None or den is MULTI_D1:
+            self.num, self.den = num, MULTI_D1
+            return
+        if not den:
+            raise ZeroDivisionError("scalar with zero denominator")
+        if not num:
+            self.num, self.den = {}, MULTI_D1
+            return
+        if ONE_M not in num and ONE_M not in den:
+            num, den = strip_common(num, den)
+        g = gcd(*num.values(), *den.values())
+        if den[max(den, key=mono_key)] < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den = {m: c // g for m, c in den.items()}
+        self.num = num
+        self.den = MULTI_D1 if den == MULTI_D1 else den
+
+    @classmethod
+    def from_fraction(cls, q) -> "MultiScalar":
+        q = Fraction(q)
+        return cls({ONE_M: q.numerator} if q else {}, {ONE_M: q.denominator})
+
+    @classmethod
+    def symbol(cls, name: str) -> "MultiScalar":
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def of(cls, x: Scalar) -> "MultiScalar":
+        """A library Scalar, as the same value."""
+        def mono(e):
+            return ((x.sym, e),) if e else ONE_M
+
+        num = {mono(e): c for e, c in x.num.items()}
+        return cls(num) if x.den is _D1 else cls(num, {mono(e): c for e, c in x.den.items()})
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def is_rational(self) -> bool:
+        return all(m == ONE_M for m in self.num) and all(m == ONE_M for m in self.den)
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"scalar {self} is not rational")
+        return Fraction(self.num.get(ONE_M, 0), self.den[ONE_M])
+
+    @staticmethod
+    def _coerce(x) -> "MultiScalar":
+        if isinstance(x, MultiScalar):
+            return x
+        if isinstance(x, Scalar):
+            return MultiScalar.of(x)
+        if isinstance(x, (int, Fraction)):
+            return MultiScalar.from_fraction(x)
+        return NotImplemented  # type: ignore[return-value]
+
+    def __add__(self, other):
+        o = MultiScalar._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self.den is MULTI_D1 and o.den is MULTI_D1:
+            return MultiScalar(_add_terms(self.num, o.num), MULTI_D1)
+        return MultiScalar(_add_terms(multi_mul(self.num, o.den), multi_mul(o.num, self.den)),
+                           multi_mul(self.den, o.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MultiScalar(_neg_terms(self.num), self.den)
+
+    def __sub__(self, other):
+        o = MultiScalar._coerce(other)
+        return NotImplemented if o is NotImplemented else self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        o = MultiScalar._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self.den is MULTI_D1 and o.den is MULTI_D1:
+            if o.num == MULTI_D1:
+                return self
+            if self.num == MULTI_D1:
+                return o
+            return MultiScalar(multi_mul(self.num, o.num), MULTI_D1)
+        return MultiScalar(multi_mul(self.num, o.num), multi_mul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = MultiScalar._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.is_zero():
+            raise ZeroDivisionError("division by zero scalar")
+        if o.den is MULTI_D1 and o.num == MULTI_D1:
+            return self
+        return MultiScalar(multi_mul(self.num, o.den), multi_mul(self.den, o.num))
+
+    def __rtruediv__(self, other):
+        return MultiScalar._coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return MultiScalar.from_fraction(1) / self ** (-n)
+        if not n:
+            return MultiScalar.from_fraction(1)
+        den = self.den if self.den is MULTI_D1 else _pow_terms(self.den, n, mono_mul)
+        return MultiScalar(_pow_terms(self.num, n, mono_mul), den)
+
+    def __eq__(self, other):
+        o = MultiScalar._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self.den is MULTI_D1 and o.den is MULTI_D1:
+            return self.num == o.num
+        return not _add_terms(multi_mul(self.num, o.den), _neg_terms(multi_mul(o.num, self.den)))
+
+    def __hash__(self):
+        # the ratio of the lex-leading terms of num and den: leading terms
+        # multiply, so every representation of a value has the same ratio,
+        # and a rational value hashes as its Fraction
+        if not self.num:
+            return hash(0)
+        (n, cn), (d, cd) = lex_lead(self.num), lex_lead(self.den)
+        mono = mono_mul(n, tuple((name, -e) for name, e in d))
+        return hash((Fraction(cn, cd), mono) if mono else Fraction(cn, cd))
+
+    def subs(self, name: str, value) -> "MultiScalar":
+        """Substitute a rational or scalar value for a symbol."""
+        v = MultiScalar._coerce(value)
+
+        def sub_poly(p: dict) -> MultiScalar:
+            acc = MultiScalar({})
+            for m, c in p.items():
+                term = MultiScalar.from_fraction(c)
+                for sym, e in m:
+                    term = term * (v if sym == name else MultiScalar.symbol(sym)) ** e
+                acc = acc + term
+            return acc
+
+        if self.den is MULTI_D1:
+            return sub_poly(self.num)
+        return sub_poly(self.num) / sub_poly(self.den)
+
+    def coeffs_in(self, name: str) -> list["MultiScalar"]:
+        """Coefficients of the numerator as a polynomial in one symbol,
+        each divided by the denominator, which must be free of it."""
+        if any(s == name for m in self.den for s, _ in m):
+            raise ValueError(f"denominator involves {name}")
+        buckets: dict = {}
+        for m, c in self.num.items():
+            d = dict(m)
+            e = d.pop(name, 0)
+            buckets.setdefault(e, {})[tuple(sorted(d.items()))] = c
+        deg = max(buckets, default=0)
+        if self.den is MULTI_D1:
+            return [MultiScalar(buckets.get(k, {})) for k in range(deg + 1)]
+        den = MultiScalar(dict(self.den))
+        return [MultiScalar(buckets.get(k, {})) / den for k in range(deg + 1)]
+
+    def __str__(self):
+        if self.is_rational():
+            return str(self.as_fraction())
+        ns = multi_str(self.num)
+        return ns if self.den is MULTI_D1 else f"({ns})/({multi_str(self.den)})"
+
+    __repr__ = __str__
+
+
+def multi(x) -> MultiScalar:
+    """x (a Scalar, int, Fraction or MultiScalar) as a MultiScalar."""
+    out = MultiScalar._coerce(x)
+    if out is NotImplemented:
+        raise TypeError(f"cannot interpret {x!r} as MultiScalar")
+    return out
+
+
+def multi_symbol(x: Scalar | None = None) -> MultiScalar:
+    """A generic symbol as a MultiScalar: ``x``, or the next fresh one."""
+    return multi(fresh_symbol() if x is None else x)
+
+
+def multi_poly(p: Poly) -> Poly:
+    """p with MultiScalar coefficients, entered through ``Poly._of``."""
+    return Poly._of(p.vars, {e: multi(c) for e, c in p.terms.items()})
+
+
+def scalar_of(x):
+    """x as a library Scalar, or as itself when it is a MultiScalar."""
+    return x if isinstance(x, MultiScalar) else Scalar._coerce(x)
+
+
+def substitute_arc_multi(p: Poly, arc: Arc) -> Poly:
+    """``substitute_arc`` in MultiScalars, where the arc's symbols meet:
+    several generic coefficients, or one at a generic base point."""
+    q = lcm(*(e.denominator for e, _ in arc.segments))
+    a_terms = {(0,): multi(arc.a0)} if arc.a0 else {}
+    for k, (e, c) in enumerate(arc.segments, start=1):
+        a_terms[(int(e * q),)] = MultiScalar.symbol(f"c{k}") if c is None else multi(c)
+    return multi_poly(p).compose([Poly._of(("s",), a_terms), Poly._of(("s",), {(q,): multi(1)})])
 
 
 def corpus_path(name: str) -> Path:
@@ -104,24 +397,34 @@ def generic_plane_projection(entries: list[Poly]) -> tuple[Poly, Poly]:
     """Two generic linear combinations of the coordinates, drawing all the
     l symbols first, then all the m: the oracle for the polar leg, which
     the Zariski test reads as equimultiplicity, and the reference for the
-    support scans, which form no projection."""
+    support scans, which form no projection.  The combinations hold
+    MultiScalars, since the l and m meet any symbol of the entries."""
     variables = entries[0].vars if entries else ("t",)
-    ls = tuple(fresh_symbol() for _ in entries)
-    ms = tuple(fresh_symbol() for _ in entries)
-    x = Poly.zero(variables)
-    y = Poly.zero(variables)
+    one = (0,) * len(variables)
+    ls = tuple(multi_symbol() for _ in entries)
+    ms = tuple(multi_symbol() for _ in entries)
+    x = Poly._of(variables, {})
+    y = Poly._of(variables, {})
     for c1, c2, e in zip(ls, ms, entries):
-        x = x + e * c1
-        y = y + e * c2
+        e = multi_poly(e)
+        x = x + e * Poly._of(variables, {one: c1})
+        y = y + e * Poly._of(variables, {one: c2})
     return x, y
 
 
 def fiber_multiplicity(family: Parametrization, a_value) -> int:
     """Least t-order over the non-parameter entries of the fiber at
-    ``a_value``, read from the fiber itself."""
-    k = min(f.min_deg("t") for f in family.fiber(a_value)[1:])
-    assert k != INFINITY, f"fiber at a = {a_value} is a point"
-    return int(k)
+    ``a_value``, read from the fiber itself, formed in MultiScalars: the
+    value may be a generic symbol other than the family's own."""
+    v = multi(a_value)
+    orders = []
+    for e in family.entries[1:]:
+        coeffs: dict[int, MultiScalar] = {}
+        for (i, j), c in e.terms.items():
+            coeffs[j] = coeffs.get(j, multi(0)) + multi(c) * v ** i
+        orders += [j for j, c in coeffs.items() if c]
+    assert orders, f"fiber at a = {a_value} is a point"
+    return min(orders)
 
 
 def monomial_char_exponents(t_orders) -> tuple[int, tuple[int, ...], int]:
@@ -163,16 +466,20 @@ def arc_point(arc: Arc, s: Fraction,
     return a_val, t_val
 
 
-def scalar_symbols(x: Scalar) -> set[str]:
-    """The symbol names in x's numerator and denominator."""
+def scalar_symbols(x) -> set[str]:
+    """The symbol names in x's numerator and denominator (x a Scalar or a
+    MultiScalar)."""
+    if isinstance(x, Scalar):
+        return set() if x.sym is None else {x.sym}
     return {name for m in itertools.chain(x.num, x.den) for name, _ in m}
 
 
 def eval_scalar(p: Poly, values) -> Scalar:
-    """p at one value (int, Fraction or Scalar) per variable, exactly."""
+    """p at one value (int, Fraction, Scalar or MultiScalar) per variable,
+    exactly."""
     if len(values) != len(p.vars):
         raise ValueError("need one value per variable")
-    vals = [Scalar._coerce(v) for v in values]
+    vals = [scalar_of(v) for v in values]
     out = _ZERO
     for e, c in p.terms.items():
         term = c
@@ -414,24 +721,12 @@ def run_random_rolle_suite(rng: random.Random, count: int,
 _ZERO = Scalar.from_fraction(0)
 
 
-def mono_mul_by_dict(m1, m2):
-    """Product of two symbol monomials, through a dict of exponents."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for name, e in m2:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted((k, v) for k, v in d.items() if v))
-
-
 def sp_mul_by_loop(p, q):
-    """Product of two int polynomials in symbols, every pair of terms."""
+    """Product of two int polynomials in one symbol, every pair of terms."""
     r = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = mono_mul_by_dict(m1, m2)
+            m = m1 + m2
             s = r.get(m, 0) + c1 * c2
             if s:
                 r[m] = s
@@ -443,9 +738,10 @@ def sp_mul_by_loop(p, q):
 def scalar_mul_by_loop(x: Scalar, y: Scalar) -> Scalar:
     """``Scalar.__mul__`` through :func:`sp_mul_by_loop`, a unit factor
     too."""
-    if x.den == y.den == {(): 1}:
-        return Scalar(sp_mul_by_loop(x.num, y.num))
-    return Scalar(sp_mul_by_loop(x.num, y.num), sp_mul_by_loop(x.den, y.den))
+    sym = y.sym if x.sym is None else x.sym
+    if x.den == y.den == {0: 1}:
+        return Scalar(sp_mul_by_loop(x.num, y.num), None, sym)
+    return Scalar(sp_mul_by_loop(x.num, y.num), sp_mul_by_loop(x.den, y.den), sym)
 
 
 def scalar_pow_by_products(x: Scalar, n: int) -> Scalar:
@@ -546,15 +842,11 @@ def poly_compose_validating(p: Poly, values) -> Poly:
 def coeffs_in_dividing(x: Scalar, name: str) -> list[Scalar]:
     """``Scalar.coeffs_in`` dividing every coefficient by the denominator,
     a unit one too."""
-    buckets = {}
-    for m, c in x.num.items():
-        d = dict(m)
-        e = d.pop(name, 0)
-        rest = tuple(sorted(d.items()))
-        bucket = buckets.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, 0) + c
+    if x.sym != name:
+        return [x / Scalar.from_fraction(1)]
     den = Scalar(dict(x.den))
-    return [Scalar(buckets.get(k, {})) / den for k in range(max(buckets, default=0) + 1)]
+    return [Scalar({0: x.num[k]} if k in x.num else {}) / den
+            for k in range(max(x.num, default=0) + 1)]
 
 
 def wedge3_by_closures(v, omega, dim):
@@ -621,7 +913,7 @@ def scalar_div_general(x: Scalar, y: Scalar) -> Scalar:
     """``x / y`` through the general path, a unit divisor too."""
     if y.is_zero():
         raise ZeroDivisionError("division by zero scalar")
-    return Scalar(_sp_mul(x.num, y.den), _sp_mul(x.den, y.num))
+    return Scalar(_sp_mul(x.num, y.den), _sp_mul(x.den, y.num), y.sym if x.sym is None else x.sym)
 
 
 def series_compose_by_loop(f: SeriesT, inner: SeriesT) -> SeriesT:
@@ -673,7 +965,7 @@ def support_scan_full_order(x: Poly, others: list[Poly], m: int, order: int,
 
 def series_from_coeffs(coeffs, order: int | None = None) -> SeriesT:
     """A series from ints, Fractions or Scalars, padded or cut to ``order``."""
-    cs = [Scalar._coerce(c) for c in coeffs]
+    cs = [scalar_of(c) for c in coeffs]
     if order is None:
         order = len(cs)
     return SeriesT(tuple((cs + [_ZERO] * order)[:order]), order)
@@ -696,7 +988,7 @@ def series_sub(f: SeriesT, g: SeriesT) -> SeriesT:
 def series_mul(f: SeriesT, g) -> SeriesT:
     """f*g for a series or a scalar g, summed over nonzero terms."""
     if not isinstance(g, SeriesT):
-        c = Scalar._coerce(g)
+        c = scalar_of(g)
         return SeriesT(tuple([x * c for x in f.coeffs]), f.order)
     n = min(f.order, g.order)
     out = [_ZERO] * n

@@ -40,6 +40,7 @@ from equising.limits import (
     secant_vector,
 )
 from conftest import (
+    MultiScalar,
     corpus_path,
     critical_exponents_all_pairs,
     direction_deviation,
@@ -105,18 +106,21 @@ class TestCriticalExponents:
 
 
 def random_coefficient(rng, symbolic):
+    """A nonzero rational, or, when ``symbolic``, now and then a polynomial
+    in g1, which meets the arc coefficient c1: a MultiScalar."""
     q = Scalar.from_fraction(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                       rng.randint(1, 4)))
     if symbolic and rng.random() < 0.5:
-        g = Scalar.symbol("g1")
+        g = MultiScalar.symbol("g1")
         q = q * g ** rng.randint(1, 2) + rng.randint(-3, 3)
     return q
 
 
 def random_poly(rng, symbolic, terms=4):
-    return Poly(AT, {(rng.randint(0, 4), rng.randint(0, 6)):
-                     random_coefficient(rng, symbolic)
-                     for _ in range(rng.randint(0, terms))})
+    # every coefficient is nonzero, and a MultiScalar enters through _of
+    return Poly._of(AT, {(rng.randint(0, 4), rng.randint(0, 6)):
+                         random_coefficient(rng, symbolic)
+                         for _ in range(rng.randint(0, terms))})
 
 
 class TestInitialForms:
@@ -151,7 +155,7 @@ class TestInitialForms:
             polys = [random_poly(rng, symbolic) for _ in range(rng.randint(1, 3))]
             p, q = rng.randint(1, 4), rng.randint(1, 3)
             c0 = random_coefficient(rng, symbolic)
-            a_new = Poly.monomial(AT, (0, p), c0) + Poly.var(AT, "a")
+            a_new = Poly._of(AT, {(0, p): c0}) + Poly.var(AT, "a")
             t_new = Poly.monomial(AT, (0, q))
             refined = [f.compose([a_new, t_new]) for f in polys]
             for theta in self.THETAS:
